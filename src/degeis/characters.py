@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IotaMismatchError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q
-from .rootdata import Root, RootSystem, WeylWord
+from .rootdata import RootSystem, WeylWord
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,6 @@ def weyl_act(system: RootSystem, word: WeylWord, char: TorusCharacter) -> TorusC
         row = system.pairing[i - 1]
         coords = [c - s_i * row[j] for j, c in enumerate(coords)]
     return TorusCharacter(tuple(coords))
-
-
-def reflect_char_by_root(system: RootSystem, root: Root, char: TorusCharacter) -> TorusCharacter:
-    """Reflection of a character in an arbitrary root."""
-    t = char.pair(system.coroot(root))
-    nvec = system.norm_char(root)
-    return TorusCharacter(tuple(c - t * n for c, n in zip(char.coords, nvec)))
 
 
 def root_basis_coords(system: RootSystem, values: Sequence[Q]) -> tuple[Q, ...]:

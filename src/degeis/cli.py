@@ -43,7 +43,11 @@ def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacte
     coords = [parse_affine(p) for p in spec.split(",")]
     if len(coords) != system.rank:
         raise ConfigError(f"custom line needs {system.rank} coordinates, got {len(coords)}")
-    return TorusCharacter(tuple(coords))
+    line = TorusCharacter(tuple(coords))
+    if line.params != ("s",):
+        raise ConfigError("a custom line must be affine in the one parameter s that "
+                          f"--point assigns; found parameters {list(line.params)}")
+    return line
 
 
 def _emit(args, payload: dict, markdown: str) -> None:

@@ -32,7 +32,7 @@ from .characters import (TorusCharacter, parabolic_levi,
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q
 from .rootdata import Root, RootSystem, WeylWord
-from .zetas import LaurentData, ZetaAtom, ZetaExpr, expand_in, laurent_at, order_at
+from .zetas import LaurentData, ZetaAtom, ZetaExpr, expand_in, laurent_at
 
 
 # -- constant terms ---------------------------------------------------------
@@ -191,8 +191,6 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
     the intertwining operator M_w restricted to the line.
     """
     j = gk_factor(system, word, line)
-    if j == ZetaExpr.one():
-        return LaurentData(0, ZetaExpr.one())
     params = j.params
     if not params:
         return LaurentData(0, j)
@@ -204,6 +202,21 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
 
 # -- normalized (sharp) series ------------------------------------------------
 
+def _pairings(system: RootSystem, lam: TorusCharacter) -> list[tuple[str, AffineForm]]:
+    """(label of alpha, <lam, alpha^vee>) for every positive root alpha, in root order."""
+    return [(system.label_of(root).symbol, lam.pair(system.coroot(root)))
+            for root in system.positive_roots]
+
+
+def _l_factors(pairs: list[tuple[str, AffineForm]]) -> list[AffineForm]:
+    """The polynomial part of the normalizer: <lam,alpha^vee> +- 1 for every root."""
+    return [f for _, p in pairs for f in (p + 1, p - 1)]
+
+
+def _xi_shifted(pairs: list[tuple[str, AffineForm]]) -> list[ZetaAtom]:
+    return [ZetaAtom(label, p + 1, 1) for label, p in pairs]
+
+
 def sharp_normalizer(system: RootSystem, lam: TorusCharacter) -> ZetaExpr:
     """prod_{alpha>0} xi_{F_alpha}(<lam,alpha^vee>+1) (<lam,alpha^vee>+1) (<lam,alpha^vee>-1).
 
@@ -211,13 +224,8 @@ def sharp_normalizer(system: RootSystem, lam: TorusCharacter) -> ZetaExpr:
     makes it entire and Weyl-invariant; the polynomial parts live in the
     coefficient so rational constants come out exactly.
     """
-    atoms = []
-    num = []
-    for root in system.positive_roots:
-        p = lam.pair(system.coroot(root))
-        atoms.append(ZetaAtom(system.label_of(root).symbol, p + 1, 1))
-        num.extend([p + 1, p - 1])
-    return ZetaExpr.build(num=num, atoms=atoms)
+    pairs = _pairings(system, lam)
+    return ZetaExpr.build(num=_l_factors(pairs), atoms=_xi_shifted(pairs))
 
 
 @dataclass(frozen=True)
@@ -251,18 +259,11 @@ def sharp_limit(system: RootSystem, levi: Sequence[int], line: TorusCharacter,
     if slope == 0:
         raise ValueError("line is constant in the transversal direction")
 
-    atoms = []
-    num = []
-    dropped = 0
-    for root in system.positive_roots:
-        p = line.pair(system.coroot(root))
-        atoms.append(ZetaAtom(system.label_of(root).symbol, p + 1, 1))
-        for factor in (p + 1, p - 1):
-            if factor.is_zero():
-                dropped += 1     # identically zero along the line: divides out
-                continue
-            num.append(factor)
-    expr = ZetaExpr.build(num=num, atoms=atoms)
+    pairs = _pairings(system, line)
+    factors = _l_factors(pairs)
+    num = [f for f in factors if not f.is_zero()]
+    dropped = len(factors) - len(num)   # identically zero along the line: divide out
+    expr = ZetaExpr.build(num=num, atoms=_xi_shifted(pairs))
     ld = laurent_at(expr, {param: _q(point)})
     rescaled = ld.leading * ZetaExpr.build(slope ** (-ld.order))
     return SharpLimit(ld.order, rescaled, dropped, slope)
@@ -303,36 +304,23 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
 # -- appendix machinery: W-invariance and entireness ---------------------------
 
 class _SharpData:
-    """Precomputed per-root atoms of F_w(lam) for a fixed character lam."""
+    """Per-root atoms of F_w(lam) and the polynomial L(lam) for a fixed character lam."""
 
     def __init__(self, system: RootSystem, lam: TorusCharacter):
         self.system = system
-        self.at_pairing: dict[Root, ZetaAtom] = {}
-        self.at_shifted: dict[Root, ZetaAtom] = {}
-        for root in system.positive_roots:
-            p = lam.pair(system.coroot(root))
-            label = system.label_of(root).symbol
-            self.at_pairing[root] = ZetaAtom(label, p, 1)
-            self.at_shifted[root] = ZetaAtom(label, p + 1, 1)
+        self.pairs = _pairings(system, lam)
+        self.atoms: list[tuple[Root, ZetaAtom, ZetaAtom]] = [
+            (root, ZetaAtom(label, p, 1), ZetaAtom(label, p + 1, 1))
+            for root, (label, p) in zip(system.positive_roots, self.pairs)]
 
     def f_w(self, word: WeylWord) -> ZetaExpr:
         """F_w(lam): xi(<lam,a>+1) over non-inverted roots, xi(<lam,a>) over inverted."""
         inverted = set(self.system.inversion_set(word))
-        atoms = [self.at_pairing[r] if r in inverted else self.at_shifted[r]
-                 for r in self.system.positive_roots]
-        return ZetaExpr.build(atoms=atoms)
+        return ZetaExpr.build(atoms=[plain if r in inverted else shifted
+                                     for r, plain, shifted in self.atoms])
 
-
-def _f_w(system: RootSystem, word: WeylWord, lam: TorusCharacter) -> ZetaExpr:
-    return _SharpData(system, lam).f_w(word)
-
-
-def _l_poly(system: RootSystem, lam: TorusCharacter) -> ZetaExpr:
-    num = []
-    for root in system.positive_roots:
-        p = lam.pair(system.coroot(root))
-        num.extend([p + 1, p - 1])
-    return ZetaExpr.build(num=num)
+    def l_poly(self) -> ZetaExpr:
+        return ZetaExpr.build(num=_l_factors(self.pairs))
 
 
 def generic_character(system: RootSystem, prefix: str = "z") -> TorusCharacter:
@@ -351,12 +339,10 @@ def sharp_invariance_check(system: RootSystem, simple_index: int) -> tuple[bool,
     lam = generic_character(system)
     w_i = WeylWord.of(simple_index)
     lam_i = weyl_act(system, w_i, lam)
-    l_plain = _l_poly(system, lam)
-    l_moved = _l_poly(system, lam_i)
-    if l_plain != l_moved:
-        return False, WeylWord()
     data = _SharpData(system, lam)
     data_i = _SharpData(system, lam_i)
+    if data.l_poly() != data_i.l_poly():
+        return False, WeylWord()
     for _, u in system.weyl_elements():
         lhs = data_i.f_w(WeylWord((simple_index,) + u.letters))
         rhs = data.f_w(u)
@@ -425,8 +411,8 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
             coords = [AffineForm.var(f"z{j}") for j in range(1, system.rank + 1)]
             coords[i - 1] = AffineForm.var("eps") + eps
             lam = TorusCharacter(tuple(coords))
-            l_order = expand_in(_l_poly(system, lam), "eps").order
             data = _SharpData(system, lam)
+            l_order = expand_in(data.l_poly(), "eps").order
             for _, w in elements:
                 # orders are additive, so L * F_w never needs assembling
                 if l_order + expand_in(data.f_w(w), "eps").order < 0:
@@ -477,11 +463,8 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     for term in ct.terms:
         params = term.j_factor.params or term.exponent.params
         param = params[0] if params else "s"
-        if term.j_factor == ZetaExpr.one():
-            order = 0
-        else:
-            order = order_at(term.j_factor, {param: pt},
-                             assume_no_real_zeros=assume_no_real_zeros)
+        order = laurent_at(term.j_factor, {param: pt},
+                           assume_no_real_zeros=assume_no_real_zeros).order
         exp_val = term.exponent.evaluate({param: pt})
         rows.append({
             "word": str(term.word),

@@ -31,6 +31,7 @@ field-degree bookkeeping of restricted roots.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -254,15 +255,6 @@ class RootSystem:
     def length_class_of(self, root: Root) -> str:
         return self._length_class[self._base(root)]
 
-    def multiplicity_of(self, root: Root) -> int:
-        """Dimension of the root space over the base field.
-
-        For the folded presets this is the degree of the root's field of
-        definition; it enters the calculator only through which completed
-        zeta is attached to the root and through the norm characters.
-        """
-        return self.label_of(root).degree
-
     def coroot(self, root: Root) -> tuple[Q, ...]:
         """Pairing vector c with <lambda, root^vee> = sum c_j lambda_j."""
         base = self._base(root)
@@ -330,8 +322,7 @@ class RootSystem:
         return len(self.weyl_elements())
 
     def length(self, word: WeylWord) -> int:
-        return sum(1 for r in self.positive_roots
-                   if not self.word_on_root(word.inverse(), r).positive)
+        return len(self.inversion_set(word))
 
     def inversion_set(self, word: WeylWord) -> tuple[Root, ...]:
         """{alpha > 0 : w^{-1} alpha < 0} in canonical positive-root order."""
@@ -364,12 +355,6 @@ class RootSystem:
             else:
                 raise RuntimeError("no descent found for nontrivial element")
         return WeylWord(tuple(reversed(letters)))
-
-    def word_of_perm(self, perm: tuple[int, ...]) -> WeylWord:
-        for p, w in self.weyl_elements():
-            if p == perm:
-                return w
-        raise UnknownRootError("permutation is not a Weyl element")
 
     def reflection_word(self, root: Root) -> WeylWord:
         """A word for the reflection in the given (positive) root."""
@@ -453,20 +438,10 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                         stack.append(j)
                     elif d[j] != val:
                         raise NotFiniteTypeError("Cartan matrix is not symmetrizable")
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd_int(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in d))
     scaled = [int(x * lcm) for x in d]
-    g = 0
-    for x in scaled:
-        g = _gcd_int(g, x)
+    g = math.gcd(*scaled)
     return tuple(x // g for x in scaled)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def build_system(preset: str, *, cartan: Sequence[Sequence[int]] | None = None,
@@ -483,24 +458,16 @@ def build_system(preset: str, *, cartan: Sequence[Sequence[int]] | None = None,
     if preset not in _PRESET_DATA:
         raise UnsupportedGroupError(f"unknown preset {preset!r}")
     rows, folded, nonsplit = _PRESET_DATA[preset]
-    system = RootSystem(preset, rows, folded=folded,
-                        labels=_preset_labels(preset, rows, folded, nonsplit))
-    return system
+    return RootSystem(preset, rows, folded=folded, labels=_preset_labels(rows, nonsplit))
 
 
-def _preset_labels(preset: str, rows, folded: bool, nonsplit: FieldLabel | None) -> dict[int, FieldLabel]:
-    n = len(rows)
-    if not folded or nonsplit is None:
-        return {i: LABEL_F for i in range(1, n + 1)}
+def _preset_labels(rows, nonsplit: FieldLabel | None) -> dict[int, FieldLabel]:
     # label by length class of the simple roots: short simples carry the
-    # extension field (K-orbit of the folding), long simples are split
-    probe = RootSystem(preset + "_probe", rows, folded=folded,
-                       labels={i: LABEL_F for i in range(1, n + 1)})
-    out = {}
-    for i in range(1, n + 1):
-        cls = probe.length_class_of(probe.simple_root(i))
-        out[i] = nonsplit if cls == "short" else LABEL_F
-    return out
+    # extension field (K-orbit of the folding), long simples are split; the
+    # norm of alpha_i is 2 d_i, so alpha_i is short iff d_i < max(d)
+    d = _symmetrizer(rows)
+    return {i: nonsplit if nonsplit is not None and d[i - 1] < max(d) else LABEL_F
+            for i in range(1, len(rows) + 1)}
 
 
 def load_custom(document: str | dict) -> RootSystem:

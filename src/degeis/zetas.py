@@ -22,6 +22,7 @@ Two expressions are equal as functions iff their canonical forms coincide.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -36,25 +37,13 @@ def _primitive(f: AffineForm) -> tuple[AffineForm, Q]:
     """
     if f.is_zero():
         raise ValueError("zero form has no primitive representative")
-    values = [c for _, c in f.coeffs] + ([f.const] if f.const != 0 else [])
-    denom_lcm = 1
-    for v in values:
-        denom_lcm = denom_lcm * v.denominator // _gcd(denom_lcm, v.denominator)
-    nums = [abs(int(v * denom_lcm)) for v in values]
-    g = 0
-    for n in nums:
-        g = _gcd(g, n)
-    scale = Q(denom_lcm, g)
+    values = [c for _, c in f.coeffs] + [f.const]
+    denom = math.lcm(*(v.denominator for v in values))
+    scale = Q(denom, math.gcd(*(v.numerator * (denom // v.denominator) for v in values)))
     lead = f.leading_coeff() if f.coeffs else f.const
     if lead < 0:
         scale = -scale
     return f * scale, 1 / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def canonical_arg(arg: AffineForm) -> tuple[AffineForm, bool]:
@@ -190,10 +179,6 @@ class ZetaExpr:
             names.update(f.params)
         return tuple(sorted(names))
 
-    def is_monomial(self) -> bool:
-        """True when no formal parameters remain (pure constant monomial)."""
-        return not self.params
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -260,27 +245,24 @@ def expand_in(expr: ZetaExpr, var: str, *,
     if expr.is_zero():
         raise ValueError("Laurent expansion of the zero expression")
     order = 0
-    lead = ZetaExpr.build(expr.scalar, residues=expr.residues)
-
-    def polynomial_part(f: AffineForm, inverted: bool) -> tuple[int, ZetaExpr]:
-        a = f.coeff(var)
-        g = f.drop(var)
-        if g.is_zero():
-            if a == 0:
+    scalar = expr.scalar
+    num: list[AffineForm] = []
+    den: list[AffineForm] = []
+    for forms, kept, step in ((expr.num, num, 1), (expr.den, den, -1)):
+        for f in forms:
+            a = f.coeff(var)
+            g = f.drop(var)
+            if not g.is_zero():
+                kept.append(g)
+            elif a == 0:
                 raise ValueError("zero affine factor")
-            return (-1, ZetaExpr.build(1 / a)) if inverted else (1, ZetaExpr.build(a))
-        piece = ZetaExpr.build(num=[g]) if not inverted else ZetaExpr.build(den=[g])
-        return 0, piece
+            else:
+                # f = a*var: a zero (numerator) or pole (denominator) of order 1
+                order += step
+                scalar = scalar * a if step > 0 else scalar / a
 
-    for f in expr.num:
-        d, piece = polynomial_part(f, False)
-        order += d
-        lead = lead * piece
-    for f in expr.den:
-        d, piece = polynomial_part(f, True)
-        order += d
-        lead = lead * piece
-
+    atoms: list[ZetaAtom] = []
+    residues = list(expr.residues)
     for a in expr.atoms:
         slope = a.arg.coeff(var)
         g = a.arg.drop(var)
@@ -291,15 +273,15 @@ def expand_in(expr: ZetaExpr, var: str, *,
             # xi(eps) ~ -R/eps, xi(1+eps) ~ R/eps with eps = slope*var
             sign = Q(-1) if g.const == 0 else Q(1)
             order -= a.exp
-            lead = lead * ZetaExpr.build((sign / slope) ** a.exp,
-                                         residues=[(a.label, a.exp)])
+            scalar *= (sign / slope) ** a.exp
+            residues.append((a.label, a.exp))
             continue
         if g.is_constant() and 0 < g.const < 1 and not assume_no_real_zeros:
             raise IndeterminateZeroRegionError(
                 f"xi_{a.label}({g.const}) lies in (0,1); possible real zero",
                 atom=str(a))
-        lead = lead * ZetaExpr.atom(a.label, g, a.exp)
-    return LaurentData(order, lead)
+        atoms.append(ZetaAtom(a.label, g, a.exp))
+    return LaurentData(order, ZetaExpr.build(scalar, num, den, atoms, residues))
 
 
 def _shift_to_point(expr: ZetaExpr, point: Mapping[str, Rat], var: str) -> ZetaExpr:
@@ -324,13 +306,3 @@ def laurent_at(expr: ZetaExpr, point: Mapping[str, Rat], *,
     shifted = _shift_to_point(expr, point, _EPS)
     return expand_in(shifted, _EPS, assume_no_real_zeros=assume_no_real_zeros)
 
-
-def order_at(expr: ZetaExpr, point: Mapping[str, Rat], *,
-             assume_no_real_zeros: bool = False) -> int:
-    """Order of vanishing at the point (negative = pole order)."""
-    return laurent_at(expr, point, assume_no_real_zeros=assume_no_real_zeros).order
-
-
-def leading_coeff_at(expr: ZetaExpr, point: Mapping[str, Rat], *,
-                     assume_no_real_zeros: bool = False) -> LaurentData:
-    return laurent_at(expr, point, assume_no_real_zeros=assume_no_real_zeros)

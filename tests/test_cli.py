@@ -96,3 +96,18 @@ def test_bad_point_is_config_error(capsys):
     code, _, _ = run(capsys, "table", "--group", "2D4", "--parabolic", "Q",
                      "--point", "one sixth")
     assert code == 1
+
+
+def test_custom_line_with_a_mistyped_parameter_is_refused(capsys):
+    code, out, err = run(capsys, "table", "--group", "D4", "--parabolic", "P",
+                         "--line", "1e5s,0,0,0", "--point", "1")
+    assert code == 1
+    assert out == ""
+    assert "config-error" in err and "e5s" in err
+
+
+def test_custom_line_with_two_parameters_is_refused(capsys):
+    code, _, err = run(capsys, "table", "--group", "D4", "--parabolic", "P",
+                       "--line", "s,t,0,0", "--point", "1")
+    assert code == 1
+    assert "config-error" in err and "'t'" in err

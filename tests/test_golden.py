@@ -1,0 +1,61 @@
+"""Byte-identity guard for the commands documented in the README.
+
+Each command runs in-process through ``degeis.cli.main`` and its stdout is
+compared with a checked-in file under ``tests/golden/``.  To regenerate the
+files after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from degeis.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "table_2D4_Q_1-6": "table --group 2D4 --parabolic Q --point 1/6",
+    "table_D4_Q_1-6": "table --group D4 --parabolic Q --point 1/6",
+    "table_2D4_Q_1-6_json": "table --group 2D4 --parabolic Q --point 1/6 --format json",
+    "table_D4_Q_1-6_json": "table --group D4 --parabolic Q --point 1/6 --format json",
+    "poles_D4_P_3-10": "poles --group D4 --parabolic P --point 3/10",
+    "poles_2D4_Q_1-6": "poles --group 2D4 --parabolic Q --point 1/6",
+    "poles_D4_P_3-10_json": "poles --group D4 --parabolic P --point 3/10 --format json",
+    "poles_2D4_Q_1-6_json": "poles --group 2D4 --parabolic Q --point 1/6 --format json",
+    "sw_2D4": "sw --group 2D4",
+    "sharp-check_D4": "sharp-check --group D4",
+    "lfactor_Vtau_order": "lfactor --source Vtau --order-at 2",
+    "lfactor_Vchi_trivial_order": "lfactor --source Vchi --chi trivial --order-at 2",
+    "lfactor_Vchi_biweights": "lfactor --source Vchi --biweights",
+    "tate_lattice_0": "tate --function lattice:0 --z 2s+3",
+}
+
+
+def run(argv: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv.split())
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name):
+    code, out = run(COMMANDS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(COMMANDS.items()):
+        code, out = run(argv)
+        if code != 0:
+            sys.exit(f"{argv}: exit {code}")
+        (GOLDEN / f"{name}.txt").write_text(out)
+        print(f"wrote {name}.txt")

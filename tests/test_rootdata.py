@@ -296,3 +296,34 @@ def test_folded_presets_match_absolute_d4_oracle(split, preset, fold, rank):
         assert tuple(system.norm_char(r)) == tuple(Q(x) for x in nchar), r
         assert tuple(system.coroot(r)) == cvec, r
         assert system.label_of(r).degree == degree, r
+
+
+def test_preset_simple_root_labels(split, quasi, tri, g2, a1):
+    # short simple roots of the folded presets carry the extension field
+    def labels(system):
+        return {i: system.label_of(system.simple_root(i)).symbol
+                for i in range(1, system.rank + 1)}
+    assert labels(split) == {1: "F", 2: "F", 3: "F", 4: "F"}
+    assert labels(quasi) == {1: "F", 2: "F", 3: "K"}
+    assert labels(tri) == {1: "E", 2: "F"}
+    assert labels(g2) == {1: "F", 2: "F"}
+    assert labels(a1) == {1: "F"}
+
+
+@pytest.mark.parametrize("cartan_type, preset", [
+    ("G2", "G2"), ("G2", "tri_D4"), ("D4", "split_D4"), ("B3", "quasi_D4"),
+    ("F4", None), ("E6", None), ("E7", None), ("E8", None)])
+def test_root_counts_and_weyl_orders_match_sympy(cartan_type, preset):
+    # sympy's A1 Cartan matrix is broken, so A1 is left out
+    pytest.importorskip("sympy")
+    from sympy.liealgebras.cartan_type import CartanType
+    from sympy.liealgebras.weyl_group import WeylGroup
+    ct = CartanType(cartan_type)
+    systems = [build_system("custom", cartan=ct.cartan_matrix().tolist())]
+    if preset is not None:
+        systems.append(build_system(preset))
+    for system in systems:
+        assert len(system.positive_roots) == len(ct.positive_roots())
+        # enumerating W(E6), W(E7), W(E8) takes seconds, so their orders are skipped
+        if not cartan_type.startswith("E"):
+            assert system.weyl_order() == WeylGroup(cartan_type).group_order()
