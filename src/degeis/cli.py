@@ -69,8 +69,7 @@ def cmd_table(args) -> int:
                "rows": [{k: v for k, v in r.items() if not k.endswith("_json")} | {
                    "j_factor_json": r["j_factor_json"],
                    "exponent_json": r["exponent_json"]} for r in rows]}
-    _emit(args, payload, render_markdown_table(ct, point,
-                                               assume_no_real_zeros=args.assume_no_real_zeros))
+    _emit(args, payload, render_markdown_table(rows, point))
     return 0
 
 

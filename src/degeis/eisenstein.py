@@ -61,12 +61,7 @@ def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
     levi_set = tuple(levi)
     for i in levi_set:
         system._check_index(i)
-    reps = []
-    for _, word in system.weyl_elements():
-        inv = word.inverse()
-        if all(system.word_on_root(inv, system.simple_root(i)).positive for i in levi_set):
-            reps.append(word)
-    return reps
+    return [word for _, word in system.weyl_elements(levi_set)]
 
 
 def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaExpr:
@@ -478,8 +473,8 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     return rows
 
 
-def render_markdown_table(ct: ConstantTerm, point: Rat, **kw) -> str:
-    rows = render_table_rows(ct, point, **kw)
+def render_markdown_table(rows: list[dict], point: Rat) -> str:
+    """The rows of ``render_table_rows`` as a Markdown table."""
     pt = _q(point)
     head = f"| w | J(w,s) | Order of pole at {pt} | exponent (generic) | exponent at {pt} |"
     sep = "|---|---|---|---|---|"

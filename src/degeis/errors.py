@@ -59,3 +59,9 @@ class UnmodeledPointError(DegeisError):
 
 class ConfigError(DegeisError):
     code = "config-error"
+
+
+class EnumerationTooLargeError(DegeisError):
+    """A Weyl-group enumeration would exceed the library's size bound."""
+
+    code = "enumeration-too-large"

@@ -32,15 +32,21 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import (LabelInconsistencyError, NotFiniteTypeError,
-                     UnknownRootError, UnsupportedGroupError)
+from .errors import (EnumerationTooLargeError, LabelInconsistencyError,
+                     NotFiniteTypeError, UnknownRootError,
+                     UnsupportedGroupError)
 from .forms import Q
 
 _MAX_HEIGHT = 64
+# weyl_elements refuses to list more elements than this: the walk keeps one
+# permutation of the 2N signed roots per element (E6: 51840, E7: 2903040)
+_MAX_WEYL_ELEMENTS = 100_000
 
 
 @dataclass(frozen=True, order=True)
@@ -143,7 +149,7 @@ class RootSystem:
         # self.pairing[i] is the vector subtracted (times s_i) by reflection i
         self._simple_labels = {i: labels[i] for i in range(1, self.rank + 1)}
         self._generate()
-        self._weyl_cache: list[tuple[tuple[int, ...], WeylWord]] | None = None
+        self._weyl_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], WeylWord]]] = {}
         self._inversion_cache: dict[tuple[int, ...], tuple[Root, ...]] = {}
 
     # -- construction -----------------------------------------------------
@@ -282,23 +288,53 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------
 
-    def _signed_roots(self) -> tuple[Root, ...]:
-        return self.positive_roots + tuple(-r for r in self.positive_roots)
+    @cached_property
+    def _index(self) -> dict[Root, int]:
+        """Position of each signed root; positions below n are the positive roots."""
+        signed = self.positive_roots + tuple(-r for r in self.positive_roots)
+        return {r: k for k, r in enumerate(signed)}
+
+    @cached_property
+    def _gens(self) -> tuple[tuple[int, ...], ...]:
+        """Simple reflections as permutations of the signed-root positions."""
+        return tuple(tuple(self._index[self.reflect_root(i, r)] for r in self._index)
+                     for i in range(1, self.rank + 1))
+
+    def _times(self, perm: tuple[int, ...], i: int) -> tuple[int, ...]:
+        # right multiplication: (w s_i)(r) = w(s_i r)
+        return tuple(perm[k] for k in self._gens[i - 1])
 
     def perm_of_word(self, word: WeylWord) -> tuple[int, ...]:
-        ordering = {r: k for k, r in enumerate(self._signed_roots())}
-        return tuple(ordering[self.word_on_root(word, r)] for r in self._signed_roots())
+        perm = tuple(range(2 * len(self.positive_roots)))
+        for i in word.letters:
+            perm = self._times(perm, i)
+        return perm
 
-    def weyl_elements(self) -> list[tuple[tuple[int, ...], WeylWord]]:
-        """All Weyl elements as (root permutation, canonical shortlex word)."""
-        if self._weyl_cache is not None:
-            return self._weyl_cache
-        roots = self._signed_roots()
-        index = {r: k for k, r in enumerate(roots)}
-        gens = []
-        for i in range(1, self.rank + 1):
-            gens.append(tuple(index[self.reflect_root(i, r)] for r in roots))
-        ident = tuple(range(len(roots)))
+    def weyl_elements(self, levi: Iterable[int] = ()) -> list[tuple[tuple[int, ...], WeylWord]]:
+        """Minimal representatives of W_L \\ W as (root permutation, shortlex word).
+
+        With the default empty Levi this is all of W.  The representatives are
+        closed under prefixes, and a step w -> w s_i goes up and stays among
+        them exactly when w(alpha_i) is a positive root other than a Levi
+        simple root (Deodhar's lemma), so the breadth-first walk visits
+        |W| / |W_L| elements.  Words are the lexicographically least reduced
+        words, listed in shortlex order.
+        """
+        key = tuple(sorted(set(levi)))
+        cached = self._weyl_cache.get(key)
+        if cached is not None:
+            return cached
+        levi_pos = {self._index[self.simple_root(j)] for j in key}
+        levi_roots = (r for r in self.positive_roots
+                      if all(c == 0 or j in key for j, c in enumerate(r.coords, start=1)))
+        size = self.weyl_order() // _weyl_group_order(levi_roots)
+        if size > _MAX_WEYL_ELEMENTS:
+            raise EnumerationTooLargeError(
+                f"{size} Weyl elements to enumerate on {self.name}, above the bound "
+                f"{_MAX_WEYL_ELEMENTS}", size=size, bound=_MAX_WEYL_ELEMENTS)
+        n = len(self.positive_roots)
+        simple_pos = [self._index[self.simple_root(i)] for i in range(1, self.rank + 1)]
+        ident = tuple(range(2 * n))
         seen = {ident: WeylWord()}
         order: list[tuple[tuple[int, ...], WeylWord]] = [(ident, WeylWord())]
         frontier = [ident]
@@ -306,20 +342,22 @@ class RootSystem:
             nxt = []
             for perm in frontier:
                 word = seen[perm]
-                for i, g in enumerate(gens, start=1):
-                    # right multiplication: (w s_i)(r) = w(s_i r)
-                    new = tuple(perm[g[k]] for k in range(len(roots)))
+                for i, pos in enumerate(simple_pos, start=1):
+                    image = perm[pos]
+                    if image >= n or image in levi_pos:
+                        continue
+                    new = self._times(perm, i)
                     if new not in seen:
                         seen[new] = WeylWord(word.letters + (i,))
                         nxt.append(new)
             nxt.sort(key=lambda p: seen[p].letters)
             order.extend((p, seen[p]) for p in nxt)
             frontier = nxt
-        self._weyl_cache = order
+        self._weyl_cache[key] = order
         return order
 
     def weyl_order(self) -> int:
-        return len(self.weyl_elements())
+        return _weyl_group_order(self.positive_roots)
 
     def length(self, word: WeylWord) -> int:
         return len(self.inversion_set(word))
@@ -341,16 +379,12 @@ class RootSystem:
         perm = self.perm_of_word(word)
         n = len(self.positive_roots)
         ident = tuple(range(2 * n))
-        index = {r: k for k, r in enumerate(self._signed_roots())}
-        gens = [tuple(index[self.reflect_root(i, r)] for r in self._signed_roots())
-                for i in range(1, self.rank + 1)]
         while perm != ident:
             for i in range(1, self.rank + 1):
                 # right descent: w(alpha_i) < 0
-                if perm[index[self.simple_root(i)]] >= n:
+                if perm[self._index[self.simple_root(i)]] >= n:
                     letters.append(i)
-                    g = gens[i - 1]
-                    perm = tuple(perm[g[k]] for k in range(2 * n))
+                    perm = self._times(perm, i)
                     break
             else:
                 raise RuntimeError("no descent found for nontrivial element")
@@ -402,6 +436,20 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, rank {self.rank}, {len(self.positive_roots)} positive roots)"
+
+
+def _weyl_group_order(positive_roots: Iterable[Root]) -> int:
+    """|W| of a root system from its positive roots, without enumeration.
+
+    Kostant: the exponents are the partition dual to (n_1, n_2, ...), where
+    n_h counts the positive roots of height h, so exactly n_h - n_{h+1} of
+    them equal h, and |W| is the product of (m + 1) over the exponents m.
+    """
+    counts = Counter(r.height for r in positive_roots)
+    order = 1
+    for h, n_h in counts.items():
+        order *= (h + 1) ** (n_h - counts.get(h + 1, 0))
+    return order
 
 
 def _validate_cartan(cartan: tuple[tuple[int, ...], ...]) -> None:

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from degeis.eisenstein import (ConstantTerm, GKTerm, constant_term, coset_reps,
                                render_markdown_table, render_table_rows,
                                sharp_invariance_check, sharp_limit,
                                sharp_normalizer, siegel_weil_constant)
+from degeis.errors import EnumerationTooLargeError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaExpr, laurent_at
@@ -37,6 +39,104 @@ def test_coset_reps_quasi_P_counts(quasi, split, tri):
     assert len(coset_reps(split, (1, 3, 4))) == 24
     assert len(coset_reps(tri, (1,))) == 6
     assert len(coset_reps(tri, ())) == 12
+
+
+def _scan_coset_reps(system, levi):
+    """Reference: list all of W by a breadth-first walk over every step,
+    then keep the w with w^{-1} alpha_j > 0 for each Levi node j."""
+    roots = system.positive_roots + tuple(-r for r in system.positive_roots)
+    index = {r: k for k, r in enumerate(roots)}
+    gens = [tuple(index[system.reflect_root(i, r)] for r in roots)
+            for i in range(1, system.rank + 1)]
+    ident = tuple(range(len(roots)))
+    seen = {ident: WeylWord()}
+    elements = [WeylWord()]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            for i, g in enumerate(gens, start=1):
+                new = tuple(perm[k] for k in g)
+                if new not in seen:
+                    seen[new] = WeylWord(seen[perm].letters + (i,))
+                    nxt.append(new)
+        nxt.sort(key=lambda p: seen[p].letters)
+        elements.extend(seen[p] for p in nxt)
+        frontier = nxt
+    return [w for w in elements
+            if all(system.word_on_root(w.inverse(), system.simple_root(j)).positive
+                   for j in levi)]
+
+
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def _simply_laced(rank, edges):
+    return [[2 if i == j else -1 if (i + 1, j + 1) in edges or (j + 1, i + 1) in edges else 0
+             for j in range(rank)] for i in range(rank)]
+
+
+# Bourbaki numbering: the chain 1-3-4-5-6-7-8 with node 2 attached to node 4
+E_EDGES = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
+
+
+def e_type(rank):
+    return build_system("custom", cartan=_simply_laced(
+        rank, {(i, j) for i, j in E_EDGES if j <= rank}))
+
+
+def _levi_subsets(rank):
+    nodes = range(1, rank + 1)
+    return [levi for k in range(rank + 1) for levi in combinations(nodes, k)]
+
+
+@pytest.mark.parametrize("preset", ["split_D4", "quasi_D4", "tri_D4", "G2", "A1", "F4"])
+def test_coset_walk_matches_full_group_scan(preset):
+    system = (build_system("custom", cartan=F4_CARTAN) if preset == "F4"
+              else build_system(preset))
+    for levi in _levi_subsets(system.rank):
+        assert coset_reps(system, levi) == _scan_coset_reps(system, levi), levi
+    assert [w for _, w in system.weyl_elements()] == _scan_coset_reps(system, ())
+
+
+def _check_minimal_reps(system, levi, expected):
+    elements = system.weyl_elements(levi)
+    assert len(elements) == expected
+    assert len({perm for perm, _ in elements}) == expected
+    levi_order = build_system("custom", cartan=[[system.cartan[i - 1][j - 1] for j in levi]
+                                                for i in levi]).weyl_order()
+    assert expected == system.weyl_order() // levi_order
+    n = len(system.positive_roots)
+    for perm, w in elements:
+        # the word is reduced: w sends exactly len(w) positive roots negative,
+        # as many as its inversion set holds (inversion_set itself applies w
+        # to every root, which takes seconds on E8)
+        assert perm == system.perm_of_word(w)
+        assert sum(1 for image in perm[:n] if image >= n) == len(w)
+        for j in levi:
+            assert system.word_on_root(w.inverse(), system.simple_root(j)).positive
+
+
+@pytest.mark.parametrize("node,expected", [(1, 27), (2, 72), (3, 216), (4, 720),
+                                           (5, 216), (6, 27)])
+def test_e6_maximal_parabolic_coset_counts(node, expected):
+    e6 = e_type(6)
+    _check_minimal_reps(e6, tuple(j for j in range(1, 7) if j != node), expected)
+
+
+@pytest.mark.parametrize("rank,node,expected", [(7, 1, 126), (7, 7, 56), (8, 8, 240)])
+def test_e7_e8_cosets_without_the_full_group(rank, node, expected):
+    system = e_type(rank)
+    levi = tuple(j for j in range(1, rank + 1) if j != node)
+    _check_minimal_reps(system, levi, expected)
+
+
+def test_full_weyl_enumeration_is_bounded():
+    e7 = e_type(7)
+    with pytest.raises(EnumerationTooLargeError) as info:
+        e7.weyl_elements()
+    assert info.value.info["size"] == 2903040
+    assert len(e_type(6).weyl_elements()) == 51840
 
 
 GOLDEN_QUASI = [
@@ -82,7 +182,7 @@ def test_quasi_table_j_factor_strings(quasi):
     assert rows[3]["j_factor"] == "xi_F(6s+1)*xi_K(6s)/(xi_F(6s+3)*xi_K(6s+1))"
     assert rows[5]["j_factor"] == \
         "xi_F(6s-2)*xi_F(6s+1)*xi_K(6s)/(xi_F(6s)*xi_F(6s+3)*xi_K(6s+1))"
-    md = render_markdown_table(ct, Q(1, 6))
+    md = render_markdown_table(rows, Q(1, 6))
     assert md.splitlines()[2].startswith("| 1 | 1 | 0 |")
 
 

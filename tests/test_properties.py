@@ -103,6 +103,21 @@ def test_order_and_leading_multiply(e1, e2):
     assert op.leading == o1.leading * o2.leading
 
 
+@settings(max_examples=150, deadline=None)
+@given(_exprs, _atoms, st.sampled_from([0, 1]))
+def test_order_counts_polar_atoms_and_vanishing_forms(e, atom, target):
+    """At a zero of one atom's argument the order is a direct count:
+    minus the exponents of the polar atoms, plus the vanishing numerator
+    forms, minus the vanishing denominator forms."""
+    expr = e * ZetaExpr.build(atoms=[atom])
+    slope, const = atom.arg.coeff("s"), atom.arg.const
+    point = {"s": (target - const) / slope}
+    expected = (-sum(a.exp for a in expr.atoms if a.arg.evaluate(point) in (0, 1))
+                + sum(1 for f in expr.num if f.evaluate(point) == 0)
+                - sum(1 for f in expr.den if f.evaluate(point) == 0))
+    assert laurent_at(expr, point, assume_no_real_zeros=True).order == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(_atoms)
 def test_functional_equation_leaves_orders_invariant(atom):
