@@ -2,7 +2,9 @@
 
 Subcommands expose every computation and emit Markdown or JSON with
 deterministic ordering.  Exit codes: 0 success, 1 configuration error,
-2 indeterminate zero region, 3 check failure.
+2 indeterminate zero region, 3 check failure, 4 mathematical limit (the
+input is valid but needs what the engine does not model:
+needs-higher-log-order, hyperplane-degeneracy, unmodeled-point).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .dualside import lfactor_standard, order_at_2, restrict_via_r
 from .eisenstein import (constant_term, entireness_report, pole_report,
                          render_markdown_table, render_table_rows,
                          sharp_invariance_check, siegel_weil_constant)
-from .errors import ConfigError, DegeisError, IndeterminateZeroRegionError
+from .errors import (ConfigError, DegeisError, IndeterminateZeroRegionError,
+                     MathematicalLimitError)
 from .forms import parse_affine, parse_rational
 from .localint import ShellFunction, tate_integral
 from .rootdata import RootSystem, build_system
@@ -35,12 +38,22 @@ def _system(name: str) -> RootSystem:
     return build_system(_GROUPS[name])
 
 
+def _parse(parse, text: str):
+    """A command-line value read by parse_rational or parse_affine."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"zero denominator in {text!r}") from exc
+
+
 def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacter:
     if spec is None:
         return chi_line_for(system, parabolic)
     if spec in ("chiQ", "chiP", "muP", "muQ", "kappa"):
         return standard_line(system, spec)
-    coords = [parse_affine(p) for p in spec.split(",")]
+    coords = [_parse(parse_affine, p) for p in spec.split(",")]
     if len(coords) != system.rank:
         raise ConfigError(f"custom line needs {system.rank} coordinates, got {len(coords)}")
     line = TorusCharacter(tuple(coords))
@@ -61,7 +74,7 @@ def cmd_table(args) -> int:
     system = _system(args.group)
     levi = parabolic_levi(system, args.parabolic)
     line = _line(system, args.line, args.parabolic)
-    point = parse_rational(args.point)
+    point = _parse(parse_rational, args.point)
     ct = constant_term(system, levi, line)
     rows = render_table_rows(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
@@ -77,7 +90,7 @@ def cmd_poles(args) -> int:
     system = _system(args.group)
     levi = parabolic_levi(system, args.parabolic)
     line = _line(system, args.line, args.parabolic)
-    point = parse_rational(args.point)
+    point = _parse(parse_rational, args.point)
     ct = constant_term(system, levi, line)
     rep = pole_report(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
     groups = [{
@@ -161,7 +174,7 @@ def cmd_lfactor(args) -> int:
                "display": str(fact)}
     lines = [str(fact), f"degree: {fact.degree()}"]
     if args.order_at is not None:
-        point = parse_rational(args.order_at)
+        point = _parse(parse_rational, args.order_at)
         if point != 2:
             raise ConfigError("only the point s=2 is modeled")
         order = order_at_2(fact, chi_trivial=(args.chi == "trivial"))
@@ -181,7 +194,7 @@ def cmd_tate(args) -> int:
         shell = ShellFunction(kind, int(k or "0"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    z = parse_affine(args.z)
+    z = _parse(parse_affine, args.z)
     value = tate_integral(shell, z)
     payload = {"command": "tate", "function": args.function, "z": str(z),
                "value": value.to_json(), "display": str(value),
@@ -256,18 +269,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except IndeterminateZeroRegionError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
     except DegeisError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error[config-error]: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, IndeterminateZeroRegionError):
+            return 2
+        return 4 if isinstance(exc, MathematicalLimitError) else 1
 
 
 if __name__ == "__main__":

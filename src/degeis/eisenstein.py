@@ -64,25 +64,43 @@ def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
     return [word for _, word in system.weyl_elements(levi_set)]
 
 
-def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaExpr:
-    """Gindikin-Karpelevich factor J(w, s) along the line, canonicalized."""
+def _pairing_table(system: RootSystem, line: TorusCharacter) -> dict[Root, tuple[str, AffineForm]]:
+    return dict(zip(system.positive_roots, _pairings(system, line)))
+
+
+def _j_factor(inversions: Iterable[Root],
+              table: dict[Root, tuple[str, AffineForm]]) -> ZetaExpr:
     atoms = []
-    for root in system.inversion_set(word):
-        arg = line.pair(system.coroot(root))
-        label = system.label_of(root).symbol
+    for root in inversions:
+        label, arg = table[root]
         atoms.append(ZetaAtom(label, arg, 1))
         atoms.append(ZetaAtom(label, arg + 1, -1))
     return ZetaExpr.build(atoms=atoms)
 
 
+def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaExpr:
+    """Gindikin-Karpelevich factor J(w, s) along the line, canonicalized."""
+    return _j_factor(system.inversion_set(word), _pairing_table(system, line))
+
+
 def constant_term(system: RootSystem, levi: Iterable[int],
                   line: TorusCharacter) -> ConstantTerm:
+    """One GK term per coset representative, each built from its parent's.
+
+    The walk lists every w = u s_i after its prefix u, so the inversion set
+    extends u's by one root and the exponent is
+    (u s_i)^{-1} lambda = s_i (u^{-1} lambda).
+    """
     levi_set = tuple(levi)
+    table = _pairing_table(system, line)
+    exponents = {(): line}
     terms = []
     for word in coset_reps(system, levi_set):
-        j = gk_factor(system, word, line)
-        exponent = weyl_act(system, word.inverse(), line)
-        terms.append(GKTerm(word, j, exponent))
+        if word.letters:
+            exponents[word.letters] = weyl_act(system, WeylWord(word.letters[-1:]),
+                                               exponents[word.letters[:-1]])
+        j = _j_factor(system.inversion_set(word), table)
+        terms.append(GKTerm(word, j, exponents[word.letters]))
     return ConstantTerm(system, levi_set, line, tuple(terms))
 
 

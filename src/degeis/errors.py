@@ -45,15 +45,19 @@ class IndeterminateZeroRegionError(DegeisError):
     code = "indeterminate-zero-region"
 
 
-class NeedsHigherLogOrderError(DegeisError):
+class MathematicalLimitError(DegeisError):
+    """The input is valid, but the answer lies beyond what the engine models."""
+
+
+class NeedsHigherLogOrderError(MathematicalLimitError):
     code = "needs-higher-log-order"
 
 
-class HyperplaneDegeneracyError(DegeisError):
+class HyperplaneDegeneracyError(MathematicalLimitError):
     code = "hyperplane-degeneracy"
 
 
-class UnmodeledPointError(DegeisError):
+class UnmodeledPointError(MathematicalLimitError):
     code = "unmodeled-point"
 
 

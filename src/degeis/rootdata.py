@@ -43,7 +43,6 @@ from .errors import (EnumerationTooLargeError, LabelInconsistencyError,
                      UnsupportedGroupError)
 from .forms import Q
 
-_MAX_HEIGHT = 64
 # weyl_elements refuses to list more elements than this: the walk keeps one
 # permutation of the 2N signed roots per element (E6: 51840, E7: 2903040)
 _MAX_WEYL_ELEMENTS = 100_000
@@ -142,6 +141,7 @@ class RootSystem:
         self.folded = folded
         _validate_cartan(self.cartan)
         self.symmetrizer = _symmetrizer(self.cartan)
+        _check_finite_type(self.cartan, self.symmetrizer)
         # pairing matrix: column i = fundamental-weight coords of alpha_i
         rows = self.cartan
         self.pairing = tuple(tuple(rows[j][i] for j in range(self.rank)) for i in range(self.rank)) \
@@ -150,7 +150,7 @@ class RootSystem:
         self._simple_labels = {i: labels[i] for i in range(1, self.rank + 1)}
         self._generate()
         self._weyl_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], WeylWord]]] = {}
-        self._inversion_cache: dict[tuple[int, ...], tuple[Root, ...]] = {}
+        self._inversion_cache: dict[tuple[int, ...], tuple[Root, ...]] = {(): ()}
 
     # -- construction -----------------------------------------------------
 
@@ -164,14 +164,8 @@ class RootSystem:
             nxt: list[Root] = []
             for r in frontier:
                 for i in range(1, self.rank + 1):
-                    try:
-                        img = self.reflect_root(i, r)
-                    except ValueError as exc:
-                        raise NotFiniteTypeError(str(exc)) from exc
+                    img = self.reflect_root(i, r)
                     if img.positive and img not in seen:
-                        if img.height > _MAX_HEIGHT:
-                            raise NotFiniteTypeError(
-                                f"root height exceeded {_MAX_HEIGHT}; Cartan matrix is not of finite type")
                         seen.add(img)
                         provenance[img] = (i, r)
                         nxt.append(img)
@@ -363,14 +357,28 @@ class RootSystem:
         return len(self.inversion_set(word))
 
     def inversion_set(self, word: WeylWord) -> tuple[Root, ...]:
-        """{alpha > 0 : w^{-1} alpha < 0} in canonical positive-root order."""
-        cached = self._inversion_cache.get(word.letters)
-        if cached is not None:
-            return cached
-        inv = word.inverse()
-        result = tuple(r for r in self.positive_roots
-                       if not self.word_on_root(inv, r).positive)
-        self._inversion_cache[word.letters] = result
+        """{alpha > 0 : w^{-1} alpha < 0} in canonical positive-root order.
+
+        Extends the longest cached prefix u one letter at a time:
+        N(u s_i) = N(u) + {u(alpha_i)} when u(alpha_i) > 0, and
+        N(u) - {-u(alpha_i)} otherwise.  This holds for any word, reduced or
+        not, and every prefix is cached, so the GK terms along the coset walk
+        cost one root image each.
+        """
+        letters = word.letters
+        k = len(letters)
+        while letters[:k] not in self._inversion_cache:
+            k -= 1
+        result = self._inversion_cache[letters[:k]]
+        current = set(result)
+        for j in range(k, len(letters)):
+            image = self.word_on_root(WeylWord(letters[:j]), self.simple_root(letters[j]))
+            if image.positive:
+                current.add(image)
+            else:
+                current.discard(-image)
+            result = tuple(sorted(current, key=self._index.__getitem__))
+            self._inversion_cache[letters[:j + 1]] = result
         return result
 
     def reduce(self, word: WeylWord) -> WeylWord:
@@ -490,6 +498,29 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     scaled = [int(x * lcm) for x in d]
     g = math.gcd(*scaled)
     return tuple(x // g for x in scaled)
+
+
+def _check_finite_type(cartan: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> None:
+    """Refuse a Cartan matrix whose root system would be infinite.
+
+    A symmetrizable Cartan matrix is of finite type iff the symmetrised
+    matrix d_i A[i][j] is positive definite (Sylvester: every leading
+    principal minor is positive).  The matrix is integral, so fraction-free
+    (Bareiss) elimination gives each minor exactly: after step k the pivot
+    m[k][k] is the leading principal minor of order k + 1.
+    """
+    n = len(cartan)
+    m = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    previous = 1
+    for k in range(n):
+        if m[k][k] <= 0:
+            raise NotFiniteTypeError(
+                f"Cartan matrix is not of finite type: leading principal minor {k + 1} "
+                f"of the symmetrised matrix is {m[k][k]}", minor=k + 1)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
 
 
 def build_system(preset: str, *, cartan: Sequence[Sequence[int]] | None = None,

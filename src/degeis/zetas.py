@@ -285,8 +285,21 @@ def expand_in(expr: ZetaExpr, var: str, *,
 
 
 def _shift_to_point(expr: ZetaExpr, point: Mapping[str, Rat], var: str) -> ZetaExpr:
-    subs = {name: AffineForm.var(var) + _q(value) for name, value in point.items()}
-    return expr.subs(subs)
+    """expr with point + var put in for every parameter, in canonical form.
+
+    Each form f becomes f(point) + (sum of its coefficients) var, evaluated
+    directly.  The result still goes through build: with several parameters,
+    atoms that differ generically can coincide after the shift and cancel.
+    """
+    def shift(f: AffineForm) -> AffineForm:
+        value = f.const + sum(c * _q(point[n]) for n, c in f.coeffs)
+        slope = sum(c for _, c in f.coeffs)
+        return AffineForm(value, ((var, slope),)) if slope else AffineForm.const_form(value)
+
+    return ZetaExpr.build(expr.scalar, [shift(f) for f in expr.num],
+                          [shift(f) for f in expr.den],
+                          [ZetaAtom(a.label, shift(a.arg), a.exp) for a in expr.atoms],
+                          expr.residues)
 
 
 _EPS = "_eps"

@@ -48,3 +48,20 @@ def xir(label, *linear):
     for a, b in linear:
         e = e * xi(label, a, b) / xi(label, a, b + 1)
     return e
+
+
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+# Bourbaki numbering: the chain 1-3-4-5-6-7-8 with node 2 attached to node 4
+E_EDGES = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
+
+
+def simply_laced(rank, edges):
+    """Cartan matrix of the simply-laced diagram with the given (i, j) edges."""
+    return [[2 if i == j else -1 if (i + 1, j + 1) in edges or (j + 1, i + 1) in edges else 0
+             for j in range(rank)] for i in range(rank)]
+
+
+def e_type(rank):
+    return build_system("custom", cartan=simply_laced(
+        rank, {(i, j) for i, j in E_EDGES if j <= rank}))

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from degeis import cli
 from degeis.cli import main
 
 
@@ -96,6 +99,46 @@ def test_bad_point_is_config_error(capsys):
     code, _, _ = run(capsys, "table", "--group", "2D4", "--parabolic", "Q",
                      "--point", "one sixth")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("table", "--group", "D4", "--point", "abc"),
+     "error[config-error]: Invalid literal for Fraction: 'abc'\n"),
+    (("poles", "--group", "D4", "--point", "1/0"),
+     "error[config-error]: zero denominator in '1/0'\n"),
+    (("table", "--group", "A1", "--line", "s/0", "--point", "1"),
+     "error[config-error]: zero denominator in 's/0'\n"),
+    (("table", "--group", "A1", "--line", "2s^2", "--point", "1"),
+     "error[config-error]: cannot parse term '2s^2' in '2s^2'\n"),
+    (("lfactor", "--source", "Vtau", "--order-at", "x"),
+     "error[config-error]: Invalid literal for Fraction: 'x'\n"),
+    (("tate", "--z", "2s^2"), "error[config-error]: cannot parse term '2s^2' in '2s^2'\n"),
+])
+def test_malformed_numbers_are_config_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv,error", [
+    # every group cancels at 0 and so does the first-order log term
+    (("poles", "--group", "D4", "--parabolic", "borel", "--point=0"), "needs-higher-log-order"),
+    # <lambda, alpha_2^vee> = -1 identically: J(w[2]) = xi(-1)/xi(0) = xi(2)/xi(1),
+    # and xi(1) cannot be expanded in s
+    (("table", "--group", "D4", "--line", "s,-1,0,0", "--point", "1"), "hyperplane-degeneracy"),
+])
+def test_mathematical_limits_exit_four(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"error[{error}]: ")
+
+
+def test_internal_errors_are_not_reported_as_config_errors(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("an internal bug")
+    monkeypatch.setattr(cli, "constant_term", broken)
+    with pytest.raises(ValueError, match="an internal bug"):
+        main(["table", "--group", "D4", "--point", "1"])
 
 
 def test_custom_line_with_a_mistyped_parameter_is_refused(capsys):

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from degeis.characters import (TorusCharacter, line_chi_P, line_chi_Q,
-                               line_mu_P, line_mu_Q, parabolic_levi, weyl_act)
+from degeis.characters import (TorusCharacter, chi_line_for, line_chi_P,
+                               line_chi_Q, line_mu_P, line_mu_Q, parabolic_levi,
+                               standard_line, weyl_act)
 from degeis.eisenstein import (ConstantTerm, GKTerm, constant_term, coset_reps,
                                gk_factor, h0_cancellation_check,
                                intertwiner_residue, pole_report,
@@ -16,7 +17,7 @@ from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaExpr, laurent_at
 
-from conftest import af, xi, xir
+from conftest import F4_CARTAN, af, e_type, xi, xir
 
 
 def words(reps):
@@ -68,23 +69,6 @@ def _scan_coset_reps(system, levi):
                    for j in levi)]
 
 
-F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-
-
-def _simply_laced(rank, edges):
-    return [[2 if i == j else -1 if (i + 1, j + 1) in edges or (j + 1, i + 1) in edges else 0
-             for j in range(rank)] for i in range(rank)]
-
-
-# Bourbaki numbering: the chain 1-3-4-5-6-7-8 with node 2 attached to node 4
-E_EDGES = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
-
-
-def e_type(rank):
-    return build_system("custom", cartan=_simply_laced(
-        rank, {(i, j) for i, j in E_EDGES if j <= rank}))
-
-
 def _levi_subsets(rank):
     nodes = range(1, rank + 1)
     return [levi for k in range(rank + 1) for levi in combinations(nodes, k)]
@@ -99,6 +83,47 @@ def test_coset_walk_matches_full_group_scan(preset):
     assert [w for _, w in system.weyl_elements()] == _scan_coset_reps(system, ())
 
 
+# (preset, parabolic, named line or None for the parabolic's chi line): the
+# command-line triples of the pole sweep
+SWEEP_TRIPLES = [
+    (g, p, line)
+    for g in ("split_D4", "quasi_D4")
+    for p, line in (("borel", None), ("P", None), ("Q", None), ("P", "muP"), ("Q", "muQ"))
+] + [("tri_D4", "borel", None), ("tri_D4", "P", None), ("tri_D4", "P", "muP"),
+     ("G2", "borel", None), ("A1", "borel", None)]
+
+
+def _maximal_parabolic(system, node):
+    """(system, levi, line) with the line s in the removed node and -1 elsewhere."""
+    line = [AffineForm.of(-1)] * system.rank
+    line[node - 1] = AffineForm.var("s")
+    return (system, tuple(j for j in range(1, system.rank + 1) if j != node),
+            TorusCharacter(tuple(line)))
+
+
+def _walk_cases():
+    for preset, parabolic, name in SWEEP_TRIPLES:
+        system = build_system(preset)
+        line = chi_line_for(system, parabolic) if name is None else standard_line(system, name)
+        yield f"{preset}-{parabolic}-{name}", system, parabolic_levi(system, parabolic), line
+    for node in (1, 2, 3, 4):
+        yield (f"F4-{node}", *_maximal_parabolic(build_system("custom", cartan=F4_CARTAN), node))
+    yield ("E6-1", *_maximal_parabolic(e_type(6), 1))
+
+
+@pytest.mark.parametrize("case", list(_walk_cases()), ids=lambda case: case[0])
+def test_constant_term_terms_match_their_from_scratch_factors(case):
+    """Each term built from its parent coset equals the term computed alone."""
+    _, system, levi, line = case
+    ct = constant_term(system, levi, line)
+    assert [t.word for t in ct.terms] == coset_reps(system, levi)
+    fresh = build_system("custom", cartan=system.cartan) if system.name == "custom" \
+        else build_system(system.name)
+    for term in ct.terms:
+        assert term.j_factor == gk_factor(fresh, term.word, line)
+        assert term.exponent == weyl_act(fresh, term.word.inverse(), line)
+
+
 def _check_minimal_reps(system, levi, expected):
     elements = system.weyl_elements(levi)
     assert len(elements) == expected
@@ -106,13 +131,9 @@ def _check_minimal_reps(system, levi, expected):
     levi_order = build_system("custom", cartan=[[system.cartan[i - 1][j - 1] for j in levi]
                                                 for i in levi]).weyl_order()
     assert expected == system.weyl_order() // levi_order
-    n = len(system.positive_roots)
     for perm, w in elements:
-        # the word is reduced: w sends exactly len(w) positive roots negative,
-        # as many as its inversion set holds (inversion_set itself applies w
-        # to every root, which takes seconds on E8)
         assert perm == system.perm_of_word(w)
-        assert sum(1 for image in perm[:n] if image >= n) == len(w)
+        assert len(system.inversion_set(w)) == len(w)
         for j in levi:
             assert system.word_on_root(w.inverse(), system.simple_root(j)).positive
 

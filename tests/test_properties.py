@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from degeis.characters import TorusCharacter, weyl_act
 from degeis.eisenstein import gk_factor
-from degeis.errors import IndeterminateZeroRegionError
+from degeis.errors import DegeisError, IndeterminateZeroRegionError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
-from degeis.zetas import ZetaAtom, ZetaExpr, canonicalize, laurent_at
+from degeis.zetas import ZetaAtom, ZetaExpr, canonicalize, expand_in, laurent_at
 
 from conftest import af
 
@@ -129,6 +129,59 @@ def test_functional_equation_leaves_orders_invariant(atom):
         assert laurent_at(e, point).order == laurent_at(flipped, point).order
     except IndeterminateZeroRegionError:
         pass
+
+
+def _laurent_by_substitution(expr, point):
+    """Reference: substitute point + eps for every parameter symbolically, then expand."""
+    shifted = expr.subs({name: AffineForm.var("_eps") + value for name, value in point.items()})
+    return expand_in(shifted, "_eps", assume_no_real_zeros=True)
+
+
+def _outcome(expand, expr, point):
+    try:
+        return expand(expr, point)
+    except (DegeisError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _two_parameter_cases(draw):
+    """An expression in s1, s2 and a point; half the points have s1 = s2, where
+    an atom and its mirror image (s1 and s2 swapped, exponent negated) collide."""
+    def form(a1, a2, b):
+        return AffineForm.of(b, s1=a1, s2=a2)
+
+    specs = draw(st.lists(st.tuples(_labels, _rats, _rats, _rats, st.integers(-2, 2).filter(bool),
+                                    st.booleans()), min_size=1, max_size=4))
+    atoms = []
+    for label, a1, a2, b, e, mirrored in specs:
+        atoms.append(ZetaAtom(label, form(a1, a2, b), e))
+        if mirrored:
+            atoms.append(ZetaAtom(label, form(a2, a1, b), -e))
+    forms = draw(st.lists(st.tuples(_rats.filter(bool), _rats, _rats), max_size=2))
+    expr = ZetaExpr.build(draw(_rats.filter(bool)), num=[form(*f) for f in forms], atoms=atoms)
+    s1 = draw(_rats)
+    s2 = draw(st.one_of(st.just(s1), _rats))
+    return expr, {"s1": s1, "s2": s2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_parameter_cases())
+def test_laurent_at_equals_expansion_after_symbolic_shift(case):
+    expr, point = case
+    lhs = _outcome(lambda e, p: laurent_at(e, p, assume_no_real_zeros=True), expr, point)
+    assert lhs == _outcome(_laurent_by_substitution, expr, point)
+
+
+def test_atoms_that_collide_at_the_point_cancel():
+    # xi(s1) / xi(s2) at s1 = s2 = 1/3: the two atoms become one and cancel,
+    # so no argument inside (0,1) is left to refuse
+    expr = ZetaExpr.build(atoms=[ZetaAtom("F", AffineForm.var("s1"), 1),
+                                 ZetaAtom("F", AffineForm.var("s2"), -1)])
+    ld = laurent_at(expr, {"s1": Q(1, 3), "s2": Q(1, 3)})
+    assert (ld.order, ld.leading) == (0, ZetaExpr.one())
+    with pytest.raises(IndeterminateZeroRegionError):
+        laurent_at(expr, {"s1": Q(1, 3), "s2": Q(1, 4)})
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from degeis.errors import (LabelInconsistencyError, NotFiniteTypeError,
                            UnknownRootError, UnsupportedGroupError)
-from degeis.rootdata import (LABEL_F, Root, WeylWord, build_system,
+from degeis.rootdata import (LABEL_F, Root, RootSystem, WeylWord, build_system,
                              load_custom)
+
+from conftest import F4_CARTAN, e_type, simply_laced
 
 
 def coroot_by_symmetrizer(system, root):
@@ -217,6 +220,74 @@ def test_not_finite_type():
         build_system("custom", cartan=[[2, -1], [-3, 1]])  # bad diagonal
     with pytest.raises(NotFiniteTypeError):
         build_system("custom", cartan=[[2, 1], [-1, 2]])  # positive off-diagonal
+
+
+@pytest.mark.parametrize("cartan", [
+    [[2, -2], [-2, 2]],                       # affine A1~: minor 2 is 0
+    [[2, -3], [-3, 2]],                       # hyperbolic: minor 2 is -5
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~: minor 3 is 0
+    [[2, -1], [-4, 2]],                       # affine A2^(2): minor 2 is 0
+], ids=["affine-A1", "hyperbolic", "affine-A2", "twisted-affine"])
+def test_infinite_type_is_refused_before_any_root(monkeypatch, cartan):
+    def generate(self):
+        raise AssertionError("roots generated for a Cartan matrix of infinite type")
+    monkeypatch.setattr(RootSystem, "_generate", generate)
+    with pytest.raises(NotFiniteTypeError, match="leading principal minor"):
+        build_system("custom", cartan=cartan)
+
+
+B3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+C4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("cartan,positive_roots", [
+    (F4_CARTAN, 24), (B3_CARTAN, 9), (C4_CARTAN, 16),
+    (simply_laced(5, {(1, 2), (2, 3), (3, 4), (4, 5)}), 15),                  # A5
+    (simply_laced(6, {(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)}), 30),          # D6
+], ids=["F4", "B3", "C4", "A5", "D6"])
+def test_finite_types_still_build(cartan, positive_roots):
+    assert len(build_system("custom", cartan=cartan).positive_roots) == positive_roots
+
+
+def test_e_types_and_presets_still_build():
+    for preset in ("split_D4", "quasi_D4", "tri_D4", "G2", "A1"):
+        build_system(preset)
+    assert [len(e_type(n).positive_roots) for n in (6, 7, 8)] == [36, 63, 120]
+
+
+def _inversions_by_action(system, word):
+    """Reference: the positive roots that w^{-1} sends to negative roots."""
+    inv = word.inverse()
+    return tuple(r for r in system.positive_roots if not system.word_on_root(inv, r).positive)
+
+
+@pytest.mark.parametrize("preset", ["split_D4", "quasi_D4", "tri_D4", "G2", "A1", "F4"])
+def test_inversion_sets_match_the_action_of_the_inverse(preset):
+    system = (build_system("custom", cartan=F4_CARTAN) if preset == "F4"
+              else build_system(preset))
+    rng = random.Random(preset)
+    elements = system.weyl_elements()
+    for k, (_, w) in enumerate(elements):
+        assert system.inversion_set(w) == _inversions_by_action(system, w)
+        if k % 4 == 0:
+            # non-reduced words: a letter put in front, as sharp-check does,
+            # and a repeated letter at the end
+            i = rng.randrange(1, system.rank + 1)
+            for word in (WeylWord((i,) + w.letters), WeylWord(w.letters + (i, i))):
+                assert system.inversion_set(word) == _inversions_by_action(system, word)
+    # the longest element, asked first on a fresh system
+    fresh = (build_system("custom", cartan=F4_CARTAN) if preset == "F4"
+             else build_system(preset))
+    longest = elements[-1][1]
+    assert fresh.inversion_set(longest) == fresh.positive_roots
+
+
+def test_inversion_set_of_a_long_word_on_a_fresh_system():
+    e8 = e_type(8)
+    rng = random.Random(8)
+    word = WeylWord(tuple(rng.randrange(1, 9) for _ in range(250)))
+    assert e8.inversion_set(word) == _inversions_by_action(e_type(8), word)
+    assert len(e8.inversion_set(word)) % 2 == len(word) % 2
 
 
 def test_unknown_preset():
