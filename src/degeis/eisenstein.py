@@ -24,6 +24,7 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -315,25 +316,123 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
 
 
 # -- appendix machinery: W-invariance and entireness ---------------------------
+#
+# F_w(lam) = prod_{a>0} xi_{F_a}(<lam,a^vee> + [a not in N(w)]): each positive
+# root contributes its plain atom xi(<lam,a^vee>) when w inverts it and its
+# shifted atom xi(<lam,a^vee>+1) otherwise.  What the checks compare -- the
+# canonical atom multiset, and the order and leading coefficient of the
+# expansion in eps -- is additive over the roots (the scalar multiplicative),
+# and each step of the Weyl walk inverts one more root, so every F_w is
+# carried from its prefix's data instead of being built.
 
-class _SharpData:
-    """Per-root atoms of F_w(lam) and the polynomial L(lam) for a fixed character lam."""
+_Factor = tuple[int, Q, int]    # (order, scalar, packed multiset of atoms and residues)
 
-    def __init__(self, system: RootSystem, lam: TorusCharacter):
-        self.system = system
-        self.pairs = _pairings(system, lam)
-        self.atoms: list[tuple[Root, ZetaAtom, ZetaAtom]] = [
-            (root, ZetaAtom(label, p, 1), ZetaAtom(label, p + 1, 1))
-            for root, (label, p) in zip(system.positive_roots, self.pairs)]
 
-    def f_w(self, word: WeylWord) -> ZetaExpr:
-        """F_w(lam): xi(<lam,a>+1) over non-inverted roots, xi(<lam,a>) over inverted."""
-        inverted = set(self.system.inversion_set(word))
-        return ZetaExpr.build(atoms=[plain if r in inverted else shifted
-                                     for r, plain, shifted in self.atoms])
+def _l_poly(pairs: list[tuple[str, AffineForm]]) -> ZetaExpr:
+    return ZetaExpr.build(num=_l_factors(pairs))
 
-    def l_poly(self) -> ZetaExpr:
-        return ZetaExpr.build(num=_l_factors(self.pairs))
+
+class _Multisets:
+    """Interns keys to small ints and packs a multiset of keys into one int.
+
+    Key number j with multiplicity m adds m << (width * j).  The width leaves
+    room for multiplicities of either sign up to twice the number of positive
+    roots, so two packed ints are equal exactly when the multisets are.
+    """
+
+    def __init__(self, system: RootSystem):
+        self.ids: dict[object, int] = {}
+        self.width = len(system.positive_roots).bit_length() + 2
+
+    def weight(self, key: object, count: int = 1) -> int:
+        return count << (self.width * self.ids.setdefault(key, len(self.ids)))
+
+    def pack(self, expr: ZetaExpr) -> int:
+        """The atoms (keyed by label and argument) and residue symbols of expr."""
+        return (sum(self.weight((a.label, a.arg), a.exp) for a in expr.atoms)
+                + sum(self.weight(label, m) for label, m in expr.residues))
+
+
+def _root_factors(pairs: list[tuple[str, AffineForm]],
+                  sets: _Multisets) -> tuple[list[_Factor], list[_Factor]]:
+    """Per positive root, the expansion in eps of its plain and of its shifted atom.
+
+    A character that does not involve eps leaves every atom as it is, in
+    canonical form, at order 0.
+    """
+    def factor(label: str, arg: AffineForm) -> _Factor:
+        ld = expand_in(ZetaExpr.atom(label, arg), "eps")
+        return ld.order, ld.leading.scalar, sets.pack(ld.leading)
+    return ([factor(label, p) for label, p in pairs],
+            [factor(label, p + 1) for label, p in pairs])
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """All of W in the order of ``weyl_elements()``, each element after its prefix.
+
+    Element k > 0 is w = u s_j with u its shortlex prefix; N(w) is N(u) plus
+    the root u(alpha_j).  ``steps[k - 1]`` is (index of u, j, position of
+    u(alpha_j) among the positive roots).  An element is looked up by the
+    positions of its images of the simple roots, which determine it.
+    """
+
+    system: RootSystem
+    elements: list[tuple[tuple[int, ...], WeylWord]]
+    steps: list[tuple[int, int, int]]
+    simple: list[int]                       # positions of the simple roots
+    index: dict[tuple[int, ...], int]       # images of the simple roots -> element index
+
+    @staticmethod
+    def of(system: RootSystem) -> "_Walk":
+        elements = system.weyl_elements()
+        by_word = {word.letters: k for k, (_, word) in enumerate(elements)}
+        position = {root: p for p, root in enumerate(system.positive_roots)}
+        simple = [position[system.simple_root(j)] for j in range(1, system.rank + 1)]
+        steps = []
+        for _, word in elements[1:]:
+            parent = by_word[word.letters[:-1]]
+            j = word.letters[-1]
+            steps.append((parent, j, elements[parent][0][simple[j - 1]]))
+        return _Walk(system, elements, steps, simple,
+                     {tuple(perm[p] for p in simple): k for k, (perm, _) in enumerate(elements)})
+
+    def find(self, perm: tuple[int, ...]) -> int:
+        """Index of the element with this root permutation."""
+        return self.index[tuple(perm[p] for p in self.simple)]
+
+    def left(self, i: int) -> list[int]:
+        """Index of s_i w for every element w."""
+        s_i = self.system.perm_of_word(WeylWord.of(i))
+        return [self.index[tuple(s_i[perm[p]] for p in self.simple)]
+                for perm, _ in self.elements]
+
+    def carry(self, factors: tuple[list[_Factor], list[_Factor]]) -> list[_Factor]:
+        """(order, scalar, multiset) of F_w for every element, one root swapped per step."""
+        plain, shifted = factors
+        out = [(sum(o for o, _, _ in shifted), math.prod(c for _, c, _ in shifted),
+                sum(m for _, _, m in shifted))]
+        # only the atoms that are polar in eps carry a scalar other than 1
+        swap = [(po - so, None if pc == sc else pc / sc, pm - sm)
+                for (po, pc, pm), (so, sc, sm) in zip(plain, shifted)]
+        for parent, _, root in self.steps:
+            o, c, m = out[parent]
+            do, dc, dm = swap[root]
+            out.append((o + do, c if dc is None else c * dc, m + dm))
+        return out
+
+    def inverse_columns(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Coordinates of w^{-1} varpi_j for every element w and every j.
+
+        (u s_j)^{-1} = s_j u^{-1}: one simple reflection of the prefix's columns.
+        """
+        rank = self.system.rank
+        out = [tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))]
+        for parent, j, _ in self.steps:
+            row = self.system.pairing[j - 1]
+            out.append(tuple(tuple(c - col[j - 1] * r for c, r in zip(col, row))
+                             if col[j - 1] else col for col in out[parent]))
+        return out
 
 
 def generic_character(system: RootSystem, prefix: str = "z") -> TorusCharacter:
@@ -347,19 +446,20 @@ def sharp_invariance_check(system: RootSystem, simple_index: int) -> tuple[bool,
     For F(lambda) = L(lambda) sum_w F_w(lambda) [w^{-1} lambda], invariance
     under w_i reads L(w_i lam) F_{w_i u}(w_i lam) = L(lam) F_u(lam) for every
     u in W (both sides attach to the exponent u^{-1} lambda).  Functional-
-    equation canonical forms decide the equality exactly.
+    equation canonical forms decide the equality exactly: the two sides
+    agree when their multisets of canonical atoms do.
     """
     lam = generic_character(system)
-    w_i = WeylWord.of(simple_index)
-    lam_i = weyl_act(system, w_i, lam)
-    data = _SharpData(system, lam)
-    data_i = _SharpData(system, lam_i)
-    if data.l_poly() != data_i.l_poly():
+    pairs = _pairings(system, lam)
+    pairs_i = _pairings(system, weyl_act(system, WeylWord.of(simple_index), lam))
+    if _l_poly(pairs) != _l_poly(pairs_i):
         return False, WeylWord()
-    for _, u in system.weyl_elements():
-        lhs = data_i.f_w(WeylWord((simple_index,) + u.letters))
-        rhs = data.f_w(u)
-        if lhs != rhs:
+    walk = _Walk.of(system)
+    sets = _Multisets(system)
+    f = walk.carry(_root_factors(pairs, sets))
+    f_i = walk.carry(_root_factors(pairs_i, sets))
+    for (_, u), here, partner in zip(walk.elements, f, walk.left(simple_index)):
+        if f_i[partner] != here:
             return False, u
     return True, None
 
@@ -370,18 +470,25 @@ def _h0_character(system: RootSystem, simple_index: int) -> TorusCharacter:
     return TorusCharacter(tuple(coords))
 
 
-def _h0_pair_check(system: RootSystem, simple_index: int, word: WeylWord,
-                   lam: TorusCharacter, data: "_SharpData") -> bool:
-    partner = WeylWord((simple_index,) + word.letters)
-    f1 = expand_in(data.f_w(word), "eps")
-    f2 = expand_in(data.f_w(partner), "eps")
-    if f1.order != -1 or f2.order != -1:
-        return False
-    exp1 = weyl_act(system, word.inverse(), lam).subs({"eps": 0})
-    exp2 = weyl_act(system, partner.inverse(), lam).subs({"eps": 0})
-    if exp1.coords != exp2.coords:
-        return False
-    return (f1.leading * Q(-1)) == f2.leading
+def _h0_cancellations(walk: _Walk, simple_index: int, sets: _Multisets,
+                      columns: list[tuple[tuple[int, ...], ...]]) -> list[bool]:
+    """For every w, whether F_w and F_{w_i w} cancel along <lambda, alpha_i^vee> = 0.
+
+    Both must have a simple pole in eps with opposite leading coefficients,
+    and their exponents must agree at eps = 0.  There lambda is
+    sum_{j != i} z_j varpi_j, so w^{-1} lambda is read off the columns
+    w^{-1} varpi_j with j != i.
+    """
+    system = walk.system
+    f = walk.carry(_root_factors(_pairings(system, _h0_character(system, simple_index)), sets))
+    i = simple_index
+    results = []
+    for k, partner in enumerate(walk.left(i)):
+        (o1, c1, m1), (o2, c2, m2) = f[k], f[partner]
+        here, there = columns[k], columns[partner]
+        results.append(o1 == o2 == -1 and m1 == m2 and c2 == -c1
+                       and here[:i - 1] == there[:i - 1] and here[i:] == there[i:])
+    return results
 
 
 def h0_cancellation_check(system: RootSystem, simple_index: int,
@@ -393,8 +500,10 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
     F_w and F_{w_i w} to first order and verifies that the residues sum to
     zero while the two exponents agree on the hyperplane.
     """
-    lam = _h0_character(system, simple_index)
-    return _h0_pair_check(system, simple_index, word, lam, _SharpData(system, lam))
+    walk = _Walk.of(system)
+    results = _h0_cancellations(walk, simple_index, _Multisets(system),
+                                walk.inverse_columns())
+    return results[walk.find(system.perm_of_word(word))]
 
 
 @dataclass(frozen=True)
@@ -417,28 +526,22 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     pairwise (w against w_i w).  Non-simple hyperplanes reduce to simple ones
     because each positive root is Weyl-conjugate to a simple root.
     """
+    walk = _Walk.of(system)
+    sets = _Multisets(system)
     boundary_ok = True
-    elements = system.weyl_elements()
     for i in range(1, system.rank + 1):
         for eps in (1, -1):
             coords = [AffineForm.var(f"z{j}") for j in range(1, system.rank + 1)]
             coords[i - 1] = AffineForm.var("eps") + eps
-            lam = TorusCharacter(tuple(coords))
-            data = _SharpData(system, lam)
-            l_order = expand_in(data.l_poly(), "eps").order
-            for _, w in elements:
-                # orders are additive, so L * F_w never needs assembling
-                if l_order + expand_in(data.f_w(w), "eps").order < 0:
-                    boundary_ok = False
-    h0_ok = True
-    checked = 0
-    for i in range(1, system.rank + 1):
-        lam = _h0_character(system, i)
-        data = _SharpData(system, lam)
-        for _, w in elements:
-            if not _h0_pair_check(system, i, w, lam, data):
-                h0_ok = False
-            checked += 1
+            pairs = _pairings(system, TorusCharacter(tuple(coords)))
+            l_order = expand_in(_l_poly(pairs), "eps").order
+            # orders are additive, so L * F_w never needs assembling
+            if any(l_order + order < 0 for order, _, _ in walk.carry(_root_factors(pairs, sets))):
+                boundary_ok = False
+    columns = walk.inverse_columns()
+    h0 = [_h0_cancellations(walk, i, sets, columns) for i in range(1, system.rank + 1)]
+    h0_ok = all(all(results) for results in h0)
+    checked = sum(len(results) for results in h0)
     orbit_ok = True
     simples = {system.simple_root(i) for i in range(1, system.rank + 1)}
     for root in system.positive_roots:

@@ -130,7 +130,8 @@ class AffineForm:
         return {"const": str(self.const), "coeffs": {n: str(c) for n, c in self.coeffs}}
 
 
-_TERM_RE = re.compile(r"([+-]?[^+-]+)")
+# a lone sign is a term of its own, so that ``s+`` or ``2s++3`` are refused
+_TERM_RE = re.compile(r"([+-]?[^+-]*)")
 
 
 def parse_affine(text: str) -> AffineForm:
@@ -139,7 +140,7 @@ def parse_affine(text: str) -> AffineForm:
     if not text:
         raise ValueError("empty affine form")
     out = AffineForm()
-    for term in _TERM_RE.findall(text):
+    for term in filter(None, _TERM_RE.findall(text)):
         m = re.fullmatch(r"([+-]?)(\d+(?:/\d+)?)?([A-Za-z]\w*)?(?:/(\d+))?", term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse term {term!r} in {text!r}")

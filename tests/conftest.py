@@ -4,7 +4,7 @@ import pytest
 
 from degeis.forms import AffineForm
 from degeis.rootdata import build_system
-from degeis.zetas import ZetaExpr
+from degeis.zetas import ZetaAtom, ZetaExpr
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +65,24 @@ def simply_laced(rank, edges):
 def e_type(rank):
     return build_system("custom", cartan=simply_laced(
         rank, {(i, j) for i, j in E_EDGES if j <= rank}))
+
+
+# -- the appendix checks built in full: the reference for the carried path ------
+
+def sharp_pairings(system, lam):
+    """(label of a, <lam, a^vee>) for every positive root a, in root order."""
+    return [(system.label_of(root).symbol, lam.pair(system.coroot(root)))
+            for root in system.positive_roots]
+
+
+def sharp_f_w(system, lam, word):
+    """F_w(lam) as one ZetaExpr: xi(<lam,a^vee>) over the roots w inverts, xi(<lam,a^vee>+1) over the rest."""
+    inverted = set(system.inversion_set(word))
+    return ZetaExpr.build(atoms=[
+        ZetaAtom(label, p if root in inverted else p + 1, 1)
+        for root, (label, p) in zip(system.positive_roots, sharp_pairings(system, lam))])
+
+
+def sharp_l_poly(system, lam):
+    """The polynomial normalizer L(lam) = prod_a (<lam,a^vee>+1)(<lam,a^vee>-1)."""
+    return ZetaExpr.build(num=[f for _, p in sharp_pairings(system, lam) for f in (p + 1, p - 1)])

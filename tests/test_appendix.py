@@ -1,0 +1,187 @@
+"""The appendix checks carried along the Weyl walk, against F_w built in full.
+
+``entireness_report`` and ``sharp_invariance_check`` never build F_w: they
+carry per-root Laurent data and canonical atom multisets from each element's
+prefix.  The differential tests below rebuild every F_w as one ``ZetaExpr``
+(``conftest.sharp_f_w``) and compare per word; the negative controls tamper
+with the per-root data and expect each check to report the failure.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from degeis import eisenstein
+from degeis.characters import TorusCharacter, weyl_act
+from degeis.eisenstein import (_h0_character, _Multisets, _pairings, _root_factors,
+                               _Walk, entireness_report, generic_character,
+                               sharp_invariance_check)
+from degeis.forms import AffineForm
+from degeis.rootdata import WeylWord, build_system
+from degeis.zetas import ZetaExpr, expand_in
+
+from conftest import F4_CARTAN, sharp_f_w
+
+PRESETS = ["A1", "G2", "tri_D4", "quasi_D4", "split_D4"]
+# every 11th element of W(F4): 105 of 1152 words, all lengths
+F4_STRIDE = 11
+
+
+def system_of(name):
+    return build_system("custom", cartan=F4_CARTAN) if name == "F4" else build_system(name)
+
+
+def sampled(walk, name):
+    stride = F4_STRIDE if name == "F4" else 1
+    return range(0, len(walk.elements), stride)
+
+
+def boundary_character(system, i, eps):
+    coords = [AffineForm.var(f"z{j}") for j in range(1, system.rank + 1)]
+    coords[i - 1] = AffineForm.var("eps") + eps
+    return TorusCharacter(tuple(coords))
+
+
+def eps_characters(system):
+    """The 3 * rank characters the entireness check expands in eps."""
+    for i in range(1, system.rank + 1):
+        yield boundary_character(system, i, 1)
+        yield boundary_character(system, i, -1)
+        yield _h0_character(system, i)
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F4"])
+def test_carried_laurent_data_matches_full_builds(name):
+    system = system_of(name)
+    walk = _Walk.of(system)
+    sets = _Multisets(system)
+    for lam in eps_characters(system):
+        carried = walk.carry(_root_factors(_pairings(system, lam), sets))
+        for k in sampled(walk, name):
+            ld = expand_in(sharp_f_w(system, lam, walk.elements[k][1]), "eps")
+            assert not ld.leading.num and not ld.leading.den
+            assert carried[k] == (ld.order, ld.leading.scalar, sets.pack(ld.leading)), \
+                (name, str(lam), str(walk.elements[k][1]))
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F4"])
+def test_carried_exponents_match_weyl_act(name):
+    system = system_of(name)
+    walk = _Walk.of(system)
+    columns = walk.inverse_columns()
+    for i in range(1, system.rank + 1):
+        lam = _h0_character(system, i)
+        for k in sampled(walk, name):
+            word = walk.elements[k][1]
+            expected = weyl_act(system, word.inverse(), lam).subs({"eps": 0})
+            carried = tuple(
+                AffineForm.of(0, **{f"z{j + 1}": columns[k][j][row]
+                                    for j in range(system.rank) if j != i - 1})
+                for row in range(system.rank))
+            assert carried == expected.coords, (name, i, str(word))
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F4"])
+def test_carried_invariance_multisets_match_full_builds(name):
+    system = system_of(name)
+    walk = _Walk.of(system)
+    lam = generic_character(system)
+    for i in range(1, system.rank + 1):
+        lam_i = weyl_act(system, WeylWord.of(i), lam)
+        sets = _Multisets(system)
+        f = walk.carry(_root_factors(_pairings(system, lam), sets))
+        f_i = walk.carry(_root_factors(_pairings(system, lam_i), sets))
+        left = walk.left(i)
+        for k in sampled(walk, name):
+            perm, u = walk.elements[k]
+            partner = WeylWord((i,) + u.letters)
+            assert walk.elements[left[k]][0] == system.perm_of_word(partner)
+            assert f[k] == (0, 1, sets.pack(sharp_f_w(system, lam, u)))
+            assert f_i[left[k]] == (0, 1, sets.pack(sharp_f_w(system, lam_i, partner)))
+
+
+def count_calls(monkeypatch):
+    counts = {"build": 0, "expand_in": 0}
+    build = ZetaExpr.build
+
+    def counted_build(*args, **kwargs):
+        counts["build"] += 1
+        return build(*args, **kwargs)
+
+    def counted_expand(*args, **kwargs):
+        counts["expand_in"] += 1
+        return expand_in(*args, **kwargs)
+
+    monkeypatch.setattr(ZetaExpr, "build", staticmethod(counted_build))
+    monkeypatch.setattr(eisenstein, "expand_in", counted_expand)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["split_D4", "F4"])
+def test_appendix_checks_build_per_root_not_per_word(monkeypatch, name):
+    system = system_of(name)
+    system.weyl_elements()
+    counts = count_calls(monkeypatch)
+    assert all(sharp_invariance_check(system, i)[0] for i in range(1, system.rank + 1))
+    assert entireness_report(system).entire
+    rank, n = system.rank, len(system.positive_roots)
+    # per character two single-atom expansions per root, two builds each:
+    # 2 * rank invariance characters, 3 * rank eps characters, plus L
+    assert counts["expand_in"] <= 10 * rank * n + 2 * rank
+    assert counts["build"] <= 20 * rank * n + 6 * rank
+
+
+def swap_atoms(monkeypatch, position, calls):
+    """Exchange one root's plain and shifted atom on the given _root_factors calls."""
+    real = eisenstein._root_factors
+    seen = []
+
+    def swapped(pairs, sets):
+        plain, shifted = real(pairs, sets)
+        seen.append(pairs)
+        if len(seen) in calls:
+            plain[position], shifted[position] = shifted[position], plain[position]
+        return plain, shifted
+
+    monkeypatch.setattr(eisenstein, "_root_factors", swapped)
+
+
+@pytest.mark.parametrize("name", ["G2", "quasi_D4"])
+def test_invariance_reports_a_swapped_atom(monkeypatch, name):
+    system = build_system(name)
+    assert sharp_invariance_check(system, 1) == (True, None)
+    swap_atoms(monkeypatch, -1, calls={1})      # in F_u(lam), not in F_{w_1 u}(w_1 lam)
+    passed, word = sharp_invariance_check(system, 1)
+    assert not passed and word == WeylWord()
+
+
+@pytest.mark.parametrize("name", ["G2", "quasi_D4"])
+def test_boundary_reports_a_missing_normalizer(monkeypatch, name):
+    system = build_system(name)
+    monkeypatch.setattr(eisenstein, "_l_factors", lambda pairs: [])
+    rep = entireness_report(system)
+    assert not rep.boundary_ok and rep.h0_ok and not rep.entire
+
+
+@pytest.mark.parametrize("name", ["G2", "quasi_D4"])
+def test_h0_reports_a_swapped_atom(monkeypatch, name):
+    system = build_system(name)
+    # alpha_2 is not fixed by w_1, so the swap breaks the pairing of w with w_1 w
+    alpha_2 = system.positive_roots.index(system.simple_root(2))
+    boundary_calls = 2 * system.rank
+    swap_atoms(monkeypatch, alpha_2, calls={boundary_calls + 1})     # the H^0 character of alpha_1
+    rep = entireness_report(system)
+    assert rep.boundary_ok and not rep.h0_ok and not rep.entire
+
+
+def test_h0_reports_mismatched_exponents(monkeypatch):
+    system = build_system("quasi_D4")
+    real = _Walk.inverse_columns
+
+    def shuffled(walk):
+        columns = real(walk)
+        return columns[1:] + columns[:1]
+
+    monkeypatch.setattr(_Walk, "inverse_columns", shuffled)
+    rep = entireness_report(system)
+    assert rep.boundary_ok and not rep.h0_ok

@@ -113,6 +113,11 @@ def test_bad_point_is_config_error(capsys):
     (("lfactor", "--source", "Vtau", "--order-at", "x"),
      "error[config-error]: Invalid literal for Fraction: 'x'\n"),
     (("tate", "--z", "2s^2"), "error[config-error]: cannot parse term '2s^2' in '2s^2'\n"),
+    # a stray sign is a term of its own, not skipped
+    (("tate", "--z", "2s++3"), "error[config-error]: cannot parse term '+' in '2s++3'\n"),
+    (("tate", "--z", "-"), "error[config-error]: cannot parse term '-' in '-'\n"),
+    (("table", "--group", "A1", "--line", "s+", "--point", "1"),
+     "error[config-error]: cannot parse term '+' in 's+'\n"),
 ])
 def test_malformed_numbers_are_config_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

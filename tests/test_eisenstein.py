@@ -17,7 +17,7 @@ from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaExpr, laurent_at
 
-from conftest import F4_CARTAN, af, e_type, xi, xir
+from conftest import F4_CARTAN, af, e_type, sharp_f_w, sharp_l_poly, xi, xir
 
 
 def words(reps):
@@ -384,14 +384,11 @@ def test_hyperplane_degeneracy_error():
 def test_entireness_on_line_through_pole_hyperplanes(quasi):
     # E_sharp restricted to a line through H_{alpha}^{0, +-1} points stays
     # regular: group the full-Borel terms L * F_w and check the total order
-    from degeis.eisenstein import _SharpData
-
     lam = TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2))
-    data = _SharpData(quasi, lam)
-    lpoly = data.l_poly()
+    lpoly = sharp_l_poly(quasi, lam)
     terms = []
     for _, w in quasi.weyl_elements():
-        terms.append(GKTerm(w, lpoly * data.f_w(w), weyl_act(quasi, w.inverse(), lam)))
+        terms.append(GKTerm(w, lpoly * sharp_f_w(quasi, lam, w), weyl_act(quasi, w.inverse(), lam)))
     ct = ConstantTerm(quasi, (), lam, tuple(terms))
     for point in (Q(0), Q(1), Q(-2)):
         rep = pole_report(ct, point)

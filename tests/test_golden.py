@@ -30,6 +30,11 @@ COMMANDS = {
     "poles_2D4_Q_1-6_json": "poles --group 2D4 --parabolic Q --point 1/6 --format json",
     "sw_2D4": "sw --group 2D4",
     "sharp-check_D4": "sharp-check --group D4",
+    "sharp-check_D4_json": "sharp-check --group D4 --format json",
+    "sharp-check_2D4": "sharp-check --group 2D4",
+    "sharp-check_3D4": "sharp-check --group 3D4",
+    "sharp-check_G2": "sharp-check --group G2",
+    "sharp-check_A1": "sharp-check --group A1",
     "lfactor_Vtau_order": "lfactor --source Vtau --order-at 2",
     "lfactor_Vchi_trivial_order": "lfactor --source Vchi --chi trivial --order-at 2",
     "lfactor_Vchi_biweights": "lfactor --source Vchi --biweights",
