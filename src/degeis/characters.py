@@ -103,7 +103,7 @@ def weyl_act(system: RootSystem, word: WeylWord, char: TorusCharacter) -> TorusC
     for i in reversed(word.letters):
         s_i = coords[i - 1]
         row = system.pairing[i - 1]
-        coords = [c - s_i * row[j] for j, c in enumerate(coords)]
+        coords = [c - s_i * r if r else c for c, r in zip(coords, row)]
     return TorusCharacter(tuple(coords))
 
 

@@ -78,10 +78,11 @@ def cmd_table(args) -> int:
     ct = constant_term(system, levi, line)
     rows = render_table_rows(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
-               "point": str(point), "line": str(line),
-               "rows": [{k: v for k, v in r.items() if not k.endswith("_json")} | {
-                   "j_factor_json": r["j_factor_json"],
-                   "exponent_json": r["exponent_json"]} for r in rows]}
+               "point": str(point), "line": str(line), "rows": rows}
+    if args.format == "json":
+        payload["rows"] = [r | {"j_factor_json": t.j_factor.to_json(),
+                                "exponent_json": t.exponent.to_json()}
+                           for r, t in zip(rows, ct.terms)]
     _emit(args, payload, render_markdown_table(rows, point))
     return 0
 

@@ -24,16 +24,19 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
-from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
+from .errors import (HyperplaneDegeneracyError, IndeterminateZeroRegionError,
+                     NeedsHigherLogOrderError, UnsupportedGroupError)
 from .forms import AffineForm, Q, Rat, _q
 from .rootdata import Root, RootSystem, WeylWord
-from .zetas import LaurentData, ZetaAtom, ZetaExpr, expand_in, laurent_at
+from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, atom_limit, canonical_arg,
+                    expand_in, form_limit, laurent_at, shift_form)
 
 
 # -- constant terms ---------------------------------------------------------
@@ -45,12 +48,99 @@ class GKTerm:
     exponent: TorusCharacter        # w^{-1} . lambda_s, affine in the parameter
 
 
+_Counts = tuple[tuple[int, int], ...]      # (id, count) pairs, ids ascending
+
+
+class _AtomTable:
+    """The factors of a constant term interned to ids, and its terms as id counts.
+
+    ``keys[k]`` is the canonical factor id k stands for: an atom xi_L(arg)
+    as (label, arg), an affine factor as the form, or a residue symbol R_L as
+    its label.  ``terms[t]`` is (scalar, counts): term t's J is the scalar
+    times each id's factor to its count.  Counts add where factors multiply,
+    so the Laurent data of every term at a point follows from one expansion
+    per id (``_PointExpansion``).
+    """
+
+    def __init__(self):
+        self.ids: dict[object, int] = {}
+        self.keys: list[object] = []
+        self.roots: dict[Root, tuple[int, int]] = {}
+        self.terms: list[tuple[Q, _Counts]] = []
+
+    def intern(self, key: object) -> int:
+        if key not in self.ids:
+            self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return self.ids[key]
+
+    @staticmethod
+    def of_line(system: RootSystem, line: TorusCharacter) -> "_AtomTable":
+        """The two atoms xi(<line,a^vee>) and xi(<line,a^vee>+1) of every positive root a.
+
+        Both are canonical under the functional equation, and the ids are
+        numbered in canonical atom order, so sorting a term's ids sorts its
+        atoms.
+        """
+        pairs = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0])
+                 for label, p in _pairings(system, line)]
+        table = _AtomTable()
+        for key in sorted({(label, arg) for label, *args in pairs for arg in args}):
+            table.intern(key)
+        table.roots = {root: (table.ids[(label, plain)], table.ids[(label, shifted)])
+                       for root, (label, plain, shifted) in zip(system.positive_roots, pairs)}
+        return table
+
+    @staticmethod
+    def of_terms(terms: Iterable[GKTerm]) -> "_AtomTable":
+        """The table of terms built by hand: every factor of every J interned."""
+        table = _AtomTable()
+        for term in terms:
+            j = term.j_factor
+            counts: dict[int, int] = {}
+            for key, c in itertools.chain(
+                    (((a.label, a.arg), a.exp) for a in j.atoms),
+                    ((f, 1) for f in j.num), ((f, -1) for f in j.den), j.residues):
+                i = table.intern(key)
+                counts[i] = counts.get(i, 0) + c
+            table.terms.append((j.scalar, tuple(sorted((i, c) for i, c in counts.items() if c))))
+        return table
+
+    def counts(self, inversions: Iterable[Root]) -> _Counts:
+        """J(w) of a line's table from N(w): +1 on each plain atom, -1 on each shifted one."""
+        counts: dict[int, int] = {}
+        for root in inversions:
+            plain, shifted = self.roots[root]
+            counts[plain] = counts.get(plain, 0) + 1
+            counts[shifted] = counts.get(shifted, 0) - 1
+        return tuple(sorted((i, c) for i, c in counts.items() if c))
+
+    def expr(self, counts: _Counts) -> ZetaExpr:
+        """The canonical ZetaExpr of a line's counts, already in atom order: no build."""
+        return ZetaExpr(atoms=tuple(ZetaAtom(*self.keys[i], c) for i, c in counts))
+
+    def bound(self) -> int:
+        """The largest total |count| of a term, which bounds any merged count."""
+        return max((sum(abs(c) for _, c in counts) for _, counts in self.terms), default=0)
+
+    def params(self) -> set[str]:
+        names: set[str] = set()
+        for key in self.keys:
+            if isinstance(key, AffineForm):
+                names.update(key.params)
+            elif isinstance(key, tuple):
+                names.update(key[1].params)
+        return names
+
+
 @dataclass(frozen=True)
 class ConstantTerm:
     system: RootSystem
     levi: tuple[int, ...]
     line: TorusCharacter
     terms: tuple[GKTerm, ...]
+    # the terms' J as id counts; None for terms built by hand, interned on use
+    table: _AtomTable | None = field(default=None, compare=False, repr=False)
 
 
 def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
@@ -65,23 +155,10 @@ def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
     return [word for _, word in system.weyl_elements(levi_set)]
 
 
-def _pairing_table(system: RootSystem, line: TorusCharacter) -> dict[Root, tuple[str, AffineForm]]:
-    return dict(zip(system.positive_roots, _pairings(system, line)))
-
-
-def _j_factor(inversions: Iterable[Root],
-              table: dict[Root, tuple[str, AffineForm]]) -> ZetaExpr:
-    atoms = []
-    for root in inversions:
-        label, arg = table[root]
-        atoms.append(ZetaAtom(label, arg, 1))
-        atoms.append(ZetaAtom(label, arg + 1, -1))
-    return ZetaExpr.build(atoms=atoms)
-
-
 def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaExpr:
     """Gindikin-Karpelevich factor J(w, s) along the line, canonicalized."""
-    return _j_factor(system.inversion_set(word), _pairing_table(system, line))
+    table = _AtomTable.of_line(system, line)
+    return table.expr(table.counts(system.inversion_set(word)))
 
 
 def constant_term(system: RootSystem, levi: Iterable[int],
@@ -90,19 +167,21 @@ def constant_term(system: RootSystem, levi: Iterable[int],
 
     The walk lists every w = u s_i after its prefix u, so the inversion set
     extends u's by one root and the exponent is
-    (u s_i)^{-1} lambda = s_i (u^{-1} lambda).
+    (u s_i)^{-1} lambda = s_i (u^{-1} lambda).  Each J(w) is read off the
+    line's atom table.
     """
     levi_set = tuple(levi)
-    table = _pairing_table(system, line)
+    table = _AtomTable.of_line(system, line)
     exponents = {(): line}
     terms = []
     for word in coset_reps(system, levi_set):
         if word.letters:
             exponents[word.letters] = weyl_act(system, WeylWord(word.letters[-1:]),
                                                exponents[word.letters[:-1]])
-        j = _j_factor(system.inversion_set(word), table)
-        terms.append(GKTerm(word, j, exponents[word.letters]))
-    return ConstantTerm(system, levi_set, line, tuple(terms))
+        counts = table.counts(system.inversion_set(word))
+        table.terms.append((Q(1), counts))
+        terms.append(GKTerm(word, table.expr(counts), exponents[word.letters]))
+    return ConstantTerm(system, levi_set, line, tuple(terms), table)
 
 
 # -- pole reports -----------------------------------------------------------
@@ -126,35 +205,112 @@ class PoleReport:
     square_integrable: bool
 
 
-def _group_order(system: RootSystem, members: list[tuple[GKTerm, LaurentData]],
-                 param: str) -> tuple[int, ZetaExpr | None, bool]:
+class _PointExpansion:
+    """Every id of an atom table expanded once at param = point + eps.
+
+    Per id: the order of vanishing, the leading scalar (None for 1) and the
+    leading monomial: an atom at the point (canonical, so that atoms meeting
+    there merge) or a residue symbol, packed by ``_Multisets``.  A term's
+    Laurent data are then sums over its counts.  An id whose expansion
+    raises is kept aside, and raises again only for a term that contains it,
+    as ``laurent_at`` would for that term.
+    """
+
+    def __init__(self, system: RootSystem, table: _AtomTable, param: str, point: Q,
+                 assume_no_real_zeros: bool):
+        self.sets = _Multisets(system, table.bound())
+        self.assume = assume_no_real_zeros
+        self.data: list[tuple[int, Q | None, int, ZetaAtom | str | None]] = []
+        self.failing: dict[int, ZetaAtom] = {}
+        at = {param: point}
+        for i, key in enumerate(table.keys):
+            if isinstance(key, str):
+                self.data.append((0, None, self.sets.weight(key), key))
+            elif isinstance(key, AffineForm):
+                zero, lead = form_limit(shift_form(key, at, _EPS), _EPS)
+                self.data.append((zero, lead.const, 0, None))
+            else:
+                label, arg = key
+                atom = ZetaAtom(label, canonical_arg(shift_form(arg, at, _EPS))[0])
+                try:
+                    limit = atom_limit(atom, _EPS, assume_no_real_zeros=assume_no_real_zeros)
+                except (HyperplaneDegeneracyError, IndeterminateZeroRegionError):
+                    self.failing[i] = atom
+                    self.data.append((0, None, 0, None))
+                    continue
+                if isinstance(limit, ZetaAtom):
+                    self.data.append((0, None, self.sets.weight(
+                        (label, canonical_arg(limit.arg)[0])), limit))
+                else:
+                    self.data.append((-1, limit, self.sets.weight(label), label))
+
+    def term(self, scalar: Q, counts: _Counts) -> tuple[int, Q, int]:
+        """(order, leading scalar, packed leading monomial) of one term."""
+        if scalar == 0:
+            raise ValueError("Laurent expansion of the zero expression")
+        if self.failing and any(i in self.failing for i, _ in counts):
+            first = min(ZetaAtom(a.label, a.arg, c) for i, c in counts
+                        if (a := self.failing.get(i)) is not None)
+            atom_limit(first, _EPS, assume_no_real_zeros=self.assume)   # raises
+        order = key = 0
+        data = self.data
+        for i, c in counts:
+            o, factor, weight, _ = data[i]
+            order += o * c
+            key += weight * c
+            if factor is not None:
+                scalar *= factor ** c
+        return order, scalar, key
+
+    def leading(self, scalar: Q, counts: _Counts) -> ZetaExpr:
+        """scalar times the leading monomial of a term with these counts."""
+        atoms, residues = [], []
+        for i, c in counts:
+            lead = self.data[i][3]
+            if isinstance(lead, str):
+                residues.append((lead, c))
+            elif lead is not None:
+                atoms.append(ZetaAtom(lead.label, lead.arg, c))
+        return ZetaExpr.build(scalar, atoms=atoms, residues=residues)
+
+
+def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
+    """The atom table of ct (interned here for terms built by hand) and ct's parameters."""
+    table = ct.table if ct.table is not None else _AtomTable.of_terms(ct.terms)
+    params = table.params()
+    for t in ct.terms:
+        params.update(t.exponent.params)
+    return table, sorted(params)
+
+
+_Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, key, counts
+
+
+def _group_order(system: RootSystem, members: list[_Member], param: str,
+                 expansion: _PointExpansion) -> tuple[int, ZetaExpr | None, bool]:
     """Order of the sum of a group of terms sharing one limit exponent."""
-    m = min(ld.order for _, ld in members)
-    # split each leading into (monomial key, rational multiple)
-    buckets: dict[ZetaExpr, Q] = {}
-    for term, ld in members:
-        if ld.order != m:
-            continue
-        key = ld.leading / ld.leading.scalar
-        buckets[key] = buckets.get(key, Q(0)) + ld.leading.scalar
-    nonzero = {k: v for k, v in buckets.items() if v != 0}
+    m = min(order for _, order, _, _, _ in members)
+    lowest = [member for member in members if member[1] == m]
+    # add up the leading scalars of each monomial
+    buckets: dict[int, Q] = {}
+    for _, _, scalar, key, _ in lowest:
+        buckets[key] = buckets.get(key, Q(0)) + scalar
+    nonzero = [key for key, total in buckets.items() if total != 0]
+    if len(nonzero) == 1:
+        counts = next(c for _, _, _, key, c in lowest if key == nonzero[0])
+        return m, expansion.leading(buckets[nonzero[0]], counts), False
     if nonzero:
-        pieces = [k * v for k, v in nonzero.items()]
-        if len(pieces) == 1:
-            return m, pieces[0], False
         # distinct monomials cannot cancel; the sum survives as a formal sum
         return m, None, False
     # full cancellation at order m: look at the log-t part of order m+1
     for key in buckets:
         vec = [Q(0)] * system.rank
-        for term, ld in members:
-            if ld.order != m:
-                continue
-            if ld.leading / ld.leading.scalar != key:
+        for term, _, scalar, k, _ in lowest:
+            if k != key:
                 continue
             der = term.exponent.derivative(param)
             for j in range(system.rank):
-                vec[j] += ld.leading.scalar * der[j]
+                vec[j] += scalar * der[j]
         if any(v != 0 for v in vec):
             return m + 1, None, True
     raise NeedsHigherLogOrderError(
@@ -167,27 +323,23 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     """Pole order of the constant term at the point, with exponent grouping."""
     system = ct.system
     pt = _q(point)
-    params = set()
-    for t in ct.terms:
-        params.update(t.exponent.params)
-        params.update(t.j_factor.params)
+    table, params = _table_and_params(ct)
     if len(params) != 1:
-        raise ValueError(f"pole_report needs a one-parameter line, got {sorted(params)}")
-    param = params.pop()
+        raise ValueError(f"pole_report needs a one-parameter line, got {params}")
+    param = params[0]
+    expansion = _PointExpansion(system, table, param, pt, assume_no_real_zeros)
     assignment = {param: pt}
-
-    grouped: dict[tuple[Q, ...], list[tuple[GKTerm, LaurentData]]] = {}
-    for term in ct.terms:
-        ld = laurent_at(term.j_factor, assignment,
-                        assume_no_real_zeros=assume_no_real_zeros)
+    grouped: dict[tuple[Q, ...], list[_Member]] = {}
+    for term, (scalar, counts) in zip(ct.terms, table.terms):
+        order, leading, key = expansion.term(scalar, counts)
         exp0 = term.exponent.evaluate(assignment)
-        grouped.setdefault(exp0, []).append((term, ld))
+        grouped.setdefault(exp0, []).append((term, order, leading, key, counts))
 
     groups = []
     for exp0 in sorted(grouped):
         members = grouped[exp0]
-        order, leading, log_term = _group_order(system, members, param)
-        groups.append(TermGroup(exp0, tuple(t.word for t, _ in members),
+        order, leading, log_term = _group_order(system, members, param, expansion)
+        groups.append(TermGroup(exp0, tuple(t.word for t, *_ in members),
                                 order, leading, log_term))
     overall = max(0, max(-g.order for g in groups))
     surviving = tuple(g.exponent_at_point for g in groups if -g.order == overall)
@@ -337,12 +489,13 @@ class _Multisets:
 
     Key number j with multiplicity m adds m << (width * j).  The width leaves
     room for multiplicities of either sign up to twice the number of positive
-    roots, so two packed ints are equal exactly when the multisets are.
+    roots, or up to twice ``bound`` if that is larger, so two packed ints are
+    equal exactly when the multisets are.
     """
 
-    def __init__(self, system: RootSystem):
+    def __init__(self, system: RootSystem, bound: int = 0):
         self.ids: dict[object, int] = {}
-        self.width = len(system.positive_roots).bit_length() + 2
+        self.width = max(len(system.positive_roots), bound).bit_length() + 2
 
     def weight(self, key: object, count: int = 1) -> int:
         return count << (self.width * self.ids.setdefault(key, len(self.ids)))
@@ -575,21 +728,22 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
                       assume_no_real_zeros: bool = False) -> list[dict]:
     """One row per coset representative: word, J factor, order, exponents."""
     pt = _q(point)
+    table, params = _table_and_params(ct)
+    if len(params) > 1:
+        raise ValueError(f"render_table_rows needs a one-parameter line, got {params}")
+    param = params[0] if params else "s"
+    expansion = _PointExpansion(ct.system, table, param, pt, assume_no_real_zeros)
+    assignment = {param: pt}
     rows = []
-    for term in ct.terms:
-        params = term.j_factor.params or term.exponent.params
-        param = params[0] if params else "s"
-        order = laurent_at(term.j_factor, {param: pt},
-                           assume_no_real_zeros=assume_no_real_zeros).order
-        exp_val = term.exponent.evaluate({param: pt})
+    for term, (scalar, counts) in zip(ct.terms, table.terms):
+        order = expansion.term(scalar, counts)[0]
+        exp_val = term.exponent.evaluate(assignment)
         rows.append({
             "word": str(term.word),
             "j_factor": str(term.j_factor),
             "pole_order": pole_order_of(order),
             "exponent": str(term.exponent),
             "exponent_at_point": "(" + ",".join(str(x) for x in exp_val) + ")",
-            "j_factor_json": term.j_factor.to_json(),
-            "exponent_json": term.exponent.to_json(),
         })
     return rows
 

@@ -231,6 +231,45 @@ class LaurentData:
         return f"order {self.order}, leading {self.leading}"
 
 
+def form_limit(f: AffineForm, var: str) -> tuple[int, AffineForm]:
+    """Order of vanishing (0 or 1) of an affine factor as var -> 0, and its leading form.
+
+    f = a*var vanishes to order 1 with leading coefficient a; any other f
+    leads with itself at var = 0.
+    """
+    g = f.drop(var)
+    if not g.is_zero():
+        return 0, g
+    a = f.coeff(var)
+    if a == 0:
+        raise ValueError("zero affine factor")
+    return 1, AffineForm.const_form(a)
+
+
+def atom_limit(atom: ZetaAtom, var: str, *,
+               assume_no_real_zeros: bool = False) -> Q | ZetaAtom:
+    """Leading behaviour of one atom xi_L(arg)^e as var -> 0.
+
+    A polar atom, xi_L(eps) ~ -R_L/eps or xi_L(1+eps) ~ R_L/eps with
+    eps = slope*var, returns its coefficient sign/slope: the atom contributes
+    order -e, that coefficient to the power e and the residue symbol R_L^e.
+    Any other atom returns itself at var = 0, with order 0.  Raises as
+    ``expand_in`` documents.
+    """
+    slope = atom.arg.coeff(var)
+    g = atom.arg.drop(var)
+    if g.is_constant() and g.const in (0, 1):
+        if slope == 0:
+            raise HyperplaneDegeneracyError(
+                f"xi_{atom.label} argument identically {g.const}", atom=str(atom))
+        return (Q(-1) if g.const == 0 else Q(1)) / slope
+    if g.is_constant() and 0 < g.const < 1 and not assume_no_real_zeros:
+        raise IndeterminateZeroRegionError(
+            f"xi_{atom.label}({g.const}) lies in (0,1); possible real zero",
+            atom=str(atom))
+    return ZetaAtom(atom.label, g, atom.exp)
+
+
 def expand_in(expr: ZetaExpr, var: str, *,
               assume_no_real_zeros: bool = False) -> LaurentData:
     """Laurent order and leading coefficient of expr as var -> 0.
@@ -250,55 +289,40 @@ def expand_in(expr: ZetaExpr, var: str, *,
     den: list[AffineForm] = []
     for forms, kept, step in ((expr.num, num, 1), (expr.den, den, -1)):
         for f in forms:
-            a = f.coeff(var)
-            g = f.drop(var)
-            if not g.is_zero():
-                kept.append(g)
-            elif a == 0:
-                raise ValueError("zero affine factor")
-            else:
-                # f = a*var: a zero (numerator) or pole (denominator) of order 1
-                order += step
-                scalar = scalar * a if step > 0 else scalar / a
+            zero, lead = form_limit(f, var)
+            order += step * zero
+            kept.append(lead)
 
     atoms: list[ZetaAtom] = []
     residues = list(expr.residues)
     for a in expr.atoms:
-        slope = a.arg.coeff(var)
-        g = a.arg.drop(var)
-        if g.is_constant() and g.const in (0, 1):
-            if slope == 0:
-                raise HyperplaneDegeneracyError(
-                    f"xi_{a.label} argument identically {g.const}", atom=str(a))
-            # xi(eps) ~ -R/eps, xi(1+eps) ~ R/eps with eps = slope*var
-            sign = Q(-1) if g.const == 0 else Q(1)
+        limit = atom_limit(a, var, assume_no_real_zeros=assume_no_real_zeros)
+        if isinstance(limit, ZetaAtom):
+            atoms.append(limit)
+        else:
             order -= a.exp
-            scalar *= (sign / slope) ** a.exp
+            scalar *= limit ** a.exp
             residues.append((a.label, a.exp))
-            continue
-        if g.is_constant() and 0 < g.const < 1 and not assume_no_real_zeros:
-            raise IndeterminateZeroRegionError(
-                f"xi_{a.label}({g.const}) lies in (0,1); possible real zero",
-                atom=str(a))
-        atoms.append(ZetaAtom(a.label, g, a.exp))
     return LaurentData(order, ZetaExpr.build(scalar, num, den, atoms, residues))
+
+
+def shift_form(f: AffineForm, point: Mapping[str, Rat], var: str) -> AffineForm:
+    """f(point + var): its value at the point plus (sum of its coefficients) var."""
+    value = f.const + sum(c * _q(point[n]) for n, c in f.coeffs)
+    slope = sum(c for _, c in f.coeffs)
+    return AffineForm(value, ((var, slope),)) if slope else AffineForm.const_form(value)
 
 
 def _shift_to_point(expr: ZetaExpr, point: Mapping[str, Rat], var: str) -> ZetaExpr:
     """expr with point + var put in for every parameter, in canonical form.
 
-    Each form f becomes f(point) + (sum of its coefficients) var, evaluated
-    directly.  The result still goes through build: with several parameters,
-    atoms that differ generically can coincide after the shift and cancel.
+    The result still goes through build: with several parameters, atoms that
+    differ generically can coincide after the shift and cancel.
     """
-    def shift(f: AffineForm) -> AffineForm:
-        value = f.const + sum(c * _q(point[n]) for n, c in f.coeffs)
-        slope = sum(c for _, c in f.coeffs)
-        return AffineForm(value, ((var, slope),)) if slope else AffineForm.const_form(value)
-
-    return ZetaExpr.build(expr.scalar, [shift(f) for f in expr.num],
-                          [shift(f) for f in expr.den],
-                          [ZetaAtom(a.label, shift(a.arg), a.exp) for a in expr.atoms],
+    return ZetaExpr.build(expr.scalar, [shift_form(f, point, var) for f in expr.num],
+                          [shift_form(f, point, var) for f in expr.den],
+                          [ZetaAtom(a.label, shift_form(a.arg, point, var), a.exp)
+                           for a in expr.atoms],
                           expr.residues)
 
 

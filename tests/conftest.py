@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from degeis.characters import TorusCharacter, chi_line_for, parabolic_levi, standard_line
 from degeis.forms import AffineForm
 from degeis.rootdata import build_system
 from degeis.zetas import ZetaAtom, ZetaExpr
@@ -65,6 +66,54 @@ def simply_laced(rank, edges):
 def e_type(rank):
     return build_system("custom", cartan=simply_laced(
         rank, {(i, j) for i, j in E_EDGES if j <= rank}))
+
+
+# (preset, parabolic, named line or None for the chi line): the benchmark's pole sweep
+SWEEP_TRIPLES = [
+    (g, p, line)
+    for g in ("split_D4", "quasi_D4")
+    for p, line in (("borel", None), ("P", None), ("Q", None), ("P", "muP"), ("Q", "muQ"))
+] + [("tri_D4", "borel", None), ("tri_D4", "P", None), ("tri_D4", "P", "muP"),
+     ("G2", "borel", None), ("A1", "borel", None)]
+
+
+def maximal_parabolic(system, node):
+    """(system, levi, line) with the line s in the removed node and -1 elsewhere."""
+    line = [AffineForm.of(-1)] * system.rank
+    line[node - 1] = AffineForm.var("s")
+    return (system, tuple(j for j in range(1, system.rank + 1) if j != node),
+            TorusCharacter(tuple(line)))
+
+
+def sweep_cases():
+    """(id, system, levi, line) for every entry of SWEEP_TRIPLES."""
+    for preset, parabolic, name in SWEEP_TRIPLES:
+        system = build_system(preset)
+        line = chi_line_for(system, parabolic) if name is None else standard_line(system, name)
+        yield f"{preset}-{parabolic}-{name}", system, parabolic_levi(system, parabolic), line
+
+
+def exceptional_cases():
+    """(id, system, levi, line) for F4 without node 1-4 and E6 without node 1."""
+    for node in (1, 2, 3, 4):
+        yield (f"F4-{node}", *maximal_parabolic(build_system("custom", cartan=F4_CARTAN), node))
+    yield ("E6-1", *maximal_parabolic(e_type(6), 1))
+
+
+def walk_cases():
+    yield from sweep_cases()
+    yield from exceptional_cases()
+
+
+# -- J(w) built in full: the reference for the constant term's atom table -----
+
+def gk_reference(system, line, word):
+    """J(w) along the line built from scratch: xi(<line,a^vee>)/xi(<line,a^vee>+1) over N(w)."""
+    atoms = []
+    for root in system.inversion_set(word):
+        label, p = system.label_of(root).symbol, line.pair(system.coroot(root))
+        atoms += [ZetaAtom(label, p, 1), ZetaAtom(label, p + 1, -1)]
+    return ZetaExpr.build(atoms=atoms)
 
 
 # -- the appendix checks built in full: the reference for the carried path ------

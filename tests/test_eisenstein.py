@@ -3,9 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from degeis.characters import (TorusCharacter, chi_line_for, line_chi_P,
-                               line_chi_Q, line_mu_P, line_mu_Q, parabolic_levi,
-                               standard_line, weyl_act)
+from degeis.characters import (TorusCharacter, line_chi_P, line_chi_Q, line_mu_P,
+                               line_mu_Q, parabolic_levi, weyl_act)
 from degeis.eisenstein import (ConstantTerm, GKTerm, constant_term, coset_reps,
                                gk_factor, h0_cancellation_check,
                                intertwiner_residue, pole_report,
@@ -17,7 +16,8 @@ from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaExpr, laurent_at
 
-from conftest import F4_CARTAN, af, e_type, sharp_f_w, sharp_l_poly, xi, xir
+from conftest import (F4_CARTAN, af, e_type, sharp_f_w, sharp_l_poly, walk_cases, xi,
+                      xir)
 
 
 def words(reps):
@@ -85,33 +85,7 @@ def test_coset_walk_matches_full_group_scan(preset):
 
 # (preset, parabolic, named line or None for the parabolic's chi line): the
 # command-line triples of the pole sweep
-SWEEP_TRIPLES = [
-    (g, p, line)
-    for g in ("split_D4", "quasi_D4")
-    for p, line in (("borel", None), ("P", None), ("Q", None), ("P", "muP"), ("Q", "muQ"))
-] + [("tri_D4", "borel", None), ("tri_D4", "P", None), ("tri_D4", "P", "muP"),
-     ("G2", "borel", None), ("A1", "borel", None)]
-
-
-def _maximal_parabolic(system, node):
-    """(system, levi, line) with the line s in the removed node and -1 elsewhere."""
-    line = [AffineForm.of(-1)] * system.rank
-    line[node - 1] = AffineForm.var("s")
-    return (system, tuple(j for j in range(1, system.rank + 1) if j != node),
-            TorusCharacter(tuple(line)))
-
-
-def _walk_cases():
-    for preset, parabolic, name in SWEEP_TRIPLES:
-        system = build_system(preset)
-        line = chi_line_for(system, parabolic) if name is None else standard_line(system, name)
-        yield f"{preset}-{parabolic}-{name}", system, parabolic_levi(system, parabolic), line
-    for node in (1, 2, 3, 4):
-        yield (f"F4-{node}", *_maximal_parabolic(build_system("custom", cartan=F4_CARTAN), node))
-    yield ("E6-1", *_maximal_parabolic(e_type(6), 1))
-
-
-@pytest.mark.parametrize("case", list(_walk_cases()), ids=lambda case: case[0])
+@pytest.mark.parametrize("case", list(walk_cases()), ids=lambda case: case[0])
 def test_constant_term_terms_match_their_from_scratch_factors(case):
     """Each term built from its parent coset equals the term computed alone."""
     _, system, levi, line = case

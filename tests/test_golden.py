@@ -3,14 +3,18 @@
 Each command runs in-process through ``degeis.cli.main`` and its stdout is
 compared with a checked-in file under ``tests/golden/``.  To regenerate the
 files after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``.  ``test_cold_process`` runs
+a few commands as ``python -m degeis.cli`` in a fresh interpreter, so that the
+exit status is seen as a shell sees it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -28,6 +32,14 @@ COMMANDS = {
     "poles_2D4_Q_1-6": "poles --group 2D4 --parabolic Q --point 1/6",
     "poles_D4_P_3-10_json": "poles --group D4 --parabolic P --point 3/10 --format json",
     "poles_2D4_Q_1-6_json": "poles --group 2D4 --parabolic Q --point 1/6 --format json",
+    "table_D4_borel_1-2": "table --group D4 --parabolic borel --point 1/2",
+    "table_D4_borel_1-2_json": "table --group D4 --parabolic borel --point 1/2 --format json",
+    "poles_D4_borel_1-2": "poles --group D4 --parabolic borel --point 1/2",
+    "poles_D4_borel_1-2_json": "poles --group D4 --parabolic borel --point 1/2 --format json",
+    "table_G2_borel_1-2": "table --group G2 --parabolic borel --point 1/2",
+    "poles_G2_borel_1-2": "poles --group G2 --parabolic borel --point 1/2",
+    "table_3D4_P_muP_3-10": "table --group 3D4 --parabolic P --line muP --point 3/10",
+    "poles_3D4_P_muP_3-10": "poles --group 3D4 --parabolic P --line muP --point 3/10",
     "sw_2D4": "sw --group 2D4",
     "sharp-check_D4": "sharp-check --group D4",
     "sharp-check_D4_json": "sharp-check --group D4 --format json",
@@ -54,6 +66,24 @@ def test_golden_output(name):
     code, out = run(COMMANDS[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (COMMANDS["poles_G2_borel_1-2"], 0, (GOLDEN / "poles_G2_borel_1-2.txt").read_bytes(), b""),
+    ("table --group D4 --parabolic borel --point=1/6", 2, b"",
+     b"error[indeterminate-zero-region]: xi_F(1/3) lies in (0,1); possible real zero\n"),
+    ("poles --group D4 --parabolic Q --point=0", 4, b"",
+     b"error[needs-higher-log-order]: leading coefficients and first-order log terms "
+     b"both cancel; expansion to higher log order is not implemented\n"),
+])
+def test_cold_process(argv, code, out, err):
+    """``python -m degeis.cli`` in a fresh interpreter: the bytes and the exit status."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "degeis.cli", *argv.split()],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 if __name__ == "__main__":

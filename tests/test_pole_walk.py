@@ -1,0 +1,212 @@
+"""The pole analysis of constant terms read off one atom table per line.
+
+``constant_term`` interns the two atoms of every positive root once, and each
+J(w) is a list of (id, count) pairs over them.  ``pole_report`` and
+``render_table_rows`` expand each id once per point and sum over the counts.
+These tests hold that path against ``laurent_at`` of each term's J and
+against a from-scratch ``ZetaExpr.build``, and gate its build counts.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+
+import pytest
+
+from degeis import eisenstein, zetas
+from degeis.characters import TorusCharacter, chi_line_for, weyl_act
+from degeis.eisenstein import (ConstantTerm, GKTerm, _AtomTable, _PointExpansion,
+                               constant_term, pole_report, render_table_rows)
+from degeis.errors import DegeisError
+from degeis.forms import AffineForm
+from degeis.rootdata import WeylWord, build_system
+from degeis.zetas import ZetaExpr, laurent_at
+
+from conftest import (af, exceptional_cases, gk_reference, sharp_f_w, sharp_l_poly,
+                      sweep_cases, xi)
+
+# the benchmark's point pool: distinct p/q with |p/q| <= 2 and small denominators
+POOL = sorted({Q(p, q) for q in (1, 2, 3, 4, 5, 6, 10, 12) for p in range(-2 * q, 2 * q + 1)})
+SPECIAL = [Q(0), Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(3, 10), Q(1, 6)]
+SWEEP_POINTS = sorted(set(POOL[::7]) | set(SPECIAL))
+
+
+def _outcome(call):
+    """The result of call(), or ("raises", class, message, info) for a DegeisError."""
+    try:
+        return call()
+    except DegeisError as exc:
+        return "raises", type(exc), str(exc), exc.info
+
+
+def compare(ct, point, assume):
+    """The terms whose order or leading coefficient from the table differ from
+    laurent_at of their J, and what laurent_at raises at the first term that raises."""
+    table = ct.table if ct.table is not None else _AtomTable.of_terms(ct.terms)
+    expansion = _PointExpansion(ct.system, table, "s", point, assume)
+
+    def from_table(scalar, counts):
+        order, leading, _ = expansion.term(scalar, counts)
+        return order, expansion.leading(leading, counts)
+
+    def reference(j):
+        ld = laurent_at(j, {"s": point}, assume_no_real_zeros=assume)
+        return ld.order, ld.leading
+
+    bad, first_error = [], None
+    for term, (scalar, counts) in zip(ct.terms, table.terms):
+        got = _outcome(lambda: from_table(scalar, counts))
+        want = _outcome(lambda: reference(term.j_factor))
+        if got != want:
+            bad.append((str(term.word), got, want))
+        if first_error is None and want[0] == "raises":
+            first_error = want
+    return bad, first_error
+
+
+def j_mismatches(ct):
+    return [str(t.word) for t in ct.terms
+            if t.j_factor != gk_reference(ct.system, ct.line, t.word)]
+
+
+def _check(ct, points):
+    assert not j_mismatches(ct)
+    for point in points:
+        for assume in (False, True):
+            bad, first_error = compare(ct, point, assume)
+            assert not bad, (point, assume)
+            if first_error is not None:
+                # both reports raise it, before any later term is looked at
+                for report in (render_table_rows, pole_report):
+                    assert _outcome(lambda: report(
+                        ct, point, assume_no_real_zeros=assume)) == first_error
+
+
+@pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda case: case[0])
+def test_sweep_lines_match_laurent_at(case):
+    _, system, levi, line = case
+    _check(constant_term(system, levi, line), SWEEP_POINTS)
+
+
+@pytest.mark.parametrize("case", list(exceptional_cases()), ids=lambda case: case[0])
+def test_exceptional_lines_match_laurent_at(case):
+    _, system, levi, line = case
+    _check(constant_term(system, levi, line), [Q(1, 2), Q(-1), Q(3, 10)])
+
+
+@pytest.mark.parametrize("coords", [("s", "0", "0", "0"), ("s", "1", "0", "0"),
+                                    ("0", "s", "0", "0")])
+def test_constant_pairings_cancel_without_raising(coords):
+    """Roots with a constant pairing give xi(c)/xi(c+1); at c = 0 that is xi(1)/xi(1)."""
+    system = build_system("split_D4")
+    line = TorusCharacter(tuple(AffineForm.var("s") if c == "s" else AffineForm.of(int(c))
+                                for c in coords))
+    ct = constant_term(system, (), line)
+    _check(ct, [Q(0), Q(1), Q(-1), Q(1, 2), Q(3, 10), Q(2)])
+    # a term whose only constant pairings are 0 has Laurent data at a generic point
+    table = ct.table
+    expansion = _PointExpansion(system, table, "s", Q(2), True)
+    cancelled = 0
+    for term, (scalar, counts) in zip(ct.terms, table.terms):
+        pairings = [line.pair(system.coroot(r)) for r in system.inversion_set(term.word)]
+        if all(p.params or p.const == 0 for p in pairings):
+            expansion.term(scalar, counts)
+            cancelled += any(not p.params for p in pairings)
+    assert cancelled
+
+
+def test_terms_built_by_hand_match_laurent_at(quasi):
+    """Affine factors, residue symbols and scalars are interned on entry."""
+    lam = TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2))
+    lpoly = sharp_l_poly(quasi, lam)
+    terms = []
+    for k, (_, w) in enumerate(quasi.weyl_elements()):
+        j = lpoly * sharp_f_w(quasi, lam, w) * Q(2 * k - 7, 2)
+        if k % 3 == 0:
+            j = j * ZetaExpr.residue_symbol("F", k % 2 + 1) / xi("K", 2, 1)
+        terms.append(GKTerm(w, j, weyl_act(quasi, w.inverse(), lam)))
+    ct = ConstantTerm(quasi, (), lam, tuple(terms))
+    for point in (Q(0), Q(1), Q(-2), Q(1, 2), Q(1, 3), Q(-1, 4)):
+        for assume in (False, True):
+            bad, first_error = compare(ct, point, assume)
+            assert not bad, (point, assume)
+            if first_error is not None:
+                assert _outcome(lambda: pole_report(
+                    ct, point, assume_no_real_zeros=assume)) == first_error
+
+
+def test_leading_monomials_meet_under_the_functional_equation(a1):
+    """xi(2s) and xi(s) lead with xi(2/3) and xi(1/3) = xi(2/3) at s = 1/3: one monomial."""
+    lam = TorusCharacter.of(af(1))
+    terms = (GKTerm(WeylWord(), xi("F", 2), lam), GKTerm(WeylWord.of(1), xi("F", 1), lam))
+    rep = pole_report(ConstantTerm(a1, (), lam, terms), Q(1, 3), assume_no_real_zeros=True)
+    [group] = rep.groups
+    assert (group.order, group.leading) == (0, xi("F", 0, Q(2, 3)) * 2)
+
+
+def _d4_borel():
+    system = build_system("split_D4")
+    return constant_term(system, (), chi_line_for(system, "borel"))
+
+
+def test_a_swapped_rank_is_detected(monkeypatch):
+    """Negative control: two ids that share a term trade places in the atom order."""
+    ct = _d4_borel()
+    (i, _), (j, _) = next(counts for _, counts in ct.table.terms if len(counts) >= 2)[:2]
+    of_line = _AtomTable.of_line
+
+    def swapped(system, line):
+        table = of_line(system, line)
+        table.keys[i], table.keys[j] = table.keys[j], table.keys[i]
+        table.ids = {key: k for k, key in enumerate(table.keys)}
+        table.roots = {root: tuple({i: j, j: i}.get(k, k) for k in ids)
+                       for root, ids in table.roots.items()}
+        return table
+
+    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(swapped))
+    assert j_mismatches(constant_term(ct.system, (), ct.line))
+
+
+def test_a_flipped_count_is_detected():
+    """Negative control: one count of one term changes sign."""
+    ct = _d4_borel()
+    scalar, counts = ct.table.terms[5]
+    (i, c), *rest = counts
+    ct.table.terms[5] = scalar, ((i, -c), *rest)
+    assert compare(ct, Q(1, 2), True)[0]
+    assert compare(ct, Q(1, 3), True)[0]
+
+
+class _Counter:
+    def __init__(self, monkeypatch):
+        self.builds = self.laurents = 0
+        build = ZetaExpr.__dict__["build"].__func__
+
+        def counted_build(*args, **kwargs):
+            self.builds += 1
+            return build(*args, **kwargs)
+
+        def counted_laurent(*args, **kwargs):
+            self.laurents += 1
+            return laurent_at(*args, **kwargs)
+
+        monkeypatch.setattr(ZetaExpr, "build", staticmethod(counted_build))
+        for module in (zetas, eisenstein):
+            monkeypatch.setattr(module, "laurent_at", counted_laurent)
+
+
+@pytest.mark.parametrize("case,assume", [("D4", False), ("E6-1", True)])
+def test_build_count_is_bounded_by_the_groups_and_the_roots(case, assume, monkeypatch):
+    """constant_term, render_table_rows and pole_report at 1/2: no laurent_at, and
+    one build per group plus at most two per positive root."""
+    if case == "D4":
+        ct = _d4_borel()
+        system, levi, line = ct.system, (), ct.line
+    else:
+        _, system, levi, line = next(c for c in exceptional_cases() if c[0] == case)
+    counter = _Counter(monkeypatch)
+    ct = constant_term(system, levi, line)
+    render_table_rows(ct, Q(1, 2), assume_no_real_zeros=assume)
+    rep = pole_report(ct, Q(1, 2), assume_no_real_zeros=assume)
+    assert counter.laurents == 0
+    assert counter.builds <= len(rep.groups) + 2 * len(system.positive_roots)
