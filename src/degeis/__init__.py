@@ -22,4 +22,4 @@ from .forms import AffineForm
 from .localint import ShellFunction, local_zeta, tate_integral
 from .rootdata import (FieldLabel, Root, RootSystem, WeylWord, build_system,
                        load_custom)
-from .zetas import LaurentData, ZetaAtom, ZetaExpr, canonicalize, laurent_at
+from .zetas import LaurentData, ZetaAtom, ZetaExpr, laurent_at

@@ -25,9 +25,9 @@ next order whenever the log-t coefficient survives.
 from __future__ import annotations
 
 import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
@@ -58,14 +58,15 @@ class _AtomTable:
     as (label, arg), an affine factor as the form, or a residue symbol R_L as
     its label.  ``terms[t]`` is (scalar, counts): term t's J is the scalar
     times each id's factor to its count.  Counts add where factors multiply,
-    so the Laurent data of every term at a point follows from one expansion
-    per id (``_PointExpansion``).
+    so the Laurent data of every term follows from one expansion per id
+    (``_Expansion``).  A line's table keeps the pairings it was built from.
     """
 
     def __init__(self):
         self.ids: dict[object, int] = {}
         self.keys: list[object] = []
         self.roots: dict[Root, tuple[int, int]] = {}
+        self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
 
     def intern(self, key: object) -> int:
@@ -82,13 +83,13 @@ class _AtomTable:
         numbered in canonical atom order, so sorting a term's ids sorts its
         atoms.
         """
-        pairs = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0])
-                 for label, p in _pairings(system, line)]
         table = _AtomTable()
-        for key in sorted({(label, arg) for label, *args in pairs for arg in args}):
+        table.pairs = _pairings(system, line)
+        args = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0]) for label, p in table.pairs]
+        for key in sorted({(label, arg) for label, *both in args for arg in both}):
             table.intern(key)
         table.roots = {root: (table.ids[(label, plain)], table.ids[(label, shifted)])
-                       for root, (label, plain, shifted) in zip(system.positive_roots, pairs)}
+                       for root, (label, plain, shifted) in zip(system.positive_roots, args)}
         return table
 
     @staticmethod
@@ -205,44 +206,65 @@ class PoleReport:
     square_integrable: bool
 
 
-class _PointExpansion:
-    """Every id of an atom table expanded once at param = point + eps.
+class _Multisets:
+    """Interns keys to small ints and packs a multiset of keys into one int.
 
-    Per id: the order of vanishing, the leading scalar (None for 1) and the
-    leading monomial: an atom at the point (canonical, so that atoms meeting
-    there merge) or a residue symbol, packed by ``_Multisets``.  A term's
-    Laurent data are then sums over its counts.  An id whose expansion
-    raises is kept aside, and raises again only for a term that contains it,
-    as ``laurent_at`` would for that term.
+    Key number j with multiplicity m adds m << (width * j).  The width leaves
+    room for multiplicities of either sign up to twice the number of positive
+    roots, or up to twice ``bound`` if that is larger, so two packed ints are
+    equal exactly when the multisets are.
     """
 
-    def __init__(self, system: RootSystem, table: _AtomTable, param: str, point: Q,
-                 assume_no_real_zeros: bool):
-        self.sets = _Multisets(system, table.bound())
+    def __init__(self, system: RootSystem, bound: int = 0):
+        self.ids: dict[object, int] = {}
+        self.width = max(len(system.positive_roots), bound).bit_length() + 2
+
+    def weight(self, key: object, count: int = 1) -> int:
+        return count << (self.width * self.ids.setdefault(key, len(self.ids)))
+
+
+class _Expansion:
+    """Every id of an atom table expanded once as var -> 0.
+
+    The pole reports shift each factor to point + var first; the appendix
+    checks give no point and expand in eps as the factors stand.  Per id:
+    the order of vanishing, the leading scalar (None for 1) and the leading
+    monomial: an atom at var = 0 (canonical, so that atoms meeting there
+    merge) or a residue symbol, packed by the shared ``_Multisets``.  A
+    term's Laurent data are then sums over its counts.  An id whose
+    expansion raises is kept aside, and raises again only for a term that
+    contains it, as ``expand_in`` would for that term.  Affine factors come
+    only from terms built by hand, which are always expanded at a point.
+    """
+
+    def __init__(self, table: _AtomTable, sets: _Multisets, var: str,
+                 point: Mapping[str, Q] | None = None, assume_no_real_zeros: bool = False):
+        self.var = var
         self.assume = assume_no_real_zeros
         self.data: list[tuple[int, Q | None, int, ZetaAtom | str | None]] = []
         self.failing: dict[int, ZetaAtom] = {}
-        at = {param: point}
         for i, key in enumerate(table.keys):
             if isinstance(key, str):
-                self.data.append((0, None, self.sets.weight(key), key))
+                self.data.append((0, None, sets.weight(key), key))
             elif isinstance(key, AffineForm):
-                zero, lead = form_limit(shift_form(key, at, _EPS), _EPS)
+                zero, lead = form_limit(shift_form(key, point, var), var)
                 self.data.append((zero, lead.const, 0, None))
             else:
                 label, arg = key
-                atom = ZetaAtom(label, canonical_arg(shift_form(arg, at, _EPS))[0])
+                if point is not None:
+                    arg = canonical_arg(shift_form(arg, point, var))[0]
+                atom = ZetaAtom(label, arg)
                 try:
-                    limit = atom_limit(atom, _EPS, assume_no_real_zeros=assume_no_real_zeros)
+                    limit = atom_limit(atom, var, assume_no_real_zeros=assume_no_real_zeros)
                 except (HyperplaneDegeneracyError, IndeterminateZeroRegionError):
                     self.failing[i] = atom
                     self.data.append((0, None, 0, None))
                     continue
                 if isinstance(limit, ZetaAtom):
-                    self.data.append((0, None, self.sets.weight(
+                    self.data.append((0, None, sets.weight(
                         (label, canonical_arg(limit.arg)[0])), limit))
                 else:
-                    self.data.append((-1, limit, self.sets.weight(label), label))
+                    self.data.append((-1, limit, sets.weight(label), label))
 
     def term(self, scalar: Q, counts: _Counts) -> tuple[int, Q, int]:
         """(order, leading scalar, packed leading monomial) of one term."""
@@ -251,7 +273,7 @@ class _PointExpansion:
         if self.failing and any(i in self.failing for i, _ in counts):
             first = min(ZetaAtom(a.label, a.arg, c) for i, c in counts
                         if (a := self.failing.get(i)) is not None)
-            atom_limit(first, _EPS, assume_no_real_zeros=self.assume)   # raises
+            atom_limit(first, self.var, assume_no_real_zeros=self.assume)   # raises
         order = key = 0
         data = self.data
         for i, c in counts:
@@ -287,7 +309,7 @@ _Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, k
 
 
 def _group_order(system: RootSystem, members: list[_Member], param: str,
-                 expansion: _PointExpansion) -> tuple[int, ZetaExpr | None, bool]:
+                 expansion: _Expansion) -> tuple[int, ZetaExpr | None, bool]:
     """Order of the sum of a group of terms sharing one limit exponent."""
     m = min(order for _, order, _, _, _ in members)
     lowest = [member for member in members if member[1] == m]
@@ -326,9 +348,9 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     table, params = _table_and_params(ct)
     if len(params) != 1:
         raise ValueError(f"pole_report needs a one-parameter line, got {params}")
-    param = params[0]
-    expansion = _PointExpansion(system, table, param, pt, assume_no_real_zeros)
-    assignment = {param: pt}
+    assignment = {params[0]: pt}
+    expansion = _Expansion(table, _Multisets(system, table.bound()), _EPS, assignment,
+                           assume_no_real_zeros)
     grouped: dict[tuple[Q, ...], list[_Member]] = {}
     for term, (scalar, counts) in zip(ct.terms, table.terms):
         order, leading, key = expansion.term(scalar, counts)
@@ -338,7 +360,7 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     groups = []
     for exp0 in sorted(grouped):
         members = grouped[exp0]
-        order, leading, log_term = _group_order(system, members, param, expansion)
+        order, leading, log_term = _group_order(system, members, params[0], expansion)
         groups.append(TermGroup(exp0, tuple(t.word for t, *_ in members),
                                 order, leading, log_term))
     overall = max(0, max(-g.order for g in groups))
@@ -357,12 +379,9 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
     the intertwining operator M_w restricted to the line.
     """
     j = gk_factor(system, word, line)
-    params = j.params
-    if not params:
-        return LaurentData(0, j)
-    if len(params) != 1:
+    if len(j.params) > 1:
         raise ValueError("intertwiner_residue needs a one-parameter line")
-    return laurent_at(j, {params[0]: _q(point)},
+    return laurent_at(j, {p: _q(point) for p in j.params},
                       assume_no_real_zeros=assume_no_real_zeros)
 
 
@@ -469,55 +488,17 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
 
 # -- appendix machinery: W-invariance and entireness ---------------------------
 #
-# F_w(lam) = prod_{a>0} xi_{F_a}(<lam,a^vee> + [a not in N(w)]): each positive
-# root contributes its plain atom xi(<lam,a^vee>) when w inverts it and its
-# shifted atom xi(<lam,a^vee>+1) otherwise.  What the checks compare -- the
-# canonical atom multiset, and the order and leading coefficient of the
-# expansion in eps -- is additive over the roots (the scalar multiplicative),
-# and each step of the Weyl walk inverts one more root, so every F_w is
-# carried from its prefix's data instead of being built.
-
-_Factor = tuple[int, Q, int]    # (order, scalar, packed multiset of atoms and residues)
-
+# F_w(lam) = prod_{a>0} xi_{F_a}(<lam,a^vee> + [a not in N(w)]) = F_1(lam) J(w, lam):
+# each positive root contributes its plain atom xi(<lam,a^vee>) when w inverts
+# it and its shifted atom xi(<lam,a^vee>+1) otherwise.  Both are the atoms of
+# the root in lam's atom table.  What the checks compare -- the canonical atom
+# multiset, and the order and leading coefficient of the expansion in eps --
+# is additive over the ids (the scalar multiplicative), and each step of the
+# Weyl walk inverts one more root, so every F_w is carried from its prefix's
+# data instead of being built.
 
 def _l_poly(pairs: list[tuple[str, AffineForm]]) -> ZetaExpr:
     return ZetaExpr.build(num=_l_factors(pairs))
-
-
-class _Multisets:
-    """Interns keys to small ints and packs a multiset of keys into one int.
-
-    Key number j with multiplicity m adds m << (width * j).  The width leaves
-    room for multiplicities of either sign up to twice the number of positive
-    roots, or up to twice ``bound`` if that is larger, so two packed ints are
-    equal exactly when the multisets are.
-    """
-
-    def __init__(self, system: RootSystem, bound: int = 0):
-        self.ids: dict[object, int] = {}
-        self.width = max(len(system.positive_roots), bound).bit_length() + 2
-
-    def weight(self, key: object, count: int = 1) -> int:
-        return count << (self.width * self.ids.setdefault(key, len(self.ids)))
-
-    def pack(self, expr: ZetaExpr) -> int:
-        """The atoms (keyed by label and argument) and residue symbols of expr."""
-        return (sum(self.weight((a.label, a.arg), a.exp) for a in expr.atoms)
-                + sum(self.weight(label, m) for label, m in expr.residues))
-
-
-def _root_factors(pairs: list[tuple[str, AffineForm]],
-                  sets: _Multisets) -> tuple[list[_Factor], list[_Factor]]:
-    """Per positive root, the expansion in eps of its plain and of its shifted atom.
-
-    A character that does not involve eps leaves every atom as it is, in
-    canonical form, at order 0.
-    """
-    def factor(label: str, arg: AffineForm) -> _Factor:
-        ld = expand_in(ZetaExpr.atom(label, arg), "eps")
-        return ld.order, ld.leading.scalar, sets.pack(ld.leading)
-    return ([factor(label, p) for label, p in pairs],
-            [factor(label, p + 1) for label, p in pairs])
 
 
 @dataclass(frozen=True)
@@ -560,14 +541,20 @@ class _Walk:
         return [self.index[tuple(s_i[perm[p]] for p in self.simple)]
                 for perm, _ in self.elements]
 
-    def carry(self, factors: tuple[list[_Factor], list[_Factor]]) -> list[_Factor]:
-        """(order, scalar, multiset) of F_w for every element, one root swapped per step."""
-        plain, shifted = factors
-        out = [(sum(o for o, _, _ in shifted), math.prod(c for _, c, _ in shifted),
-                sum(m for _, _, m in shifted))]
-        # only the atoms that are polar in eps carry a scalar other than 1
-        swap = [(po - so, None if pc == sc else pc / sc, pm - sm)
-                for (po, pc, pm), (so, sc, sm) in zip(plain, shifted)]
+    def carry(self, table: _AtomTable, expansion: _Expansion) -> list[tuple[int, Q, int]]:
+        """(order, scalar, packed multiset) of F_w = F_1 J(w) for every element.
+
+        F_1 is every root's shifted id, and each step swaps one root's shifted
+        id for its plain one.  Every id goes through ``expansion.term``, so an
+        atom that cannot be expanded raises there.
+        """
+        first = Counter(shifted for _, shifted in table.roots.values())
+        out = [expansion.term(Q(1), tuple(sorted(first.items())))]
+        swap = []
+        for root in self.system.positive_roots:
+            order, scalar, key = expansion.term(Q(1), table.counts((root,)))
+            # only the atoms that are polar in eps carry a scalar other than 1
+            swap.append((order, None if scalar == 1 else scalar, key))
         for parent, _, root in self.steps:
             o, c, m = out[parent]
             do, dc, dm = swap[root]
@@ -602,24 +589,26 @@ def sharp_invariance_check(system: RootSystem, simple_index: int) -> tuple[bool,
     equation canonical forms decide the equality exactly: the two sides
     agree when their multisets of canonical atoms do.
     """
+    system._check_index(simple_index)
     lam = generic_character(system)
-    pairs = _pairings(system, lam)
-    pairs_i = _pairings(system, weyl_act(system, WeylWord.of(simple_index), lam))
-    if _l_poly(pairs) != _l_poly(pairs_i):
+    table = _AtomTable.of_line(system, lam)
+    table_i = _AtomTable.of_line(system, weyl_act(system, WeylWord.of(simple_index), lam))
+    if _l_poly(table.pairs) != _l_poly(table_i.pairs):
         return False, WeylWord()
     walk = _Walk.of(system)
     sets = _Multisets(system)
-    f = walk.carry(_root_factors(pairs, sets))
-    f_i = walk.carry(_root_factors(pairs_i, sets))
+    f = walk.carry(table, _Expansion(table, sets, "eps"))
+    f_i = walk.carry(table_i, _Expansion(table_i, sets, "eps"))
     for (_, u), here, partner in zip(walk.elements, f, walk.left(simple_index)):
         if f_i[partner] != here:
             return False, u
     return True, None
 
 
-def _h0_character(system: RootSystem, simple_index: int) -> TorusCharacter:
+def _eps_character(system: RootSystem, simple_index: int, offset: int) -> TorusCharacter:
+    """z_j in each coordinate but the i-th, eps + offset: <lam,alpha_i^vee> near offset."""
     coords = [AffineForm.var(f"z{j}") for j in range(1, system.rank + 1)]
-    coords[simple_index - 1] = AffineForm.var("eps")
+    coords[simple_index - 1] = AffineForm.var("eps") + offset
     return TorusCharacter(tuple(coords))
 
 
@@ -632,8 +621,8 @@ def _h0_cancellations(walk: _Walk, simple_index: int, sets: _Multisets,
     sum_{j != i} z_j varpi_j, so w^{-1} lambda is read off the columns
     w^{-1} varpi_j with j != i.
     """
-    system = walk.system
-    f = walk.carry(_root_factors(_pairings(system, _h0_character(system, simple_index)), sets))
+    table = _AtomTable.of_line(walk.system, _eps_character(walk.system, simple_index, 0))
+    f = walk.carry(table, _Expansion(table, sets, "eps"))
     i = simple_index
     results = []
     for k, partner in enumerate(walk.left(i)):
@@ -653,6 +642,7 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
     F_w and F_{w_i w} to first order and verifies that the residues sum to
     zero while the two exponents agree on the hyperplane.
     """
+    system._check_index(simple_index)
     walk = _Walk.of(system)
     results = _h0_cancellations(walk, simple_index, _Multisets(system),
                                 walk.inverse_columns())
@@ -683,13 +673,12 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     sets = _Multisets(system)
     boundary_ok = True
     for i in range(1, system.rank + 1):
-        for eps in (1, -1):
-            coords = [AffineForm.var(f"z{j}") for j in range(1, system.rank + 1)]
-            coords[i - 1] = AffineForm.var("eps") + eps
-            pairs = _pairings(system, TorusCharacter(tuple(coords)))
-            l_order = expand_in(_l_poly(pairs), "eps").order
+        for offset in (1, -1):
+            table = _AtomTable.of_line(system, _eps_character(system, i, offset))
+            l_order = expand_in(_l_poly(table.pairs), "eps").order
             # orders are additive, so L * F_w never needs assembling
-            if any(l_order + order < 0 for order, _, _ in walk.carry(_root_factors(pairs, sets))):
+            f = walk.carry(table, _Expansion(table, sets, "eps"))
+            if any(l_order + order < 0 for order, _, _ in f):
                 boundary_ok = False
     columns = walk.inverse_columns()
     h0 = [_h0_cancellations(walk, i, sets, columns) for i in range(1, system.rank + 1)]
@@ -731,9 +720,9 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     table, params = _table_and_params(ct)
     if len(params) > 1:
         raise ValueError(f"render_table_rows needs a one-parameter line, got {params}")
-    param = params[0] if params else "s"
-    expansion = _PointExpansion(ct.system, table, param, pt, assume_no_real_zeros)
-    assignment = {param: pt}
+    assignment = {params[0] if params else "s": pt}
+    expansion = _Expansion(table, _Multisets(ct.system, table.bound()), _EPS, assignment,
+                           assume_no_real_zeros)
     rows = []
     for term, (scalar, counts) in zip(ct.terms, table.terms):
         order = expansion.term(scalar, counts)[0]

@@ -301,6 +301,7 @@ class RootSystem:
     def perm_of_word(self, word: WeylWord) -> tuple[int, ...]:
         perm = tuple(range(2 * len(self.positive_roots)))
         for i in word.letters:
+            self._check_index(i)
             perm = self._times(perm, i)
         return perm
 

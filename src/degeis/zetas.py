@@ -211,11 +211,6 @@ class ZetaExpr:
         }
 
 
-def canonicalize(expr: ZetaExpr) -> ZetaExpr:
-    """Idempotent canonical form; ZetaExpr.build already enforces it."""
-    return ZetaExpr.build(expr.scalar, expr.num, expr.den, expr.atoms, expr.residues)
-
-
 @dataclass(frozen=True)
 class LaurentData:
     """Order of vanishing (negative = pole) and the leading coefficient.

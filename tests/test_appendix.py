@@ -1,10 +1,12 @@
 """The appendix checks carried along the Weyl walk, against F_w built in full.
 
 ``entireness_report`` and ``sharp_invariance_check`` never build F_w: they
-carry per-root Laurent data and canonical atom multisets from each element's
-prefix.  The differential tests below rebuild every F_w as one ``ZetaExpr``
-(``conftest.sharp_f_w``) and compare per word; the negative controls tamper
-with the per-root data and expect each check to report the failure.
+read F_w = F_1 J(w) off the character's atom table, expand each id once in
+eps, and carry Laurent data and canonical atom multisets from each
+element's prefix.  The differential tests below rebuild every F_w as one
+``ZetaExpr`` (``conftest.sharp_f_w``) and compare per word; the negative
+controls swap one root's atoms in the table and expect each check to
+report the failure.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import pytest
 
 from degeis import eisenstein
 from degeis.characters import TorusCharacter, weyl_act
-from degeis.eisenstein import (_h0_character, _Multisets, _pairings, _root_factors,
-                               _Walk, entireness_report, generic_character,
-                               sharp_invariance_check)
+from degeis.eisenstein import (_AtomTable, _eps_character, _Expansion, _Multisets, _Walk,
+                               entireness_report, generic_character, sharp_invariance_check)
+from degeis.errors import HyperplaneDegeneracyError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaExpr, expand_in
@@ -36,18 +38,31 @@ def sampled(walk, name):
     return range(0, len(walk.elements), stride)
 
 
-def boundary_character(system, i, eps):
+def pack(sets, expr):
+    """The atoms (keyed by label and argument) and residue symbols of expr, packed."""
+    return (sum(sets.weight((a.label, a.arg), a.exp) for a in expr.atoms)
+            + sum(sets.weight(label, m) for label, m in expr.residues))
+
+
+def carried(walk, lam, sets):
+    """F_w's (order, scalar, packed multiset) in eps for every element, from lam's table."""
+    table = _AtomTable.of_line(walk.system, lam)
+    return walk.carry(table, _Expansion(table, sets, "eps"))
+
+
+def eps_character(system, i, offset):
     coords = [AffineForm.var(f"z{j}") for j in range(1, system.rank + 1)]
-    coords[i - 1] = AffineForm.var("eps") + eps
+    coords[i - 1] = AffineForm.var("eps") + offset
     return TorusCharacter(tuple(coords))
 
 
 def eps_characters(system):
     """The 3 * rank characters the entireness check expands in eps."""
     for i in range(1, system.rank + 1):
-        yield boundary_character(system, i, 1)
-        yield boundary_character(system, i, -1)
-        yield _h0_character(system, i)
+        for offset in (1, -1, 0):
+            lam = eps_character(system, i, offset)
+            assert _eps_character(system, i, offset) == lam
+            yield lam
 
 
 @pytest.mark.parametrize("name", PRESETS + ["F4"])
@@ -56,11 +71,11 @@ def test_carried_laurent_data_matches_full_builds(name):
     walk = _Walk.of(system)
     sets = _Multisets(system)
     for lam in eps_characters(system):
-        carried = walk.carry(_root_factors(_pairings(system, lam), sets))
+        f = carried(walk, lam, sets)
         for k in sampled(walk, name):
             ld = expand_in(sharp_f_w(system, lam, walk.elements[k][1]), "eps")
             assert not ld.leading.num and not ld.leading.den
-            assert carried[k] == (ld.order, ld.leading.scalar, sets.pack(ld.leading)), \
+            assert f[k] == (ld.order, ld.leading.scalar, pack(sets, ld.leading)), \
                 (name, str(lam), str(walk.elements[k][1]))
 
 
@@ -70,7 +85,7 @@ def test_carried_exponents_match_weyl_act(name):
     walk = _Walk.of(system)
     columns = walk.inverse_columns()
     for i in range(1, system.rank + 1):
-        lam = _h0_character(system, i)
+        lam = eps_character(system, i, 0)
         for k in sampled(walk, name):
             word = walk.elements[k][1]
             expected = weyl_act(system, word.inverse(), lam).subs({"eps": 0})
@@ -89,15 +104,27 @@ def test_carried_invariance_multisets_match_full_builds(name):
     for i in range(1, system.rank + 1):
         lam_i = weyl_act(system, WeylWord.of(i), lam)
         sets = _Multisets(system)
-        f = walk.carry(_root_factors(_pairings(system, lam), sets))
-        f_i = walk.carry(_root_factors(_pairings(system, lam_i), sets))
+        f = carried(walk, lam, sets)
+        f_i = carried(walk, lam_i, sets)
         left = walk.left(i)
         for k in sampled(walk, name):
             perm, u = walk.elements[k]
             partner = WeylWord((i,) + u.letters)
             assert walk.elements[left[k]][0] == system.perm_of_word(partner)
-            assert f[k] == (0, 1, sets.pack(sharp_f_w(system, lam, u)))
-            assert f_i[left[k]] == (0, 1, sets.pack(sharp_f_w(system, lam_i, partner)))
+            assert f[k] == (0, 1, pack(sets, sharp_f_w(system, lam, u)))
+            assert f_i[left[k]] == (0, 1, pack(sets, sharp_f_w(system, lam_i, partner)))
+
+
+def test_carry_raises_on_an_atom_that_cannot_be_expanded():
+    """No silent (0, 1, 0) data: a pairing identically 0 has no expansion in eps."""
+    system = build_system("A1")
+    walk = _Walk.of(system)
+    table = _AtomTable.of_line(system, TorusCharacter.of(AffineForm.of(0)))
+    with pytest.raises(HyperplaneDegeneracyError) as caught:
+        walk.carry(table, _Expansion(table, _Multisets(system), "eps"))
+    with pytest.raises(HyperplaneDegeneracyError) as reference:
+        expand_in(ZetaExpr.atom("F", AffineForm.of(0)), "eps")
+    assert caught.value.info == reference.value.info
 
 
 def count_calls(monkeypatch):
@@ -124,26 +151,29 @@ def test_appendix_checks_build_per_root_not_per_word(monkeypatch, name):
     counts = count_calls(monkeypatch)
     assert all(sharp_invariance_check(system, i)[0] for i in range(1, system.rank + 1))
     assert entireness_report(system).entire
-    rank, n = system.rank, len(system.positive_roots)
-    # per character two single-atom expansions per root, two builds each:
-    # 2 * rank invariance characters, 3 * rank eps characters, plus L
-    assert counts["expand_in"] <= 10 * rank * n + 2 * rank
-    assert counts["build"] <= 20 * rank * n + 6 * rank
+    rank = system.rank
+    # F_w is read off the atom tables without a build; only the L polynomials
+    # are built: two per invariance check, two boundary characters per simple
+    # root, each of those also expanded in eps
+    assert counts["expand_in"] <= 2 * rank
+    assert counts["build"] <= 6 * rank
 
 
 def swap_atoms(monkeypatch, position, calls):
-    """Exchange one root's plain and shifted atom on the given _root_factors calls."""
-    real = eisenstein._root_factors
+    """Exchange one root's plain and shifted id in the atom tables of the given calls."""
+    real = _AtomTable.of_line
     seen = []
 
-    def swapped(pairs, sets):
-        plain, shifted = real(pairs, sets)
-        seen.append(pairs)
+    def swapped(system, line):
+        table = real(system, line)
+        seen.append(line)
         if len(seen) in calls:
-            plain[position], shifted[position] = shifted[position], plain[position]
-        return plain, shifted
+            root = system.positive_roots[position]
+            plain, shifted = table.roots[root]
+            table.roots[root] = shifted, plain
+        return table
 
-    monkeypatch.setattr(eisenstein, "_root_factors", swapped)
+    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(swapped))
 
 
 @pytest.mark.parametrize("name", ["G2", "quasi_D4"])

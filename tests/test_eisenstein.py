@@ -11,7 +11,8 @@ from degeis.eisenstein import (ConstantTerm, GKTerm, constant_term, coset_reps,
                                render_markdown_table, render_table_rows,
                                sharp_invariance_check, sharp_limit,
                                sharp_normalizer, siegel_weil_constant)
-from degeis.errors import EnumerationTooLargeError
+from degeis.errors import (EnumerationTooLargeError, HyperplaneDegeneracyError,
+                           IndeterminateZeroRegionError, UnknownRootError)
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaExpr, laurent_at
@@ -262,6 +263,32 @@ def test_intertwiner_residues_w2342(quasi, split):
 def test_intertwiner_residue_identity_word(quasi):
     ld = intertwiner_residue(quasi, WeylWord(), line_chi_P(quasi), Q(3, 10))
     assert ld.order == 0 and ld.leading == ZetaExpr.one()
+
+
+def test_intertwiner_residue_on_constant_lines(a1):
+    """A constant line is expanded as laurent_at expands its J, not read as order 0."""
+    w = WeylWord.of(1)
+    with pytest.raises(HyperplaneDegeneracyError):
+        intertwiner_residue(a1, w, TorusCharacter.of(1), 0)     # xi(1)/xi(2)
+    ld = intertwiner_residue(a1, w, TorusCharacter.of(2), 0)
+    assert ld.order == 0 and str(ld.leading) == "xi_F(2)/xi_F(3)"
+    half = TorusCharacter.of(Q(1, 2))
+    with pytest.raises(IndeterminateZeroRegionError):
+        intertwiner_residue(a1, w, half, 0)
+    ld = intertwiner_residue(a1, w, half, 0, assume_no_real_zeros=True)
+    assert ld.order == 0 and ld.leading == gk_factor(a1, w, half)
+
+
+def test_out_of_range_simple_indices_are_unknown_roots(quasi):
+    lam = TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2))
+    for i in (0, quasi.rank + 1):
+        calls = [lambda: sharp_invariance_check(quasi, i),
+                 lambda: h0_cancellation_check(quasi, i, WeylWord.of(1)),
+                 lambda: weyl_act(quasi, WeylWord((1, i)), lam),
+                 lambda: quasi.perm_of_word(WeylWord((1, i)))]
+        for call in calls:
+            with pytest.raises(UnknownRootError):
+                call()
 
 
 def test_sharp_normalizer_a1(a1):
