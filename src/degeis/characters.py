@@ -41,11 +41,12 @@ class TorusCharacter:
 
     __rmul__ = __mul__
 
-    def pair(self, cvec: Sequence[Q]) -> AffineForm:
+    def pair(self, cvec: Sequence[Rat]) -> AffineForm:
         """Pairing with a coroot vector: sum cvec[j] * coords[j]."""
         out = AffineForm()
         for c, f in zip(cvec, self.coords):
-            out = out + f * c
+            if c:
+                out = out + f * c
         return out
 
     def subs(self, assignment: Mapping[str, AffineForm | Rat]) -> "TorusCharacter":

@@ -174,13 +174,14 @@ def constant_term(system: RootSystem, levi: Iterable[int],
     levi_set = tuple(levi)
     table = _AtomTable.of_line(system, line)
     exponents = {(): line}
+    one = Q(1)
     terms = []
     for word in coset_reps(system, levi_set):
         if word.letters:
             exponents[word.letters] = weyl_act(system, WeylWord(word.letters[-1:]),
                                                exponents[word.letters[:-1]])
         counts = table.counts(system.inversion_set(word))
-        table.terms.append((Q(1), counts))
+        table.terms.append((one, counts))
         terms.append(GKTerm(word, table.expr(counts), exponents[word.letters]))
     return ConstantTerm(system, levi_set, line, tuple(terms), table)
 
@@ -389,7 +390,7 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
 
 def _pairings(system: RootSystem, lam: TorusCharacter) -> list[tuple[str, AffineForm]]:
     """(label of alpha, <lam, alpha^vee>) for every positive root alpha, in root order."""
-    return [(system.label_of(root).symbol, lam.pair(system.coroot(root)))
+    return [(system.label_of(root).symbol, lam.pair(system._cvec[root]))
             for root in system.positive_roots]
 
 
@@ -432,6 +433,8 @@ class SharpLimit:
 
 def sharp_limit(system: RootSystem, levi: Sequence[int], line: TorusCharacter,
                 point: Rat) -> SharpLimit:
+    for i in levi:
+        system._check_index(i)
     non_levi = [i for i in range(1, system.rank + 1) if i not in set(levi)]
     if len(non_levi) != 1:
         raise UnsupportedGroupError("sharp_limit expects a maximal parabolic")

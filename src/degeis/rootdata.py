@@ -35,7 +35,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (EnumerationTooLargeError, LabelInconsistencyError,
@@ -178,15 +177,13 @@ class RootSystem:
         self._length_class = {r: ("long" if self._norms[r] == long_norm else "short")
                               for r in self.positive_roots}
         self._labels = self._assign_labels()
-        self._cvec = {r: self._coroot_vector(r) for r in self.positive_roots}
+        self._cvec = self._coroot_vectors()
         self._nchar = {r: self._norm_char(r) for r in self.positive_roots}
 
-    def _norm(self, r: Root) -> Q:
-        total = Q(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += r.coords[i] * r.coords[j] * self.symmetrizer[i] * self.cartan[i][j]
-        return total
+    def _norm(self, r: Root) -> int:
+        c, d, a = r.coords, self.symmetrizer, self.cartan
+        return sum(c[i] * c[j] * d[i] * a[i][j]
+                   for i in range(self.rank) for j in range(self.rank) if c[i] and c[j])
 
     def _assign_labels(self) -> dict[Root, FieldLabel]:
         # orbit transport from simple-root labels, checked for consistency;
@@ -209,29 +206,40 @@ class RootSystem:
                         f"labels differ on the Weyl orbit of {r}: {lab.symbol} vs {labels[base].symbol}")
         return labels
 
-    def _coroot_vector(self, r: Root) -> tuple[Q, ...]:
+    def _coroot_vectors(self) -> dict[Root, tuple[int, ...]]:
+        """The integral pairing vector of every positive root.
+
+        Folded systems pair through the root's own coordinates.  In a split
+        system a simple root's vector is its unit vector, and any other root's
+        is its provenance parent's under the dual reflection, which subtracts
+        (row i of the pairing matrix . d) from coordinate i; parents come
+        first in ``_provenance``.
+        """
         if self.folded:
-            return tuple(Q(c) for c in r.coords)
-        prov = self._provenance[r]
-        if prov is None:
-            return tuple(Q(1) if c == 1 else Q(0) for c in r.coords)
-        i, parent = prov
-        d = list(self._coroot_vector(parent))
-        # dual reflection: subtract (pairing column_i . d) in coordinate i-1
-        t = sum(Q(self.pairing[i - 1][j]) * d[j] for j in range(self.rank))
-        d[i - 1] -= t
-        return tuple(d)
+            return {r: r.coords for r in self.positive_roots}
+        vecs: dict[Root, tuple[int, ...]] = {}
+        for r, prov in self._provenance.items():
+            if prov is None:
+                vecs[r] = r.coords
+                continue
+            i, parent = prov
+            d = list(vecs[parent])
+            d[i - 1] -= sum(p * x for p, x in zip(self.pairing[i - 1], d))
+            vecs[r] = tuple(d)
+        return vecs
 
     def _norm_char(self, r: Root) -> tuple[Q, ...]:
+        # summed as numerators over the lcm of the simple-root degrees
+        degrees = [self._simple_labels[i + 1].degree for i in range(self.rank)]
+        den = math.lcm(*degrees)
         deg = self.label_of(r).degree
-        out = [Q(0)] * self.rank
-        for i in range(self.rank):
-            if r.coords[i] == 0:
-                continue
-            w = Q(r.coords[i] * deg, self._simple_labels[i + 1].degree)
-            for j in range(self.rank):
-                out[j] += w * self.pairing[i][j]
-        return tuple(out)
+        out = [0] * self.rank
+        for i, c in enumerate(r.coords):
+            if c:
+                w = c * deg * (den // degrees[i])
+                for j, p in enumerate(self.pairing[i]):
+                    out[j] += w * p
+        return tuple(Q(x, den) for x in out)
 
     # -- queries -----------------------------------------------------------
 
@@ -257,9 +265,8 @@ class RootSystem:
 
     def coroot(self, root: Root) -> tuple[Q, ...]:
         """Pairing vector c with <lambda, root^vee> = sum c_j lambda_j."""
-        base = self._base(root)
-        vec = self._cvec[base]
-        return vec if root.positive else tuple(-x for x in vec)
+        sign = 1 if root.positive else -1
+        return tuple(Q(sign * x) for x in self._cvec[self._base(root)])
 
     def norm_char(self, root: Root) -> tuple[Q, ...]:
         """Fundamental-weight coordinates of |root|_{F_root} as a character."""
@@ -412,18 +419,22 @@ class RootSystem:
     # -- parsing -----------------------------------------------------------
 
     def parse_word(self, text: str) -> WeylWord:
-        """Parse words like ``2342`` or ``w[2342]``.
+        """Parse words like ``2342`` or ``w[2342]``; ``1``, ``e`` and ``""`` are the identity.
 
-        For folded presets the absolute Dynkin letters of the D4 diagram are
-        accepted: a run of distinct letters from one Galois orbit collapses
-        to the single relative reflection (e.g. 2342 -> [2,3,2] on quasi_D4).
+        Every character inside the optional ``w[...]`` must be a digit, one
+        simple index each.  For folded presets the absolute Dynkin letters of
+        the D4 diagram are accepted: a run of distinct letters from one
+        Galois orbit collapses to the single relative reflection (e.g. 2342
+        -> [2,3,2] on quasi_D4).
         """
         text = text.strip()
         if text in ("1", "e", ""):
             return WeylWord()
-        if text.startswith("w[") and text.endswith("]"):
-            text = text[2:-1]
-        raw = [int(ch) for ch in text if ch.isdigit()]
+        digits = text[2:-1] if text.startswith("w[") and text.endswith("]") else text
+        bad = next((ch for ch in digits if ch not in "0123456789"), None)
+        if bad is not None:
+            raise UnknownRootError(f"cannot parse Weyl word {text!r}: {bad!r} is not a simple index")
+        raw = [int(ch) for ch in digits]
         alias = _LETTER_ALIASES.get(self.name)
         if alias is None:
             letters = raw
@@ -477,26 +488,34 @@ def _validate_cartan(cartan: tuple[tuple[int, ...], ...]) -> None:
 
 
 def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Positive integers d_i with d_i A[i][j] symmetric."""
+    """Positive integers d_i with d_i A[i][j] symmetric.
+
+    Along each edge d_j = d_i A[i][j] / A[j][i]; the d_i are carried as
+    reduced (numerator, denominator) pairs and scaled to coprime integers.
+    """
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
+    d: list[tuple[int, int] | None] = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Q(1)
+        d[start] = (1, 1)
         stack = [start]
         while stack:
             i = stack.pop()
+            p, q = d[i]
             for j in range(n):
                 if cartan[i][j] != 0 and i != j:
-                    val = d[i] * Q(cartan[i][j], cartan[j][i])
+                    # both entries are negative in a validated Cartan matrix
+                    num, den = p * -cartan[i][j], q * -cartan[j][i]
+                    g = math.gcd(num, den)
+                    val = (num // g, den // g)
                     if d[j] is None:
                         d[j] = val
                         stack.append(j)
                     elif d[j] != val:
                         raise NotFiniteTypeError("Cartan matrix is not symmetrizable")
-    lcm = math.lcm(*(x.denominator for x in d))
-    scaled = [int(x * lcm) for x in d]
+    lcm = math.lcm(*(q for _, q in d))
+    scaled = [p * (lcm // q) for p, q in d]
     g = math.gcd(*scaled)
     return tuple(x // g for x in scaled)
 

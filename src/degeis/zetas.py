@@ -22,28 +22,28 @@ Two expressions are equal as functions iff their canonical forms coincide.
 from __future__ import annotations
 
 import itertools
-import math
+from math import gcd
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import HyperplaneDegeneracyError, IndeterminateZeroRegionError
-from .forms import AffineForm, Q, Rat, _q
+from .forms import AffineForm, Q, Rat, _make, _q, _ratio
 
 
-def _primitive(f: AffineForm) -> tuple[AffineForm, Q]:
+def _primitive(f: AffineForm) -> tuple[AffineForm, int, int]:
     """Rescale f to integer coprime coefficients with positive lead.
 
-    Returns (primitive form, factor) with f == factor * primitive.
+    Returns (primitive form, num, den) with f == num/den * primitive.
     """
     if f.is_zero():
         raise ValueError("zero form has no primitive representative")
-    values = [c for _, c in f.coeffs] + [f.const]
-    denom = math.lcm(*(v.denominator for v in values))
-    scale = Q(denom, math.gcd(*(v.numerator * (denom // v.denominator) for v in values)))
-    lead = f.leading_coeff() if f.coeffs else f.const
-    if lead < 0:
-        scale = -scale
-    return f * scale, 1 / scale
+    terms = f.coeff_nums
+    g = gcd(f.const_num, *(c for _, c in terms))
+    if (terms[0][1] if terms else f.const_num) < 0:
+        g = -g
+    if g == 1 and f.den == 1:
+        return f, 1, 1
+    return _make(1, f.const_num // g, tuple((n, c // g) for n, c in terms)), g, f.den
 
 
 def canonical_arg(arg: AffineForm) -> tuple[AffineForm, bool]:
@@ -52,9 +52,9 @@ def canonical_arg(arg: AffineForm) -> tuple[AffineForm, bool]:
     Picks the one with positive leading parameter coefficient; for constant
     arguments the larger of the two.  Returns (canonical, flipped).
     """
-    if arg.coeffs:
-        return (arg, False) if arg.leading_coeff() > 0 else (1 - arg, True)
-    return (arg, False) if arg.const >= 1 - arg.const else (1 - arg, True)
+    terms = arg.coeff_nums
+    keep = terms[0][1] > 0 if terms else 2 * arg.const_num >= arg.den
+    return (arg, False) if keep else (1 - arg, True)
 
 
 @dataclass(frozen=True, order=True)
@@ -88,22 +88,29 @@ class ZetaExpr:
         sc = _q(scalar)
         if sc == 0:
             return ZetaExpr(Q(0))
+        # the scalar is folded as num/den and reduced once
+        num_sc, den_sc = sc.numerator, sc.denominator
         nn: list[AffineForm] = []
         dd: list[AffineForm] = []
         for f in num:
             if f.is_constant():
-                sc *= f.const
+                num_sc *= f.const_num
+                den_sc *= f.den
                 continue
-            p, fac = _primitive(f)
-            sc *= fac
+            p, a, b = _primitive(f)
+            num_sc *= a
+            den_sc *= b
             nn.append(p)
         for f in den:
             if f.is_constant():
-                sc /= f.const
+                num_sc *= f.den
+                den_sc *= f.const_num
                 continue
-            p, fac = _primitive(f)
-            sc /= fac
+            p, a, b = _primitive(f)
+            num_sc *= b
+            den_sc *= a
             dd.append(p)
+        sc = Q(num_sc, den_sc)
         if sc == 0:
             return ZetaExpr(Q(0))
         # cancel common affine factors
@@ -251,17 +258,20 @@ def atom_limit(atom: ZetaAtom, var: str, *,
     Any other atom returns itself at var = 0, with order 0.  Raises as
     ``expand_in`` documents.
     """
-    slope = atom.arg.coeff(var)
-    g = atom.arg.drop(var)
-    if g.is_constant() and g.const in (0, 1):
-        if slope == 0:
-            raise HyperplaneDegeneracyError(
-                f"xi_{atom.label} argument identically {g.const}", atom=str(atom))
-        return (Q(-1) if g.const == 0 else Q(1)) / slope
-    if g.is_constant() and 0 < g.const < 1 and not assume_no_real_zeros:
-        raise IndeterminateZeroRegionError(
-            f"xi_{atom.label}({g.const}) lies in (0,1); possible real zero",
-            atom=str(atom))
+    arg = atom.arg
+    g = arg.drop(var)
+    if g.is_constant():
+        c, d = g.const_num, g.den
+        if c == 0 or c == d:
+            slope = next((s for n, s in arg.coeff_nums if n == var), 0)
+            if slope == 0:
+                raise HyperplaneDegeneracyError(
+                    f"xi_{atom.label} argument identically {c}", atom=str(atom))
+            return Q(-arg.den if c == 0 else arg.den, slope)
+        if 0 < c < d and not assume_no_real_zeros:
+            raise IndeterminateZeroRegionError(
+                f"xi_{atom.label}({g}) lies in (0,1); possible real zero",
+                atom=str(atom))
     return ZetaAtom(atom.label, g, atom.exp)
 
 
@@ -302,10 +312,16 @@ def expand_in(expr: ZetaExpr, var: str, *,
 
 
 def shift_form(f: AffineForm, point: Mapping[str, Rat], var: str) -> AffineForm:
-    """f(point + var): its value at the point plus (sum of its coefficients) var."""
-    value = f.const + sum(c * _q(point[n]) for n, c in f.coeffs)
-    slope = sum(c for _, c in f.coeffs)
-    return AffineForm(value, ((var, slope),)) if slope else AffineForm.const_form(value)
+    """f(point + var): its value at the point plus (sum of its coefficients) var.
+
+    The value is accumulated as num / (f.den * den), one denominator at a time.
+    """
+    num, den = f.const_num, 1
+    for n, c in f.coeff_nums:
+        p, q = _ratio(point[n])
+        num, den = num * q + c * p * den, den * q
+    slope = sum(c for _, c in f.coeff_nums) * den
+    return _make(f.den * den, num, ((var, slope),) if slope else ())
 
 
 def _shift_to_point(expr: ZetaExpr, point: Mapping[str, Rat], var: str) -> ZetaExpr:

@@ -291,6 +291,14 @@ def test_out_of_range_simple_indices_are_unknown_roots(quasi):
                 call()
 
 
+def test_sharp_limit_refuses_out_of_range_levi_indices(quasi):
+    # (1, 3) is the Levi of P; an extra index 0 or 7 is no simple root of quasi_D4
+    for levi in ((1, 3, 0), (1, 3, 7)):
+        with pytest.raises(UnknownRootError):
+            sharp_limit(quasi, levi, line_mu_P(quasi), Q(3, 10))
+    assert sharp_limit(quasi, (1, 3), line_mu_P(quasi), Q(3, 10)).order == 1
+
+
 def test_sharp_normalizer_a1(a1):
     lam = TorusCharacter.of(af(1, 0))
     n = sharp_normalizer(a1, lam)

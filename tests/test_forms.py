@@ -1,0 +1,132 @@
+"""The integer-backed AffineForm against the Fraction-backed reference form."""
+
+from fractions import Fraction as Q
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degeis.forms import AffineForm
+from degeis.zetas import ZetaAtom, canonical_arg
+
+from reference_form import RefForm
+
+NAMES = ("s", "s1", "s2")
+# few values, so that equal forms and equal prefixes come up often
+_values = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2, 3), Q(-3, 4), Q(5, 6),
+                           Q(7, 10), Q(3)])
+_scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def pairs(draw):
+    """The same random form in s, s1, s2 as an AffineForm and as a RefForm."""
+    const = draw(_values)
+    coeffs = {n: draw(_values) for n in NAMES}
+    return AffineForm.of(const, **coeffs), RefForm.of(const, **coeffs)
+
+
+def assert_agree(form: AffineForm, ref: RefForm) -> None:
+    assert (form.const, form.coeffs) == (ref.const, ref.coeffs)
+    assert str(form) == str(ref)
+    assert form.to_json() == ref.to_json()
+    # the stored integers are normalised
+    assert form.den > 0
+    assert gcd(form.den, form.const_num, *(c for _, c in form.coeff_nums)) == 1
+    assert all(c != 0 for _, c in form.coeff_nums)
+    assert [n for n, _ in form.coeff_nums] == sorted(n for n, _ in form.coeff_nums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs(), pairs(), _scalars)
+def test_arithmetic_agrees(a, b, k):
+    (fa, ra), (fb, rb) = a, b
+    assert_agree(fa, ra)
+    assert_agree(fa + fb, ra + rb)
+    assert_agree(fa - fb, ra - rb)
+    assert_agree(-fa, -ra)
+    assert_agree(fa * k, ra * k)
+    assert_agree(k * fa, ra * k)
+    assert_agree(fa + k, ra + k)
+    assert_agree(k + fa, ra + k)
+    assert_agree(fa - k, ra - k)
+    assert_agree(k - fa, (-ra) + k)
+    assert_agree(fa * int(k), ra * int(k))
+    # the same value reached two ways is one form, with one hash
+    assert (fa + fb) - fb == fa and hash((fa + fb) - fb) == hash(fa)
+    assert fa * 2 == fa + fa and hash(fa * 2) == hash(fa + fa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs(), st.dictionaries(st.sampled_from(NAMES), st.one_of(_scalars, pairs())),
+       st.tuples(*(_scalars for _ in NAMES)))
+def test_subs_and_evaluate_agree(a, assignment, values):
+    form, ref = a
+    forms = {n: v[0] if isinstance(v, tuple) else v for n, v in assignment.items()}
+    refs = {n: v[1] if isinstance(v, tuple) else v for n, v in assignment.items()}
+    assert_agree(form.subs(forms), ref.subs(refs))
+    point = dict(zip(NAMES, values))
+    assert form.evaluate(point) == ref.evaluate(point)
+    assert type(form.evaluate(point)) is Q
+    partial = {n: v for n, v in point.items() if n != "s1"}
+    try:
+        expected = ref.evaluate(partial)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            form.evaluate(partial)
+    else:
+        assert form.evaluate(partial) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_canonical_arg_agrees(a):
+    form, ref = a
+    canonical, flipped = canonical_arg(form)
+    expected, expected_flip = ref.canonical_arg()
+    assert flipped == expected_flip
+    assert_agree(canonical, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pairs(), min_size=2, max_size=8))
+def test_equality_and_order_agree(items):
+    for fa, ra in items:
+        for fb, rb in items:
+            assert (fa == fb) == (ra == rb)
+            assert (fa != fb) == (ra != rb)
+            assert (fa < fb) == (ra < rb)
+            assert (fa <= fb) == (ra <= rb)
+            assert (fa > fb) == (ra > rb)
+            assert (fa >= fb) == (ra >= rb)
+            if fa == fb:
+                assert hash(fa) == hash(fb)
+    forms = [f for f, _ in items]
+    refs = [r for _, r in items]
+    assert [(f.const, f.coeffs) for f in sorted(forms)] == [(r.const, r.coeffs) for r in sorted(refs)]
+    assert [str(f) for f in sorted(forms)] == [str(r) for r in sorted(refs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("FK"), pairs(), st.integers(-2, 2)), min_size=2,
+                max_size=8))
+def test_sorted_atoms_agree(items):
+    atoms = sorted(ZetaAtom(label, form, exp) for label, (form, _), exp in items)
+    refs = sorted((label, ref, exp) for label, (_, ref), exp in items)
+    assert [(a.label, str(a.arg), a.exp) for a in atoms] == [(l, str(r), e) for l, r, e in refs]
+
+
+def test_forms_are_immutable_and_compare_only_with_forms():
+    f = AffineForm.of(Q(1, 2), s=1)
+    with pytest.raises(AttributeError):
+        f.den = 3
+    with pytest.raises(AttributeError):
+        del f.const_num
+    assert f != Q(1, 2) and f != "s+1/2"
+    with pytest.raises(TypeError):
+        f < Q(1, 2)
+    assert repr(f) == "AffineForm(const=Fraction(1, 2), coeffs=(('s', Fraction(1, 1)),))"
+    assert AffineForm(Q(1, 2), (("s", Q(2, 3)),)) == AffineForm.of(Q(1, 2), s=Q(2, 3))
+    # the constructor merges repeated names and drops zero coefficients
+    assert AffineForm(1, (("s", 1), ("t", 0), ("s", Q(1, 2)))) == AffineForm.of(1, s=Q(3, 2))

@@ -156,6 +156,22 @@ def test_word_machinery(quasi, split):
     assert quasi.length(WeylWord.of(1, 1, 2)) == 1
 
 
+def test_parse_word_refuses_non_digits(quasi, split):
+    for text in ("2x3", "-2", "w[2x3]", "w[-2]", "2 3", "w[23", "s1", "²"):
+        for system in (quasi, split):
+            with pytest.raises(UnknownRootError):
+                system.parse_word(text)
+    for text in ("1", "e", "", " w[] "):
+        assert split.parse_word(text) == WeylWord()
+
+
+@pytest.mark.parametrize("preset", ["split_D4", "quasi_D4", "tri_D4", "G2", "A1"])
+def test_parse_word_reads_back_every_printed_element(preset):
+    system = build_system(preset)
+    for _, word in system.weyl_elements():
+        assert system.parse_word(str(word)) == word
+
+
 def test_reduce_preserves_element_and_shortens(quasi):
     import random
     rng = random.Random(7)
