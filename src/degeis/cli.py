@@ -10,8 +10,9 @@ needs-higher-log-order, hyperplane-degeneracy, unmodeled-point).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .characters import (TorusCharacter, chi_line_for, iota_check,
@@ -63,11 +64,40 @@ def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacte
     return line
 
 
-def _emit(args, payload: dict, markdown: str) -> None:
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
-    else:
-        print(markdown)
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the payload types only.
+
+    Strings are quoted by the stdlib's C quoting function, so the bytes are the
+    stdlib's.  Anything but dict (with str keys), list, str, int, bool and None
+    raises TypeError: its encoding is not guessed.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for k in value:
+            if not isinstance(k, str):
+                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+        items = [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + newline + "]"
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
+def _emit(args, payload: dict, markdown) -> None:
+    """Print the payload as JSON, or the text ``markdown()`` renders."""
+    print(_json({"schema": SCHEMA, **payload}) if args.format == "json" else markdown())
 
 
 def cmd_table(args) -> int:
@@ -83,7 +113,7 @@ def cmd_table(args) -> int:
         payload["rows"] = [r | {"j_factor_json": t.j_factor.to_json(),
                                 "exponent_json": t.exponent.to_json()}
                            for r, t in zip(rows, ct.terms)]
-    _emit(args, payload, render_markdown_table(rows, point))
+    _emit(args, payload, lambda: render_markdown_table(rows, point))
     return 0
 
 
@@ -104,13 +134,16 @@ def cmd_poles(args) -> int:
     payload = {"command": "poles", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "order": rep.order,
                "square_integrable": rep.square_integrable, "groups": groups}
-    lines = [f"pole order at {point}: {rep.order}",
-             f"square integrable: {rep.square_integrable}"]
-    for g in groups:
-        words = ", ".join(g["words"])
-        extra = " (log term survives)" if g["log_term"] else ""
-        lines.append(f"  exponent {g['exponent']}: order {g['order']}{extra}  [{words}]")
-    _emit(args, payload, "\n".join(lines))
+
+    def markdown():
+        lines = [f"pole order at {point}: {rep.order}",
+                 f"square integrable: {rep.square_integrable}"]
+        for g in groups:
+            words = ", ".join(g["words"])
+            extra = " (log term survives)" if g["log_term"] else ""
+            lines.append(f"  exponent {g['exponent']}: order {g['order']}{extra}  [{words}]")
+        return "\n".join(lines)
+    _emit(args, payload, markdown)
     return 0
 
 
@@ -124,14 +157,13 @@ def cmd_sw(args) -> int:
                "sharp_limit_Q": {"order": rep.sharp_q.order, "leading": str(rep.sharp_q.leading)},
                "residue_w2342": {"order": rep.residue_w2342.order,
                                  "leading": str(rep.residue_w2342.leading)}}
-    md = "\n".join([
+    _emit(args, payload, lambda: "\n".join([
         f"Siegel-Weil constant: {rep.constant}",
         f"section-level constant: {rep.section_constant}",
         f"sharp limit along muP (order {rep.sharp_p.order}): {rep.sharp_p.leading}",
         f"sharp limit along muQ (order {rep.sharp_q.order}): {rep.sharp_q.leading}",
         f"A_w[2342] residue (order {rep.residue_w2342.order}): {rep.residue_w2342.leading}",
-    ])
-    _emit(args, payload, md)
+    ]))
     return 0
 
 
@@ -156,12 +188,15 @@ def cmd_sharp_check(args) -> int:
                "invariance": {str(i): v for i, v in inv.items()},
                "entire": ent.entire, "h0_pairs_checked": ent.checked_words,
                "iota": iota, "failures": failures}
-    lines = [f"invariance under w_{i}: {'ok' if v else 'FAIL'}" for i, v in inv.items()]
-    lines.append(f"entireness (boundary + H^0 cancellation over {ent.checked_words} pairs): "
-                 f"{'ok' if ent.entire else 'FAIL'}")
-    if iota is not None:
-        lines.append(f"iota change of variables: {'ok' if iota else 'FAIL'}")
-    _emit(args, payload, "\n".join(lines))
+
+    def markdown():
+        lines = [f"invariance under w_{i}: {'ok' if v else 'FAIL'}" for i, v in inv.items()]
+        lines.append(f"entireness (boundary + H^0 cancellation over {ent.checked_words} "
+                     f"pairs): {'ok' if ent.entire else 'FAIL'}")
+        if iota is not None:
+            lines.append(f"iota change of variables: {'ok' if iota else 'FAIL'}")
+        return "\n".join(lines)
+    _emit(args, payload, markdown)
     return 3 if failures else 0
 
 
@@ -173,38 +208,45 @@ def cmd_lfactor(args) -> int:
     payload = {"command": "lfactor", "source": args.source,
                "factorization": fact.to_json(), "degree": fact.degree(),
                "display": str(fact)}
-    lines = [str(fact), f"degree: {fact.degree()}"]
     if args.order_at is not None:
         point = _parse(parse_rational, args.order_at)
         if point != 2:
             raise ConfigError("only the point s=2 is modeled")
-        order = order_at_2(fact, chi_trivial=(args.chi == "trivial"))
-        payload["order_at_2"] = order
+        payload["order_at_2"] = order_at_2(fact, chi_trivial=(args.chi == "trivial"))
         payload["chi"] = args.chi
-        lines.append(f"pole order at s=2: {order}")
     if args.biweights:
         payload["biweights"] = [[str(a), str(b)] for a, b in restrict_via_r()]
-        lines.append("bi-weights: " + " ".join(f"({a},{b})" for a, b in restrict_via_r()))
-    _emit(args, payload, "\n".join(lines))
+
+    def markdown():
+        lines = [payload["display"], f"degree: {payload['degree']}"]
+        if "order_at_2" in payload:
+            lines.append(f"pole order at s=2: {payload['order_at_2']}")
+        if args.biweights:
+            lines.append("bi-weights: " + " ".join(f"({a},{b})" for a, b in payload["biweights"]))
+        return "\n".join(lines)
+    _emit(args, payload, markdown)
     return 0
 
 
 def cmd_tate(args) -> int:
     kind, _, k = args.function.partition(":")
     try:
-        shell = ShellFunction(kind, int(k or "0"))
+        index = int(k or "0")
+    except ValueError:
+        raise ConfigError(f"shell index must be an integer, got {k!r} in "
+                          f"{args.function!r}") from None
+    try:
+        shell = ShellFunction(kind, index)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(str(exc)) from exc
     z = _parse(parse_affine, args.z)
     value = tate_integral(shell, z)
     payload = {"command": "tate", "function": args.function, "z": str(z),
                "value": value.to_json(), "display": str(value),
                "is_local_zeta": value.is_local_zeta(),
                "convergence": value.convergence}
-    md = f"{value}    [{value.convergence}]"
-    if value.is_local_zeta():
-        md += f"\n= zeta_v({z})"
-    _emit(args, payload, md)
+    zeta = f"\n= zeta_v({z})" if payload["is_local_zeta"] else ""
+    _emit(args, payload, lambda: f"{payload['display']}    [{value.convergence}]{zeta}")
     return 0
 
 
@@ -262,10 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -97,7 +97,10 @@ class LocalFactor:
                 if k == 0:
                     term = str(abs(c))
                 else:
-                    mono = f"q^(-{k}({self.z}))" if k != 1 else f"q^(-({self.z}))"
+                    if k > 0:
+                        mono = f"q^(-{k}({self.z}))" if k != 1 else f"q^(-({self.z}))"
+                    else:  # X^k = q^(-kz) = q^(|k|z)
+                        mono = f"q^({-k}({self.z}))" if k != -1 else f"q^({self.z})"
                     term = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
                 if not parts:
                     parts.append(term if c > 0 else f"-{term}")

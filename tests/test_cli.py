@@ -1,4 +1,8 @@
+import argparse
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +122,8 @@ def test_bad_point_is_config_error(capsys):
     (("tate", "--z", "-"), "error[config-error]: cannot parse term '-' in '-'\n"),
     (("table", "--group", "A1", "--line", "s+", "--point", "1"),
      "error[config-error]: cannot parse term '+' in 's+'\n"),
+    (("tate", "--function", "lattice:x"),
+     "error[config-error]: shell index must be an integer, got 'x' in 'lattice:x'\n"),
 ])
 def test_malformed_numbers_are_config_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -159,3 +165,55 @@ def test_custom_line_with_two_parameters_is_refused(capsys):
                        "--line", "s,t,0,0", "--point", "1")
     assert code == 1
     assert "config-error" in err and "'t'" in err
+
+
+# -- one parser per process ----------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_help_twice_in_one_process(capsys):
+    first = run(capsys, "--help")
+    assert first[0] == 0 and first[1].startswith("usage: degeis")
+    assert run(capsys, "--help") == first
+
+
+def test_usage_error_then_valid_command(capsys):
+    code, out, err = run(capsys, "table", "--group", "D4")
+    assert (code, out) == (1, "")
+    assert "the following arguments are required: --point" in err
+    code, out, err = run(capsys, *"poles --group G2 --parabolic borel --point 1/2".split())
+    assert (code, out, err) == (0, (GOLDEN / "poles_G2_borel_1-2.txt").read_text(), "")
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_builds_the_top_level_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "degeis":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["sw", "--group", "2D4"], ["--help"], ["table", "--group", "D4"],
+                     ["tate", "--format", "json"]):
+            run(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import degeis.cli as c; "
+            "print(c._parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

@@ -51,6 +51,12 @@ COMMANDS = {
     "lfactor_Vchi_trivial_order": "lfactor --source Vchi --chi trivial --order-at 2",
     "lfactor_Vchi_biweights": "lfactor --source Vchi --biweights",
     "tate_lattice_0": "tate --function lattice:0 --z 2s+3",
+    "sw_2D4_json": "sw --group 2D4 --format json",
+    "sharp-check_2D4_json": "sharp-check --group 2D4 --format json",
+    "lfactor_Vchi_trivial_order_biweights_json":
+        "lfactor --source Vchi --chi trivial --order-at 2 --biweights --format json",
+    "tate_lattice_0_json": "tate --function lattice:0 --z 2s+3 --format json",
+    "poles_G2_borel_1-2_json": "poles --group G2 --parabolic borel --point 1/2 --format json",
 }
 
 
@@ -70,6 +76,8 @@ def test_golden_output(name):
 
 @pytest.mark.parametrize("argv,code,out,err", [
     (COMMANDS["poles_G2_borel_1-2"], 0, (GOLDEN / "poles_G2_borel_1-2.txt").read_bytes(), b""),
+    (COMMANDS["poles_G2_borel_1-2_json"], 0,
+     (GOLDEN / "poles_G2_borel_1-2_json.txt").read_bytes(), b""),
     ("table --group D4 --parabolic borel --point=1/6", 2, b"",
      b"error[indeterminate-zero-region]: xi_F(1/3) lies in (0,1); possible real zero\n"),
     ("poles --group D4 --parabolic Q --point=0", 4, b"",

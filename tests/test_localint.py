@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,15 @@ def test_lattice_one_by_summing_shells():
     # the tail is lattice(30)
     total = partial + tate_integral(ShellFunction.lattice(30), Z)
     assert total.equals(expected)
+
+
+@pytest.mark.parametrize("k,mono", [
+    (2, "q^(-2(2s+3))"), (1, "q^(-(2s+3))"), (-1, "q^(2s+3)"), (-2, "q^(2(2s+3))"),
+])
+def test_shell_display_signs(k, mono):
+    # X^k = q^(-kz): a negative k prints a positive exponent, with one sign
+    assert str(tate_integral(ShellFunction.shell(k), Z)) == mono
+    assert str(tate_integral(ShellFunction.lattice(k), Z)) == f"({mono}) / (1 - q^(-(2s+3)))"
 
 
 def test_functional_identity():
