@@ -63,8 +63,8 @@ class DualPairEmbedding:
     short_cochar: tuple[Q, ...]
 
     @staticmethod
-    def standard() -> "DualPairEmbedding":
-        g2 = _g2()
+    def standard(system: RootSystem | None = None) -> "DualPairEmbedding":
+        g2 = system or _g2()
         long_root = Root((3, 2))
         short_root = Root((1, 0))
         emb = DualPairEmbedding(g2.coroot(long_root), g2.coroot(short_root))
@@ -86,8 +86,9 @@ def restrict_via_r() -> list[tuple[Q, Q]]:
     Returns the multiset of (pairing with long coroot, pairing with short
     coroot), sorted; equals the weight multiset of std (x) std + 1 (x) Sym^2.
     """
-    emb = DualPairEmbedding.standard()
-    ws = WeightSet.standard()
+    g2 = _g2()
+    emb = DualPairEmbedding.standard(g2)
+    ws = WeightSet.standard(g2)
     return sorted((_pair(w, emb.long_cochar), _pair(w, emb.short_cochar))
                   for w in ws.weights)
 
@@ -147,8 +148,8 @@ def lfactor_standard(source: str) -> LFactorization:
         zeta(s-1) L(s-1,chi) L(s,chi)^2 zeta(s) L(s+1,chi) zeta(s+1).
     """
     g2 = _g2()
-    emb = DualPairEmbedding.standard()
-    ws = WeightSet.standard()
+    emb = DualPairEmbedding.standard(g2)
+    ws = WeightSet.standard(g2)
     if source == "V_tau":
         by_q: dict[Q, list[Q]] = {}
         for w in ws.weights:

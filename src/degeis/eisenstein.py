@@ -34,7 +34,7 @@ from .characters import (TorusCharacter, parabolic_levi,
 from .errors import (HyperplaneDegeneracyError, IndeterminateZeroRegionError,
                      NeedsHigherLogOrderError, UnsupportedGroupError)
 from .forms import AffineForm, Q, Rat, _q
-from .rootdata import Root, RootSystem, WeylWord
+from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, atom_limit, canonical_arg,
                     expand_in, form_limit, laurent_at, shift_form)
 
@@ -59,13 +59,15 @@ class _AtomTable:
     its label.  ``terms[t]`` is (scalar, counts): term t's J is the scalar
     times each id's factor to its count.  Counts add where factors multiply,
     so the Laurent data of every term follows from one expansion per id
-    (``_Expansion``).  A line's table keeps the pairings it was built from.
+    (``_Expansion``).  A line's table keeps the pairings it was built from,
+    and ``roots[k]`` holds the (plain, shifted) ids of the positive root at
+    position k.
     """
 
     def __init__(self):
         self.ids: dict[object, int] = {}
         self.keys: list[object] = []
-        self.roots: dict[Root, tuple[int, int]] = {}
+        self.roots: list[tuple[int, int]] = []
         self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
 
@@ -88,8 +90,8 @@ class _AtomTable:
         args = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0]) for label, p in table.pairs]
         for key in sorted({(label, arg) for label, *both in args for arg in both}):
             table.intern(key)
-        table.roots = {root: (table.ids[(label, plain)], table.ids[(label, shifted)])
-                       for root, (label, plain, shifted) in zip(system.positive_roots, args)}
+        table.roots = [(table.ids[(label, plain)], table.ids[(label, shifted)])
+                       for label, plain, shifted in args]
         return table
 
     @staticmethod
@@ -107,11 +109,11 @@ class _AtomTable:
             table.terms.append((j.scalar, tuple(sorted((i, c) for i, c in counts.items() if c))))
         return table
 
-    def counts(self, inversions: Iterable[Root]) -> _Counts:
-        """J(w) of a line's table from N(w): +1 on each plain atom, -1 on each shifted one."""
+    def counts(self, inversions: Iterable[int]) -> _Counts:
+        """J(w) from the positions of N(w): +1 on each plain atom, -1 on each shifted one."""
         counts: dict[int, int] = {}
-        for root in inversions:
-            plain, shifted = self.roots[root]
+        for k in inversions:
+            plain, shifted = self.roots[k]
             counts[plain] = counts.get(plain, 0) + 1
             counts[shifted] = counts.get(shifted, 0) - 1
         return tuple(sorted((i, c) for i, c in counts.items() if c))
@@ -159,7 +161,7 @@ def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
 def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaExpr:
     """Gindikin-Karpelevich factor J(w, s) along the line, canonicalized."""
     table = _AtomTable.of_line(system, line)
-    return table.expr(table.counts(system.inversion_set(word)))
+    return table.expr(table.counts(system._inversions(word)))
 
 
 def constant_term(system: RootSystem, levi: Iterable[int],
@@ -180,7 +182,7 @@ def constant_term(system: RootSystem, levi: Iterable[int],
         if word.letters:
             exponents[word.letters] = weyl_act(system, WeylWord(word.letters[-1:]),
                                                exponents[word.letters[:-1]])
-        counts = table.counts(system.inversion_set(word))
+        counts = table.counts(system._inversions(word))
         table.terms.append((one, counts))
         terms.append(GKTerm(word, table.expr(counts), exponents[word.letters]))
     return ConstantTerm(system, levi_set, line, tuple(terms), table)
@@ -510,8 +512,8 @@ class _Walk:
 
     Element k > 0 is w = u s_j with u its shortlex prefix; N(w) is N(u) plus
     the root u(alpha_j).  ``steps[k - 1]`` is (index of u, j, position of
-    u(alpha_j) among the positive roots).  An element is looked up by the
-    positions of its images of the simple roots, which determine it.
+    u(alpha_j)).  An element is looked up by the positions of its images of
+    the simple roots, which determine it.
     """
 
     system: RootSystem
@@ -524,8 +526,7 @@ class _Walk:
     def of(system: RootSystem) -> "_Walk":
         elements = system.weyl_elements()
         by_word = {word.letters: k for k, (_, word) in enumerate(elements)}
-        position = {root: p for p, root in enumerate(system.positive_roots)}
-        simple = [position[system.simple_root(j)] for j in range(1, system.rank + 1)]
+        simple = list(system._simple_pos)
         steps = []
         for _, word in elements[1:]:
             parent = by_word[word.letters[:-1]]
@@ -551,11 +552,11 @@ class _Walk:
         id for its plain one.  Every id goes through ``expansion.term``, so an
         atom that cannot be expanded raises there.
         """
-        first = Counter(shifted for _, shifted in table.roots.values())
+        first = Counter(shifted for _, shifted in table.roots)
         out = [expansion.term(Q(1), tuple(sorted(first.items())))]
         swap = []
-        for root in self.system.positive_roots:
-            order, scalar, key = expansion.term(Q(1), table.counts((root,)))
+        for k in range(len(table.roots)):
+            order, scalar, key = expansion.term(Q(1), table.counts((k,)))
             # only the atoms that are polar in eps carry a scalar other than 1
             swap.append((order, None if scalar == 1 else scalar, key))
         for parent, _, root in self.steps:
@@ -688,17 +689,17 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     h0_ok = all(all(results) for results in h0)
     checked = sum(len(results) for results in h0)
     orbit_ok = True
-    simples = {system.simple_root(i) for i in range(1, system.rank + 1)}
-    for root in system.positive_roots:
+    n = len(system.positive_roots)
+    simples = set(system._simple_pos)
+    for root in range(n):
         orbit = {root}
         frontier = [root]
         found = root in simples
         while frontier and not found:
             nxt = []
             for r in frontier:
-                for i in range(1, system.rank + 1):
-                    img = system.reflect_root(i, r)
-                    base = img if img.positive else -img
+                for gen in system._gens:
+                    base = gen[r] % n
                     if base not in orbit:
                         orbit.add(base)
                         nxt.append(base)

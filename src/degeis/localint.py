@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import ConfigError
 from .forms import AffineForm, Q
 
 Poly = dict[int, Q]
@@ -121,7 +122,13 @@ class LocalFactor:
 
 
 def tate_integral(f: ShellFunction, z: AffineForm) -> LocalFactor:
-    """Formal value of the shell/lattice integral as a rational function in q^{-z}."""
+    """Formal value of the shell/lattice integral as a rational function in q^{-z}.
+
+    The value is stated for Re(z) > 0; a constant z outside that region is a
+    configuration error.
+    """
+    if z.is_constant() and z.const <= 0:
+        raise ConfigError(f"z = {z} lies outside the convergence region Re(z) > 0")
     if f.kind == "shell":
         return LocalFactor.build({f.k: Q(1)}, {0: Q(1)}, z)
     return LocalFactor.build({f.k: Q(1)}, {0: Q(1), 1: Q(-1)}, z)

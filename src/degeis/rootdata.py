@@ -30,11 +30,12 @@ field-degree bookkeeping of restricted roots.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (EnumerationTooLargeError, LabelInconsistencyError,
@@ -149,29 +150,51 @@ class RootSystem:
         self._simple_labels = {i: labels[i] for i in range(1, self.rank + 1)}
         self._generate()
         self._weyl_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], WeylWord]]] = {}
-        self._inversion_cache: dict[tuple[int, ...], tuple[Root, ...]] = {(): ()}
+        self._inversion_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
 
     # -- construction -----------------------------------------------------
 
     def _generate(self) -> None:
-        simples = [Root(tuple(1 if j == i else 0 for j in range(self.rank)))
-                   for i in range(self.rank)]
-        seen: set[Root] = set(simples)
-        frontier = list(simples)
-        provenance: dict[Root, tuple[int, Root] | None] = {r: None for r in simples}
+        """The positive roots by a breadth-first walk from the simple roots.
+
+        The walk runs on coordinate tuples.  It meets every image of every
+        positive root, so it also gives the simple reflections as
+        permutations of the signed-root positions (``_gens``); one ``Root``
+        is made per signed root.
+        """
+        rank, cartan = self.rank, self.cartan
+        units = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+        provenance: dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None] = \
+            {u: None for u in units}
+        images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        frontier = list(units)
         while frontier:
-            nxt: list[Root] = []
-            for r in frontier:
-                for i in range(1, self.rank + 1):
-                    img = self.reflect_root(i, r)
-                    if img.positive and img not in seen:
-                        seen.add(img)
-                        provenance[img] = (i, r)
+            nxt = []
+            for c in frontier:
+                images[c] = row = []
+                for i in range(rank):
+                    t = sum(a * x for a, x in zip(cartan[i], c) if x)
+                    img = c[:i] + (c[i] - t,) + c[i + 1:] if t else c
+                    row.append(img)
+                    if img not in provenance and any(x > 0 for x in img):
+                        provenance[img] = (i + 1, c)
                         nxt.append(img)
             frontier = nxt
-        self.positive_roots: tuple[Root, ...] = tuple(
-            sorted(seen, key=lambda r: (r.height, r.coords)))
-        self._provenance = provenance
+        coords = sorted(provenance, key=lambda c: (sum(c), c))
+        n = len(coords)
+        pos = {c: k for k, c in enumerate(coords)}
+        pos.update({tuple(-x for x in c): k + n for k, c in enumerate(coords)})
+        self.positive_roots: tuple[Root, ...] = tuple(Root(c) for c in coords)
+        # position k < n is positive_roots[k], position k + n its negative
+        self._signed = self.positive_roots + tuple(-r for r in self.positive_roots)
+        self._index = {r: k for k, r in enumerate(self._signed)}
+        self._simple_pos = tuple(pos[u] for u in units)
+        half = [[pos[images[c][i]] for c in coords] for i in range(rank)]
+        self._gens = tuple(tuple(g + [(k + n) % (2 * n) for k in g]) for g in half)
+        self._times = tuple(itemgetter(*g) for g in self._gens)
+        root = dict(zip(coords, self.positive_roots))
+        self._provenance = {root[c]: None if p is None else (p[0], root[p[1]])
+                            for c, p in provenance.items()}
         self._norms = {r: self._norm(r) for r in self.positive_roots}
         long_norm = max(self._norms.values())
         self._length_class = {r: ("long" if self._norms[r] == long_norm else "short")
@@ -197,13 +220,13 @@ class RootSystem:
             else:
                 lab = labels[prov[1]]
             labels[r] = lab
-        for r, lab in labels.items():
-            for i in range(1, self.rank + 1):
-                img = self.reflect_root(i, r)
-                base = img if img.positive else -img
-                if labels[base] != lab:
+        n = len(self.positive_roots)
+        for k, (r, lab) in enumerate(labels.items()):
+            for gen in self._gens:
+                other = labels[self.positive_roots[gen[k] % n]]
+                if other != lab:
                     raise LabelInconsistencyError(
-                        f"labels differ on the Weyl orbit of {r}: {lab.symbol} vs {labels[base].symbol}")
+                        f"labels differ on the Weyl orbit of {r}: {lab.symbol} vs {other.symbol}")
         return labels
 
     def _coroot_vectors(self) -> dict[Root, tuple[int, ...]]:
@@ -232,7 +255,7 @@ class RootSystem:
         # summed as numerators over the lcm of the simple-root degrees
         degrees = [self._simple_labels[i + 1].degree for i in range(self.rank)]
         den = math.lcm(*degrees)
-        deg = self.label_of(r).degree
+        deg = self._labels[r].degree
         out = [0] * self.rank
         for i, c in enumerate(r.coords):
             if c:
@@ -245,17 +268,17 @@ class RootSystem:
 
     def simple_root(self, i: int) -> Root:
         self._check_index(i)
-        return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
+        return self._signed[self._simple_pos[i - 1]]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise UnknownRootError(f"simple index {i} out of range 1..{self.rank}")
 
     def _base(self, root: Root) -> Root:
-        base = root if root.positive else -root
-        if base not in self._labels:
+        k = self._index.get(root)
+        if k is None:
             raise UnknownRootError(f"{root} is not a root of {self.name}")
-        return base
+        return self._signed[k % len(self.positive_roots)]
 
     def label_of(self, root: Root) -> FieldLabel:
         return self._labels[self._base(root)]
@@ -275,7 +298,14 @@ class RootSystem:
         return vec if root.positive else tuple(-x for x in vec)
 
     def reflect_root(self, i: int, root: Root) -> Root:
+        """s_i(root): a lookup in ``_gens`` for a root of the system.
+
+        Any other nonzero vector is reflected by the Cartan row.
+        """
         self._check_index(i)
+        k = self._index.get(root)
+        if k is not None:
+            return self._signed[self._gens[i - 1][k]]
         t = sum(self.cartan[i - 1][j] * root.coords[j] for j in range(self.rank))
         coords = list(root.coords)
         coords[i - 1] -= t
@@ -283,33 +313,29 @@ class RootSystem:
 
     def word_on_root(self, word: WeylWord, root: Root) -> Root:
         """Apply w = w_{i1}...w_{ik} to a root (rightmost letter acts first)."""
+        k = self._index.get(root)
+        if k is None:
+            for i in reversed(word.letters):
+                root = self.reflect_root(i, root)
+            return root
+        gens, rank = self._gens, self.rank
         for i in reversed(word.letters):
-            root = self.reflect_root(i, root)
-        return root
+            if not 0 < i <= rank:
+                self._check_index(i)    # raises
+            k = gens[i - 1][k]
+        return self._signed[k]
 
     # -- Weyl group --------------------------------------------------------
-
-    @cached_property
-    def _index(self) -> dict[Root, int]:
-        """Position of each signed root; positions below n are the positive roots."""
-        signed = self.positive_roots + tuple(-r for r in self.positive_roots)
-        return {r: k for k, r in enumerate(signed)}
-
-    @cached_property
-    def _gens(self) -> tuple[tuple[int, ...], ...]:
-        """Simple reflections as permutations of the signed-root positions."""
-        return tuple(tuple(self._index[self.reflect_root(i, r)] for r in self._index)
-                     for i in range(1, self.rank + 1))
-
-    def _times(self, perm: tuple[int, ...], i: int) -> tuple[int, ...]:
-        # right multiplication: (w s_i)(r) = w(s_i r)
-        return tuple(perm[k] for k in self._gens[i - 1])
+    #
+    # ``_signed[k]`` is the root at position k and ``_index`` its inverse;
+    # ``_gens[i - 1]`` is s_i as a permutation of the positions, and
+    # ``_times[i - 1]`` maps a permutation w to w s_i: (w s_i)(r) = w(s_i r).
 
     def perm_of_word(self, word: WeylWord) -> tuple[int, ...]:
-        perm = tuple(range(2 * len(self.positive_roots)))
+        perm = tuple(range(len(self._signed)))
         for i in word.letters:
             self._check_index(i)
-            perm = self._times(perm, i)
+            perm = self._times[i - 1](perm)
         return perm
 
     def weyl_elements(self, levi: Iterable[int] = ()) -> list[tuple[tuple[int, ...], WeylWord]]:
@@ -326,7 +352,9 @@ class RootSystem:
         cached = self._weyl_cache.get(key)
         if cached is not None:
             return cached
-        levi_pos = {self._index[self.simple_root(j)] for j in key}
+        for j in key:
+            self._check_index(j)
+        levi_pos = {self._simple_pos[j - 1] for j in key}
         levi_roots = (r for r in self.positive_roots
                       if all(c == 0 or j in key for j, c in enumerate(r.coords, start=1)))
         size = self.weyl_order() // _weyl_group_order(levi_roots)
@@ -335,7 +363,7 @@ class RootSystem:
                 f"{size} Weyl elements to enumerate on {self.name}, above the bound "
                 f"{_MAX_WEYL_ELEMENTS}", size=size, bound=_MAX_WEYL_ELEMENTS)
         n = len(self.positive_roots)
-        simple_pos = [self._index[self.simple_root(i)] for i in range(1, self.rank + 1)]
+        steps = list(zip(range(1, self.rank + 1), self._simple_pos, self._times))
         ident = tuple(range(2 * n))
         seen = {ident: WeylWord()}
         order: list[tuple[tuple[int, ...], WeylWord]] = [(ident, WeylWord())]
@@ -344,11 +372,11 @@ class RootSystem:
             nxt = []
             for perm in frontier:
                 word = seen[perm]
-                for i, pos in enumerate(simple_pos, start=1):
+                for i, pos, times in steps:
                     image = perm[pos]
                     if image >= n or image in levi_pos:
                         continue
-                    new = self._times(perm, i)
+                    new = times(perm)
                     if new not in seen:
                         seen[new] = WeylWord(word.letters + (i,))
                         nxt.append(new)
@@ -362,10 +390,15 @@ class RootSystem:
         return _weyl_group_order(self.positive_roots)
 
     def length(self, word: WeylWord) -> int:
-        return len(self.inversion_set(word))
+        return len(self._inversions(word))
 
     def inversion_set(self, word: WeylWord) -> tuple[Root, ...]:
-        """{alpha > 0 : w^{-1} alpha < 0} in canonical positive-root order.
+        """{alpha > 0 : w^{-1} alpha < 0} in canonical positive-root order."""
+        signed = self._signed
+        return tuple(signed[k] for k in self._inversions(word))
+
+    def _inversions(self, word: WeylWord) -> tuple[int, ...]:
+        """The positions of ``inversion_set(word)``, ascending.
 
         Extends the longest cached prefix u one letter at a time:
         N(u s_i) = N(u) + {u(alpha_i)} when u(alpha_i) > 0, and
@@ -374,19 +407,22 @@ class RootSystem:
         cost one root image each.
         """
         letters = word.letters
+        cache = self._inversion_cache
         k = len(letters)
-        while letters[:k] not in self._inversion_cache:
+        while letters[:k] not in cache:
             k -= 1
-        result = self._inversion_cache[letters[:k]]
-        current = set(result)
+        result = cache[letters[:k]]
+        n = len(self.positive_roots)
         for j in range(k, len(letters)):
-            image = self.word_on_root(WeylWord(letters[:j]), self.simple_root(letters[j]))
-            if image.positive:
-                current.add(image)
+            image = self._index[self.word_on_root(WeylWord(letters[:j]),
+                                                  self.simple_root(letters[j]))]
+            current = list(result)
+            if image < n:
+                bisect.insort(current, image)
             else:
-                current.discard(-image)
-            result = tuple(sorted(current, key=self._index.__getitem__))
-            self._inversion_cache[letters[:j + 1]] = result
+                current.remove(image - n)
+            result = tuple(current)
+            cache[letters[:j + 1]] = result
         return result
 
     def reduce(self, word: WeylWord) -> WeylWord:
@@ -396,11 +432,11 @@ class RootSystem:
         n = len(self.positive_roots)
         ident = tuple(range(2 * n))
         while perm != ident:
-            for i in range(1, self.rank + 1):
+            for i, pos in enumerate(self._simple_pos, start=1):
                 # right descent: w(alpha_i) < 0
-                if perm[self._index[self.simple_root(i)]] >= n:
+                if perm[pos] >= n:
                     letters.append(i)
-                    perm = self._times(perm, i)
+                    perm = self._times[i - 1](perm)
                     break
             else:
                 raise RuntimeError("no descent found for nontrivial element")

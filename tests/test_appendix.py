@@ -168,9 +168,8 @@ def swap_atoms(monkeypatch, position, calls):
         table = real(system, line)
         seen.append(line)
         if len(seen) in calls:
-            root = system.positive_roots[position]
-            plain, shifted = table.roots[root]
-            table.roots[root] = shifted, plain
+            plain, shifted = table.roots[position]
+            table.roots[position] = shifted, plain
         return table
 
     monkeypatch.setattr(_AtomTable, "of_line", staticmethod(swapped))

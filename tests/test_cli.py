@@ -68,6 +68,21 @@ def test_tate_lattice(capsys):
     assert "zeta_v(2s+3)" in out
 
 
+@pytest.mark.parametrize("function", ["lattice:0", "shell:1"])
+@pytest.mark.parametrize("z", ["-1", "0"])
+def test_tate_refuses_a_constant_z_outside_the_convergence_region(capsys, function, z):
+    for fmt in ("md", "json"):
+        code, out, err = run(capsys, "tate", "--function", function, f"--z={z}", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error[config-error]: z = {z} lies outside the convergence region Re(z) > 0\n"
+
+
+def test_tate_at_a_constant_z_inside_the_convergence_region(capsys):
+    code, out, err = run(capsys, "tate", "--function", "lattice:0", "--z", "1/2")
+    assert (code, err) == (0, "")
+    assert out == "(1) / (1 - q^(-(1/2)))    [Re(z) > 0]\n= zeta_v(1/2)\n"
+
+
 def test_deterministic_output(capsys):
     argv = ("table", "--group", "2D4", "--parabolic", "Q", "--point", "1/6",
             "--format", "json")

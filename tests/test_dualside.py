@@ -37,6 +37,26 @@ def test_restrict_via_r_matches_tensor_oracle():
     assert sum(a for a, _ in got) == 0 and sum(b for _, b in got) == 0
 
 
+def test_one_g2_per_call(monkeypatch, g2):
+    import degeis.dualside as dualside
+
+    built = []
+
+    def counted(name):
+        built.append(name)
+        return g2
+
+    monkeypatch.setattr(dualside, "build_system", counted)
+    assert DualPairEmbedding.standard(g2) == DualPairEmbedding.standard()
+    built.clear()
+    restrict_via_r()
+    assert built == ["G2"]
+    for source in ("V_tau", "V_chi"):
+        built.clear()
+        lfactor_standard(source)
+        assert built == ["G2"]
+
+
 def test_conjugating_the_pair_preserves_biweights(g2):
     # any Weyl-conjugate choice of the orthogonal (long, short) pair gives
     # exactly the same bi-weight multiset: the weights are W-stable and the

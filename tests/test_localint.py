@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degeis.errors import ConfigError
 from degeis.forms import AffineForm
 from degeis.localint import LocalFactor, ShellFunction, local_zeta, tate_integral
 
@@ -64,3 +65,14 @@ def test_shell_additivity_property(k, span):
     for j in range(k, k + span + 1):
         total = total + tate_integral(ShellFunction.shell(j), Z)
     assert total.equals(tate_integral(ShellFunction.lattice(k), Z))
+
+
+@pytest.mark.parametrize("z", [Q(-1), Q(0), Q(-1, 2)])
+def test_constant_z_outside_the_convergence_region_is_refused(z):
+    for f in (ShellFunction.lattice(0), ShellFunction.shell(2)):
+        with pytest.raises(ConfigError, match=r"Re\(z\) > 0"):
+            tate_integral(f, AffineForm.of(z))
+    with pytest.raises(ConfigError):
+        local_zeta(AffineForm.of(z))
+    # a z that is not constant is left alone: its region is stated, not checked
+    assert tate_integral(ShellFunction.lattice(0), AffineForm.of(z, s=1)).is_local_zeta()

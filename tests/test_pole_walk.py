@@ -160,8 +160,7 @@ def test_a_swapped_rank_is_detected(monkeypatch):
         table = of_line(system, line)
         table.keys[i], table.keys[j] = table.keys[j], table.keys[i]
         table.ids = {key: k for k, key in enumerate(table.keys)}
-        table.roots = {root: tuple({i: j, j: i}.get(k, k) for k in ids)
-                       for root, ids in table.roots.items()}
+        table.roots = [tuple({i: j, j: i}.get(k, k) for k in ids) for ids in table.roots]
         return table
 
     monkeypatch.setattr(_AtomTable, "of_line", staticmethod(swapped))

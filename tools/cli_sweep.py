@@ -1,0 +1,144 @@
+"""Differential sweep of the degeis command line, run in-process.
+
+Calls ``degeis.cli.main`` on a fixed list of commands and prints, for each
+command family, the number of calls, the exit codes met and one sha256 over
+the argv, exit code, stdout and stderr of every call in the family.  Two
+checkouts, or two ``PYTHONHASHSEED`` values, that print the same hashes give
+the same bytes on every command of the sweep.
+
+    PYTHONHASHSEED=0 python3 tools/cli_sweep.py > a.txt
+    PYTHONHASHSEED=4242 python3 tools/cli_sweep.py > b.txt
+    diff a.txt b.txt
+
+The sweep covers ``table`` and ``poles`` (Markdown and JSON) on the 15
+preset lines at 81 rational points with |p/q| <= 2, ``sw``, ``sharp-check``,
+``lfactor``, ``tate`` and usage errors.  ``tate`` at a constant exponent with
+Re z <= 0 is its own family, ``tate-divergent``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from degeis import cli  # noqa: E402
+
+GROUPS = ("D4", "2D4", "3D4", "G2", "A1")
+
+# (group, parabolic, --line or None for the default chi line)
+LINES = [
+    (g, p, line)
+    for g in ("D4", "2D4")
+    for p, line in (("borel", None), ("P", None), ("Q", None), ("P", "muP"), ("Q", "muQ"))
+] + [("3D4", "borel", None), ("3D4", "P", None), ("3D4", "P", "muP"),
+     ("G2", "borel", None), ("A1", "borel", None)]
+
+POINTS = sorted({Fraction(p, q) for q in (1, 2, 3, 4, 5, 6, 10, 12)
+                 for p in range(-2 * q, 2 * q + 1)})
+
+FORMATS = (["--format", "md"], ["--format", "json"])
+
+
+def line_commands(command: str):
+    for group, parabolic, line in LINES:
+        for point in POINTS:
+            for fmt in FORMATS:
+                argv = [command, "--group", group, "--parabolic", parabolic,
+                        f"--point={point}", *fmt]
+                if line is not None:
+                    argv += ["--line", line]
+                yield argv
+
+
+def group_commands(command: str):
+    for group in GROUPS:
+        for fmt in FORMATS:
+            yield [command, "--group", group, *fmt]
+
+
+def lfactor_commands():
+    for source in ("Vtau", "Vchi", "V7"):
+        for chi in ("trivial", "nontrivial"):
+            for extra in ([], ["--order-at", "2"], ["--order-at", "3"], ["--biweights"],
+                          ["--order-at", "2", "--biweights"]):
+                for fmt in FORMATS:
+                    yield ["lfactor", "--source", source, "--chi", chi, *extra, *fmt]
+
+
+TATE_FUNCTIONS = ("lattice:0", "lattice:1", "lattice:-2", "shell:0", "shell:2",
+                  "shell:-1", "shell:-2", "lattice:x", "ball:0")
+TATE_Z = ("2s+3", "s", "-s", "s-1", "1", "1/2", "5/2", "0", "-1", "-1/2", "s+", "1/0")
+
+
+def _divergent(z: str) -> bool:
+    try:
+        return Fraction(z) <= 0
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def tate_commands(divergent: bool):
+    for function in TATE_FUNCTIONS:
+        for z in TATE_Z:
+            if _divergent(z) != divergent:
+                continue
+            for fmt in FORMATS:
+                yield ["tate", "--function", function, f"--z={z}", *fmt]
+
+
+USAGE = [
+    [], ["--help"], ["--version"], ["nonsense"], ["table"], ["table", "--help"],
+    ["table", "--group", "D4"], ["table", "--group", "E9", "--point", "1"],
+    ["table", "--group", "D4", "--point", "1", "--format", "xml"],
+    ["poles", "--group", "D4", "--point", "x"],
+    ["poles", "--group", "D4", "--point", "1/0"],
+    ["poles", "--group", "D4", "--parabolic", "R", "--point", "1"],
+    ["poles", "--group", "3D4", "--parabolic", "Q", "--point", "1"],
+    ["poles", "--group", "D4", "--point", "1", "--line", "s,s"],
+    ["poles", "--group", "D4", "--point", "1", "--line", "s,t,0,0"],
+    ["sw"], ["sw", "--group", "G2"], ["sharp-check", "--group", "B2"],
+    ["lfactor"], ["tate", "--function"], ["tate", "--bogus"],
+]
+
+FAMILIES = {
+    "table": lambda: line_commands("table"),
+    "poles": lambda: line_commands("poles"),
+    "sw": lambda: group_commands("sw"),
+    "sharp-check": lambda: group_commands("sharp-check"),
+    "lfactor": lfactor_commands,
+    "tate": lambda: tate_commands(False),
+    "tate-divergent": lambda: tate_commands(True),
+    "usage": lambda: iter(USAGE),
+}
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    for family, commands in FAMILIES.items():
+        digest = hashlib.sha256()
+        exits: Counter[int] = Counter()
+        for argv in commands():
+            code, out, err = run(argv)
+            exits[code] += 1
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        summary = " ".join(f"exit{code}={n}" for code, n in sorted(exits.items()))
+        print(f"{family:<15} calls={sum(exits.values()):<5} {summary:<36} {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
