@@ -10,10 +10,11 @@ attached to its simple root).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IotaMismatchError, UnsupportedGroupError
-from .forms import AffineForm, Q, Rat, _q
+from .forms import AffineForm, Q, Rat, _q, _ratio
 from .rootdata import RootSystem, WeylWord
 
 
@@ -109,30 +110,39 @@ def weyl_act(system: RootSystem, word: WeylWord, char: TorusCharacter) -> TorusC
     return TorusCharacter(tuple(coords))
 
 
-def root_basis_coords(system: RootSystem, values: Sequence[Q]) -> tuple[Q, ...]:
+def root_basis_coords(system: RootSystem, values: Sequence[Rat]) -> tuple[Q, ...]:
     """Solve for x with values = sum_j x_j * nchar(alpha_j).
 
     These are the coefficients of the character in the simple-root basis
     (pairings with the fundamental coweights); Langlands' square-
     integrability test reads strict negativity off this vector.
+
+    The values are put over one common denominator and the integer system
+    is solved fraction-free (Bareiss elimination, then back substitution
+    scaled by the last pivot d, where every division is exact): one
+    Fraction per coordinate at the end.
     """
     n = system.rank
-    rows = [[Q(system.pairing[j][i]) for j in range(n)] for i in range(n)]
-    rhs = [Q(v) for v in values]
-    # Gaussian elimination, exact
+    ratios = [_ratio(v) for v in values]
+    den = lcm(*(q for _, q in ratios))
+    rows = [[system.pairing[j][i] for j in range(n)] + [p * (den // q)]
+            for i, (p, q) in enumerate(ratios)]
+    prev = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        piv = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs)
+        top = rows[col]
+        d = top[col]
+        for row in rows[col + 1:]:
+            f = row[col]
+            row[col:] = [(x * d - f * y) // prev for x, y in zip(row[col:], top[col:])]
+        prev = d
+    # the triangular system in d * x, integer by Cramer's rule
+    scaled = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        scaled[k] = (prev * row[n] - sum(row[j] * scaled[j] for j in range(k + 1, n))) // row[k]
+    return tuple(Q(x, prev * den) for x in scaled)
 
 
 def modular_character(system: RootSystem, levi: Iterable[int], *,

@@ -232,20 +232,24 @@ class _Expansion:
     The pole reports shift each factor to point + var first; the appendix
     checks give no point and expand in eps as the factors stand.  Per id:
     the order of vanishing, the leading scalar (None for 1) and the leading
-    monomial: an atom at var = 0 (canonical, so that atoms meeting there
-    merge) or a residue symbol, packed by the shared ``_Multisets``.  A
-    term's Laurent data are then sums over its counts.  An id whose
-    expansion raises is kept aside, and raises again only for a term that
-    contains it, as ``expand_in`` would for that term.  Affine factors come
-    only from terms built by hand, which are always expanded at a point.
+    monomial, as its canonical key: (label, arg) of an atom at var = 0,
+    canonical so that atoms meeting there merge, or the label of a residue
+    symbol.  The keys are packed by the shared ``_Multisets``, and a term's
+    Laurent data are then sums over its counts.  An id whose expansion
+    raises is kept aside, and raises again only for a term that contains it,
+    as ``expand_in`` would for that term.  Affine factors come only from
+    terms built by hand, which are always expanded at a point.
     """
 
     def __init__(self, table: _AtomTable, sets: _Multisets, var: str,
                  point: Mapping[str, Q] | None = None, assume_no_real_zeros: bool = False):
         self.var = var
         self.assume = assume_no_real_zeros
-        self.data: list[tuple[int, Q | None, int, ZetaAtom | str | None]] = []
+        self.data: list[tuple[int, Q | None, int, tuple[str, AffineForm] | str | None]] = []
         self.failing: dict[int, ZetaAtom] = {}
+        # the leading monomials' ranks and the ranked atom keys, numbered by ``leading``
+        self.ranks: list[int | str | None] | None = None
+        self.atoms: list[tuple[str, AffineForm]] = []
         for i, key in enumerate(table.keys):
             if isinstance(key, str):
                 self.data.append((0, None, sets.weight(key), key))
@@ -264,8 +268,8 @@ class _Expansion:
                     self.data.append((0, None, 0, None))
                     continue
                 if isinstance(limit, ZetaAtom):
-                    self.data.append((0, None, sets.weight(
-                        (label, canonical_arg(limit.arg)[0])), limit))
+                    lead = (label, canonical_arg(limit.arg)[0])
+                    self.data.append((0, None, sets.weight(lead), lead))
                 else:
                     self.data.append((-1, limit, sets.weight(label), label))
 
@@ -288,15 +292,29 @@ class _Expansion:
         return order, scalar, key
 
     def leading(self, scalar: Q, counts: _Counts) -> ZetaExpr:
-        """scalar times the leading monomial of a term with these counts."""
-        atoms, residues = [], []
+        """scalar (nonzero) times the leading monomial of a term with these counts.
+
+        The first call numbers the distinct atom keys in atom order, as
+        ``_AtomTable.of_line`` numbers a line's atoms, so summing counts per
+        rank and sorting the ranks gives the canonical form: no build.
+        """
+        if self.ranks is None:
+            leads = [lead for *_, lead in self.data]
+            self.atoms = sorted({lead for lead in leads if isinstance(lead, tuple)})
+            rank = {lead: r for r, lead in enumerate(self.atoms)}
+            self.ranks = [rank[lead] if isinstance(lead, tuple) else lead for lead in leads]
+        atoms: dict[int, int] = {}
+        residues: dict[str, int] = {}
         for i, c in counts:
-            lead = self.data[i][3]
-            if isinstance(lead, str):
-                residues.append((lead, c))
-            elif lead is not None:
-                atoms.append(ZetaAtom(lead.label, lead.arg, c))
-        return ZetaExpr.build(scalar, atoms=atoms, residues=residues)
+            r = self.ranks[i]
+            if isinstance(r, int):
+                atoms[r] = atoms.get(r, 0) + c
+            elif r is not None:
+                residues[r] = residues.get(r, 0) + c
+        return ZetaExpr(scalar,
+                        atoms=tuple(ZetaAtom(*self.atoms[r], c)
+                                    for r, c in sorted(atoms.items()) if c),
+                        residues=tuple(sorted((l, m) for l, m in residues.items() if m)))
 
 
 def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:

@@ -6,7 +6,7 @@ With multiplicative Haar measure normalized so the unit group has volume 1,
 
 is a rational function in X = q^{-z}: the characteristic function of the
 lattice pi^k O gives X^k / (1 - X) (a geometric series, convergent for
-Re z > 0), a single valuation shell gives X^k.
+Re z > 0), a single valuation shell gives X^k (a single term, for every z).
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ class ShellFunction:
         return ShellFunction("shell", k)
 
 
+# convergence regions, from the widest to the narrowest
+_ALL_Z = "all z"
+_RIGHT_HALF_PLANE = "Re(z) > 0"
+_REGIONS = (_ALL_Z, _RIGHT_HALF_PLANE)
+
+
 @dataclass(frozen=True)
 class LocalFactor:
     """num/den in X = q^{-z}, with the exponent form carried for printing."""
@@ -66,11 +72,13 @@ class LocalFactor:
     num: tuple[tuple[int, Q], ...]
     den: tuple[tuple[int, Q], ...]
     z: AffineForm
-    convergence: str = "Re(z) > 0"
+    convergence: str = _RIGHT_HALF_PLANE
 
     @staticmethod
-    def build(num: Poly, den: Poly, z: AffineForm) -> "LocalFactor":
-        return LocalFactor(tuple(sorted(num.items())), tuple(sorted(den.items())), z)
+    def build(num: Poly, den: Poly, z: AffineForm,
+              convergence: str = _RIGHT_HALF_PLANE) -> "LocalFactor":
+        return LocalFactor(tuple(sorted(num.items())), tuple(sorted(den.items())), z,
+                           convergence)
 
     def _num(self) -> Poly:
         return dict(self.num)
@@ -83,9 +91,11 @@ class LocalFactor:
         return _pmul(self._num(), other._den()) == _pmul(other._num(), self._den())
 
     def __add__(self, other: "LocalFactor") -> "LocalFactor":
+        """The sum, stated on the narrower convergence region of the two."""
         num = _padd(_pmul(self._num(), other._den()), _pmul(other._num(), self._den()))
         den = _pmul(self._den(), other._den())
-        return LocalFactor.build(num, den, self.z)
+        return LocalFactor.build(num, den, self.z,
+                                 max(self.convergence, other.convergence, key=_REGIONS.index))
 
     def is_local_zeta(self) -> bool:
         """Whether this equals zeta_v(z) = 1/(1 - q^{-z})."""
@@ -124,13 +134,14 @@ class LocalFactor:
 def tate_integral(f: ShellFunction, z: AffineForm) -> LocalFactor:
     """Formal value of the shell/lattice integral as a rational function in q^{-z}.
 
-    The value is stated for Re(z) > 0; a constant z outside that region is a
+    A shell's value X^k holds for every z.  A lattice's geometric series is
+    stated for Re(z) > 0, and a constant z outside that region is a
     configuration error.
     """
-    if z.is_constant() and z.const <= 0:
-        raise ConfigError(f"z = {z} lies outside the convergence region Re(z) > 0")
     if f.kind == "shell":
-        return LocalFactor.build({f.k: Q(1)}, {0: Q(1)}, z)
+        return LocalFactor.build({f.k: Q(1)}, {0: Q(1)}, z, _ALL_Z)
+    if z.is_constant() and z.const <= 0:
+        raise ConfigError(f"z = {z} lies outside the convergence region {_RIGHT_HALF_PLANE}")
     return LocalFactor.build({f.k: Q(1)}, {0: Q(1), 1: Q(-1)}, z)
 
 

@@ -68,13 +68,25 @@ def test_tate_lattice(capsys):
     assert "zeta_v(2s+3)" in out
 
 
-@pytest.mark.parametrize("function", ["lattice:0", "shell:1"])
+@pytest.mark.parametrize("function", ["lattice:0"])
 @pytest.mark.parametrize("z", ["-1", "0"])
 def test_tate_refuses_a_constant_z_outside_the_convergence_region(capsys, function, z):
     for fmt in ("md", "json"):
         code, out, err = run(capsys, "tate", "--function", function, f"--z={z}", "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"error[config-error]: z = {z} lies outside the convergence region Re(z) > 0\n"
+
+
+@pytest.mark.parametrize("z", ["-1", "0", "2s+3"])
+def test_tate_of_a_shell_converges_for_every_z(capsys, z):
+    """A single shell integrates to X^k = q^(-kz), one term, whatever z is."""
+    code, out, err = run(capsys, "tate", "--function", "shell:1", f"--z={z}")
+    assert (code, err) == (0, "")
+    assert out == f"q^(-({z}))    [all z]\n"
+    code, out, err = run(capsys, "tate", "--function", "shell:1", f"--z={z}", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["convergence"] == payload["value"]["convergence"] == "all z"
 
 
 def test_tate_at_a_constant_z_inside_the_convergence_region(capsys):

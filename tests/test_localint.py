@@ -26,6 +26,16 @@ def test_single_shell_has_unit_volume():
         assert value.den == ((0, Q(1)),)
 
 
+def test_convergence_region_depends_on_the_kind():
+    lattice, shell = (tate_integral(f(1), Z) for f in (ShellFunction.lattice, ShellFunction.shell))
+    assert (lattice.convergence, shell.convergence) == ("Re(z) > 0", "all z")
+    # a sum holds where both summands do
+    assert (shell + shell).convergence == "all z"
+    assert (shell + lattice).convergence == (lattice + shell).convergence == "Re(z) > 0"
+    assert lattice.to_json()["convergence"] == "Re(z) > 0"
+    assert shell.to_json()["convergence"] == "all z"
+
+
 def test_lattice_one_by_summing_shells():
     # derived oracle: sum the shell values for k >= 1
     expected = tate_integral(ShellFunction.lattice(1), Z)
@@ -69,9 +79,11 @@ def test_shell_additivity_property(k, span):
 
 @pytest.mark.parametrize("z", [Q(-1), Q(0), Q(-1, 2)])
 def test_constant_z_outside_the_convergence_region_is_refused(z):
-    for f in (ShellFunction.lattice(0), ShellFunction.shell(2)):
-        with pytest.raises(ConfigError, match=r"Re\(z\) > 0"):
-            tate_integral(f, AffineForm.of(z))
+    with pytest.raises(ConfigError, match=r"Re\(z\) > 0"):
+        tate_integral(ShellFunction.lattice(0), AffineForm.of(z))
+    # one shell is a single term X^2, defined for every z
+    shell = tate_integral(ShellFunction.shell(2), AffineForm.of(z))
+    assert (shell.num, shell.den, shell.convergence) == (((2, Q(1)),), ((0, Q(1)),), "all z")
     with pytest.raises(ConfigError):
         local_zeta(AffineForm.of(z))
     # a z that is not constant is left alone: its region is stated, not checked

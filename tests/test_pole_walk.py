@@ -210,3 +210,12 @@ def test_build_count_is_bounded_by_the_groups_and_the_roots(case, assume, monkey
     rep = pole_report(ct, Q(1, 2), assume_no_real_zeros=assume)
     assert counter.laurents == 0
     assert counter.builds <= len(rep.groups) + 2 * len(system.positive_roots)
+
+
+def test_pole_report_builds_nothing(monkeypatch):
+    """D4 Borel at 1/2: 192 groups, every leading monomial assembled from ranked ids."""
+    ct = _d4_borel()
+    counter = _Counter(monkeypatch)
+    rep = pole_report(ct, Q(1, 2))
+    assert len(rep.groups) == 192
+    assert (counter.builds, counter.laurents) == (0, 0)

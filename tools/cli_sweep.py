@@ -13,7 +13,12 @@ the same bytes on every command of the sweep.
 The sweep covers ``table`` and ``poles`` (Markdown and JSON) on the 15
 preset lines at 81 rational points with |p/q| <= 2, ``sw``, ``sharp-check``,
 ``lfactor``, ``tate`` and usage errors.  ``tate`` at a constant exponent with
-Re z <= 0 is its own family, ``tate-divergent``.
+Re z <= 0 is its own family, ``tate-divergent``.  The ``library`` family
+calls ``pole_report`` directly, on the four F4 maximal parabolics and E6
+without node 1 along the chi line delta_P^{s+1/2} delta_B^{-1/2}, at the same
+81 points with and without ``assume_no_real_zeros``; it hashes each report's
+order, square-integrability, surviving exponents and groups (exponent, words,
+order, leading term, log flag), or the error's code.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from degeis import cli  # noqa: E402
+from degeis import build_system, cli, constant_term, pole_report  # noqa: E402
+from degeis.characters import _chi_line  # noqa: E402
+from degeis.errors import DegeisError  # noqa: E402
 
 GROUPS = ("D4", "2D4", "3D4", "G2", "A1")
 
@@ -94,6 +101,44 @@ def tate_commands(divergent: bool):
                 yield ["tate", "--function", function, f"--z={z}", *fmt]
 
 
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+E6_CARTAN = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+             [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+# (name, Cartan matrix, the simple root removed from the Levi)
+MAXIMAL = [("F4", F4_CARTAN, 1), ("F4", F4_CARTAN, 2), ("F4", F4_CARTAN, 3),
+           ("F4", F4_CARTAN, 4), ("E6", E6_CARTAN, 1)]
+
+
+def _report(rep) -> str:
+    return json.dumps({
+        "order": rep.order, "square_integrable": rep.square_integrable,
+        "surviving": [[str(x) for x in exp] for exp in rep.surviving_exponents],
+        "groups": [[[str(x) for x in g.exponent_at_point], [str(w) for w in g.words],
+                    g.order, None if g.leading is None else str(g.leading), g.log_term]
+                   for g in rep.groups]})
+
+
+def library_calls():
+    """pole_report at every point of every maximal parabolic.
+
+    Yields (label, outcome, report, message): the outcome is "ok" or the
+    code of the typed error raised.
+    """
+    for name, cartan, node in MAXIMAL:
+        system = build_system("custom", cartan=cartan)
+        levi = tuple(i for i in range(1, system.rank + 1) if i != node)
+        ct = constant_term(system, levi, _chi_line(system, levi, "s"))
+        for point in POINTS:
+            for assume in (False, True):
+                label = ["pole_report", name, str(node), str(point), str(assume)]
+                try:
+                    rep = pole_report(ct, point, assume_no_real_zeros=assume)
+                except DegeisError as exc:
+                    yield label, exc.code, "", str(exc)
+                else:
+                    yield label, "ok", _report(rep), ""
+
+
 USAGE = [
     [], ["--help"], ["--version"], ["nonsense"], ["table"], ["table", "--help"],
     ["table", "--group", "D4"], ["table", "--group", "E9", "--point", "1"],
@@ -108,18 +153,6 @@ USAGE = [
     ["lfactor"], ["tate", "--function"], ["tate", "--bogus"],
 ]
 
-FAMILIES = {
-    "table": lambda: line_commands("table"),
-    "poles": lambda: line_commands("poles"),
-    "sw": lambda: group_commands("sw"),
-    "sharp-check": lambda: group_commands("sharp-check"),
-    "lfactor": lfactor_commands,
-    "tate": lambda: tate_commands(False),
-    "tate-divergent": lambda: tate_commands(True),
-    "usage": lambda: iter(USAGE),
-}
-
-
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -127,15 +160,34 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def cli_calls(commands):
+    """(argv, exit code, stdout, stderr) of every command."""
+    for argv in commands:
+        yield (argv, *run(argv))
+
+
+FAMILIES = {
+    "table": lambda: cli_calls(line_commands("table")),
+    "poles": lambda: cli_calls(line_commands("poles")),
+    "sw": lambda: cli_calls(group_commands("sw")),
+    "sharp-check": lambda: cli_calls(group_commands("sharp-check")),
+    "lfactor": lambda: cli_calls(lfactor_commands()),
+    "tate": lambda: cli_calls(tate_commands(False)),
+    "tate-divergent": lambda: cli_calls(tate_commands(True)),
+    "usage": lambda: cli_calls(USAGE),
+    "library": library_calls,
+}
+
+
 def main() -> int:
     for family, commands in FAMILIES.items():
         digest = hashlib.sha256()
-        exits: Counter[int] = Counter()
-        for argv in commands():
-            code, out, err = run(argv)
+        exits: Counter[int | str] = Counter()
+        for argv, code, out, err in commands():
             exits[code] += 1
             digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
-        summary = " ".join(f"exit{code}={n}" for code, n in sorted(exits.items()))
+        summary = " ".join(f"exit{code}={n}" if isinstance(code, int) else f"{code}={n}"
+                           for code, n in sorted(exits.items()))
         print(f"{family:<15} calls={sum(exits.values()):<5} {summary:<36} {digest.hexdigest()}")
     return 0
 
