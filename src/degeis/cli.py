@@ -258,18 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, parabolic=True, point=True):
+    def common(p, line=True):
         p.add_argument("--group", required=True, help="D4, 2D4, 3D4, G2 or A1")
-        if parabolic:
+        if line:
             p.add_argument("--parabolic", default="borel", help="borel, P or Q")
             p.add_argument("--line", default=None,
                            help="chiQ|chiP|muP|muQ|kappa or comma-separated affine forms "
                                 "(default: the chi line of the parabolic)")
-        if point:
             p.add_argument("--point", required=True, help="rational point p/q")
         p.add_argument("--format", choices=("md", "json"), default="md")
-        p.add_argument("--assume-no-real-zeros", action="store_true",
-                       help="certify orders even when zeta arguments fall inside (0,1)")
+        if line:    # after --format, where the usage and help have always listed it
+            p.add_argument("--assume-no-real-zeros", action="store_true",
+                           help="certify orders even when zeta arguments fall inside (0,1)")
 
     p_table = sub.add_parser("table", help="Gindikin-Karpelevich constant-term table")
     common(p_table)
@@ -280,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_poles.set_defaults(func=cmd_poles)
 
     p_sw = sub.add_parser("sw", help="Siegel-Weil proportionality constants")
-    common(p_sw, parabolic=False, point=False)
+    common(p_sw, line=False)
     p_sw.set_defaults(func=cmd_sw)
 
     p_sharp = sub.add_parser("sharp-check",
                              help="W-invariance, residue cancellation and entireness")
-    common(p_sharp, parabolic=False, point=False)
+    common(p_sharp, line=False)
     p_sharp.set_defaults(func=cmd_sharp_check)
 
     p_lf = sub.add_parser("lfactor", help="standard L-function factorizations")

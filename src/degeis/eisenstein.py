@@ -152,10 +152,7 @@ def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
     These are the w with w^{-1} alpha_i > 0 for every Levi simple root; one
     GK term per representative appears in the constant term.
     """
-    levi_set = tuple(levi)
-    for i in levi_set:
-        system._check_index(i)
-    return [word for _, word in system.weyl_elements(levi_set)]
+    return [word for _, word in system.weyl_elements(levi)]
 
 
 def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaExpr:
@@ -410,8 +407,7 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
 
 def _pairings(system: RootSystem, lam: TorusCharacter) -> list[tuple[str, AffineForm]]:
     """(label of alpha, <lam, alpha^vee>) for every positive root alpha, in root order."""
-    return [(system.label_of(root).symbol, lam.pair(system._cvec[root]))
-            for root in system.positive_roots]
+    return [(label.symbol, lam.pair(vec)) for label, vec in zip(system._labels, system._cvec)]
 
 
 def _l_factors(pairs: list[tuple[str, AffineForm]]) -> list[AffineForm]:

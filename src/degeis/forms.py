@@ -117,10 +117,6 @@ class AffineForm:
                 return Q(c, self.den)
         return Q(0)
 
-    def leading_coeff(self) -> Q:
-        """Coefficient of the first parameter in name order, or 0 if constant."""
-        return Q(self.coeff_nums[0][1], self.den) if self.coeff_nums else Q(0)
-
     def is_constant(self) -> bool:
         return not self.coeff_nums
 

@@ -7,9 +7,13 @@ a label map on simple roots.
 
 Conventions
 -----------
-Roots are stored in simple-root coordinates.  The Cartan matrix ``A`` follows
-the row convention  w_i(alpha_j) = alpha_j - A[i][j] alpha_i,  so a root ``c``
-reflects to ``c - (row_i . c) e_i``.
+Roots are written in simple-root coordinates.  The Cartan matrix ``A``
+follows the row convention  w_i(alpha_j) = alpha_j - A[i][j] alpha_i,  so a
+root ``c`` reflects to ``c - (row_i . c) e_i``.  Inside a ``RootSystem`` a
+root is its signed-root position: the per-root data are tuples indexed by
+positive-root position, the simple reflections are permutations of the
+positions, and a vector that is not a root of the system is refused with
+unknown-root.
 
 For the quasi-split (folded) presets the character-side pairing is inherited
 from the simply-laced cover: coordinates of torus characters are taken with
@@ -33,12 +37,12 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (EnumerationTooLargeError, LabelInconsistencyError,
+from .errors import (ConfigError, EnumerationTooLargeError, LabelInconsistencyError,
                      NotFiniteTypeError, UnknownRootError,
                      UnsupportedGroupError)
 from .forms import Q
@@ -137,9 +141,8 @@ class RootSystem:
                  folded: bool, labels: Mapping[int, FieldLabel]):
         self.name = name
         self.rank = len(cartan)
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        self.cartan = _validate_cartan(cartan)
         self.folded = folded
-        _validate_cartan(self.cartan)
         self.symmetrizer = _symmetrizer(self.cartan)
         _check_finite_type(self.cartan, self.symmetrizer)
         # pairing matrix: column i = fundamental-weight coords of alpha_i
@@ -160,7 +163,9 @@ class RootSystem:
         The walk runs on coordinate tuples.  It meets every image of every
         positive root, so it also gives the simple reflections as
         permutations of the signed-root positions (``_gens``); one ``Root``
-        is made per signed root.
+        is made per signed root.  The per-root data are tuples indexed by
+        positive-root position, filled in the walk's discovery order, which
+        puts every root after its provenance parent.
         """
         rank, cartan = self.rank, self.cartan
         units = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
@@ -191,75 +196,50 @@ class RootSystem:
         self._simple_pos = tuple(pos[u] for u in units)
         half = [[pos[images[c][i]] for c in coords] for i in range(rank)]
         self._gens = tuple(tuple(g + [(k + n) % (2 * n) for k in g]) for g in half)
-        self._times = tuple(itemgetter(*g) for g in self._gens)
-        root = dict(zip(coords, self.positive_roots))
-        self._provenance = {root[c]: None if p is None else (p[0], root[p[1]])
-                            for c, p in provenance.items()}
-        self._norms = {r: self._norm(r) for r in self.positive_roots}
-        long_norm = max(self._norms.values())
-        self._length_class = {r: ("long" if self._norms[r] == long_norm else "short")
-                              for r in self.positive_roots}
-        self._labels = self._assign_labels()
-        self._cvec = self._coroot_vectors()
-        self._nchar = {r: self._norm_char(r) for r in self.positive_roots}
+        self._times = tuple(operator.itemgetter(*g) for g in self._gens)
 
-    def _norm(self, r: Root) -> int:
-        c, d, a = r.coords, self.symmetrizer, self.cartan
-        return sum(c[i] * c[j] * d[i] * a[i][j]
-                   for i in range(self.rank) for j in range(self.rank) if c[i] and c[j])
-
-    def _assign_labels(self) -> dict[Root, FieldLabel]:
-        # orbit transport from simple-root labels, checked for consistency;
-        # for the presets this coincides with assignment by length class
-        labels: dict[Root, FieldLabel] = {}
-        for r in self.positive_roots:
-            prov = self._provenance[r]
-            if prov is None:
-                idx = r.coords.index(1) + 1
-                lab = self._simple_labels[idx]
-            else:
-                lab = labels[prov[1]]
-            labels[r] = lab
-        n = len(self.positive_roots)
-        for k, (r, lab) in enumerate(labels.items()):
+        # Labels and lengths are constant on Weyl orbits, so a root takes
+        # them from the simple root its provenance chain starts at (the
+        # W-invariant norm of alpha_i is 2 d_i).  A split coroot vector is its
+        # parent's under the dual reflection, which subtracts (row i of the
+        # pairing matrix . v) from coordinate i; folded systems, and simple
+        # roots, pair through the root's own coordinates.
+        prov: list[tuple[int, int] | None] = [None] * n
+        origin = [0] * n
+        cvec = list(coords)
+        for c, p in provenance.items():
+            k = pos[c]
+            if p is None:
+                origin[k] = c.index(1)
+                continue
+            letter, parent = p[0], pos[p[1]]
+            prov[k], origin[k] = (letter, parent), origin[parent]
+            if not self.folded:
+                v = list(cvec[parent])
+                v[letter - 1] -= sum(a * x for a, x in zip(self.pairing[letter - 1], v))
+                cvec[k] = tuple(v)
+        self._provenance = tuple(prov)
+        self._cvec = tuple(cvec)
+        self._labels = tuple(self._simple_labels[i + 1] for i in origin)
+        d, long_d = self.symmetrizer, max(self.symmetrizer)
+        self._length_class = tuple("long" if d[i] == long_d else "short" for i in origin)
+        for k, lab in enumerate(self._labels):
             for gen in self._gens:
-                other = labels[self.positive_roots[gen[k] % n]]
+                other = self._labels[gen[k] % n]
                 if other != lab:
                     raise LabelInconsistencyError(
-                        f"labels differ on the Weyl orbit of {r}: {lab.symbol} vs {other.symbol}")
-        return labels
+                        f"labels differ on the Weyl orbit of {self.positive_roots[k]}: "
+                        f"{lab.symbol} vs {other.symbol}")
+        self._nchar = tuple(self._norm_char(c, lab.degree) for c, lab in zip(coords, self._labels))
 
-    def _coroot_vectors(self) -> dict[Root, tuple[int, ...]]:
-        """The integral pairing vector of every positive root.
-
-        Folded systems pair through the root's own coordinates.  In a split
-        system a simple root's vector is its unit vector, and any other root's
-        is its provenance parent's under the dual reflection, which subtracts
-        (row i of the pairing matrix . d) from coordinate i; parents come
-        first in ``_provenance``.
-        """
-        if self.folded:
-            return {r: r.coords for r in self.positive_roots}
-        vecs: dict[Root, tuple[int, ...]] = {}
-        for r, prov in self._provenance.items():
-            if prov is None:
-                vecs[r] = r.coords
-                continue
-            i, parent = prov
-            d = list(vecs[parent])
-            d[i - 1] -= sum(p * x for p, x in zip(self.pairing[i - 1], d))
-            vecs[r] = tuple(d)
-        return vecs
-
-    def _norm_char(self, r: Root) -> tuple[Q, ...]:
+    def _norm_char(self, coords: tuple[int, ...], degree: int) -> tuple[Q, ...]:
         # summed as numerators over the lcm of the simple-root degrees
         degrees = [self._simple_labels[i + 1].degree for i in range(self.rank)]
         den = math.lcm(*degrees)
-        deg = self._labels[r].degree
         out = [0] * self.rank
-        for i, c in enumerate(r.coords):
+        for i, c in enumerate(coords):
             if c:
-                w = c * deg * (den // degrees[i])
+                w = c * degree * (den // degrees[i])
                 for j, p in enumerate(self.pairing[i]):
                     out[j] += w * p
         return tuple(Q(x, den) for x in out)
@@ -274,50 +254,39 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise UnknownRootError(f"simple index {i} out of range 1..{self.rank}")
 
-    def _base(self, root: Root) -> Root:
+    def _position(self, root: Root) -> int:
+        """The signed-root position of a root of the system."""
         k = self._index.get(root)
         if k is None:
             raise UnknownRootError(f"{root} is not a root of {self.name}")
-        return self._signed[k % len(self.positive_roots)]
+        return k
 
     def label_of(self, root: Root) -> FieldLabel:
-        return self._labels[self._base(root)]
+        return self._labels[self._position(root) % len(self.positive_roots)]
 
     def length_class_of(self, root: Root) -> str:
-        return self._length_class[self._base(root)]
+        return self._length_class[self._position(root) % len(self.positive_roots)]
 
     def coroot(self, root: Root) -> tuple[Q, ...]:
         """Pairing vector c with <lambda, root^vee> = sum c_j lambda_j."""
-        sign = 1 if root.positive else -1
-        return tuple(Q(sign * x) for x in self._cvec[self._base(root)])
+        k, n = self._position(root), len(self.positive_roots)
+        sign = 1 if k < n else -1
+        return tuple(Q(sign * x) for x in self._cvec[k % n])
 
     def norm_char(self, root: Root) -> tuple[Q, ...]:
         """Fundamental-weight coordinates of |root|_{F_root} as a character."""
-        base = self._base(root)
-        vec = self._nchar[base]
-        return vec if root.positive else tuple(-x for x in vec)
+        k, n = self._position(root), len(self.positive_roots)
+        vec = self._nchar[k % n]
+        return vec if k < n else tuple(-x for x in vec)
 
     def reflect_root(self, i: int, root: Root) -> Root:
-        """s_i(root): a lookup in ``_gens`` for a root of the system.
-
-        Any other nonzero vector is reflected by the Cartan row.
-        """
+        """s_i(root) for a root of the system: a lookup in ``_gens``."""
         self._check_index(i)
-        k = self._index.get(root)
-        if k is not None:
-            return self._signed[self._gens[i - 1][k]]
-        t = sum(self.cartan[i - 1][j] * root.coords[j] for j in range(self.rank))
-        coords = list(root.coords)
-        coords[i - 1] -= t
-        return Root(tuple(coords))
+        return self._signed[self._gens[i - 1][self._position(root)]]
 
     def word_on_root(self, word: WeylWord, root: Root) -> Root:
         """Apply w = w_{i1}...w_{ik} to a root (rightmost letter acts first)."""
-        k = self._index.get(root)
-        if k is None:
-            for i in reversed(word.letters):
-                root = self.reflect_root(i, root)
-            return root
+        k = self._position(root)
         gens, rank = self._gens, self.rank
         for i in reversed(word.letters):
             if not 0 < i <= rank:
@@ -365,24 +334,19 @@ class RootSystem:
         n = len(self.positive_roots)
         steps = list(zip(range(1, self.rank + 1), self._simple_pos, self._times))
         ident = tuple(range(2 * n))
-        seen = {ident: WeylWord()}
+        seen = {ident}
         order: list[tuple[tuple[int, ...], WeylWord]] = [(ident, WeylWord())]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for perm in frontier:
-                word = seen[perm]
-                for i, pos, times in steps:
-                    image = perm[pos]
-                    if image >= n or image in levi_pos:
-                        continue
-                    new = times(perm)
-                    if new not in seen:
-                        seen[new] = WeylWord(word.letters + (i,))
-                        nxt.append(new)
-            nxt.sort(key=lambda p: seen[p].letters)
-            order.extend((p, seen[p]) for p in nxt)
-            frontier = nxt
+        # the output list is the queue: prefixes come in shortlex order and
+        # letters ascend, so first discoveries are appended in shortlex order
+        for perm, word in order:
+            for i, pos, times in steps:
+                image = perm[pos]
+                if image >= n or image in levi_pos:
+                    continue
+                new = times(perm)
+                if new not in seen:
+                    seen.add(new)
+                    order.append((new, WeylWord(word.letters + (i,))))
         self._weyl_cache[key] = order
         return order
 
@@ -443,14 +407,14 @@ class RootSystem:
         return WeylWord(tuple(reversed(letters)))
 
     def reflection_word(self, root: Root) -> WeylWord:
-        """A word for the reflection in the given (positive) root."""
-        base = self._base(root)
-        prov = self._provenance[base]
-        if prov is None:
-            return WeylWord((base.coords.index(1) + 1,))
-        i, parent = prov
-        inner = self.reflection_word(parent)
-        return WeylWord((i,) + inner.letters + (i,))
+        """A word s_i u s_i for the reflection in a root, u the parent's word."""
+        k = self._position(root) % len(self.positive_roots)
+        outer = []
+        while (prov := self._provenance[k]) is not None:
+            letter, k = prov
+            outer.append(letter)
+        simple = self._simple_pos.index(k) + 1
+        return WeylWord(tuple(outer) + (simple,) + tuple(reversed(outer)))
 
     # -- parsing -----------------------------------------------------------
 
@@ -508,10 +472,21 @@ def _weyl_group_order(positive_roots: Iterable[Root]) -> int:
     return order
 
 
-def _validate_cartan(cartan: tuple[tuple[int, ...], ...]) -> None:
-    n = len(cartan)
-    if any(len(row) != n for row in cartan):
+def _validate_cartan(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix as int rows, refused unless square, nonempty and integral."""
+    n = len(rows)
+    if n == 0:
+        raise NotFiniteTypeError("Cartan matrix is empty")
+    if any(len(row) != n for row in rows):
         raise NotFiniteTypeError("Cartan matrix is not square")
+    cartan = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            try:
+                cartan[i][j] = operator.index(x)
+            except TypeError:
+                raise NotFiniteTypeError(
+                    f"Cartan entry ({i + 1}, {j + 1}) is {x!r}, not an integer") from None
     for i in range(n):
         if cartan[i][i] != 2:
             raise NotFiniteTypeError("Cartan diagonal entries must equal 2")
@@ -521,6 +496,7 @@ def _validate_cartan(cartan: tuple[tuple[int, ...], ...]) -> None:
                     raise NotFiniteTypeError("off-diagonal Cartan entries must be <= 0")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise NotFiniteTypeError("Cartan zero pattern must be symmetric")
+    return tuple(tuple(row) for row in cartan)
 
 
 def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -585,9 +561,17 @@ def build_system(preset: str, *, cartan: Sequence[Sequence[int]] | None = None,
     if preset == "custom":
         if cartan is None:
             raise UnsupportedGroupError("custom systems need a Cartan matrix")
-        n = len(cartan)
+        indices = range(1, len(cartan) + 1)
         if labels is None:
-            labels = {i: LABEL_F for i in range(1, n + 1)}
+            labels = {i: LABEL_F for i in indices}
+        stray = [i for i in labels if i not in indices]
+        if stray:
+            raise ConfigError(f"label index {stray[0]!r} is not a simple index "
+                              f"1..{len(indices)}")
+        missing = [i for i in indices if i not in labels]
+        if missing:
+            raise ConfigError(f"no label for simple index {missing[0]}: a label map "
+                              f"must cover every simple index")
         folded = any(lab.degree > 1 for lab in labels.values())
         return RootSystem("custom", cartan, folded=folded, labels=dict(labels))
     if preset not in _PRESET_DATA:
@@ -606,12 +590,27 @@ def _preset_labels(rows, nonsplit: FieldLabel | None) -> dict[int, FieldLabel]:
 
 
 def load_custom(document: str | dict) -> RootSystem:
-    """Load a custom system from a JSON document {cartan: [[...]], labels: {...}}."""
-    doc = json.loads(document) if isinstance(document, str) else document
-    cartan = doc["cartan"]
+    """Load a custom system from a JSON document {cartan: [[...]], labels: {...}}.
+
+    ``labels`` maps each simple index ("1", "2", ...) to {symbol, degree};
+    without it every simple root is labelled F.
+    """
+    try:
+        doc = json.loads(document) if isinstance(document, str) else document
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"custom system is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or "cartan" not in doc:
+        raise ConfigError("custom system needs a 'cartan' entry")
     labels = {}
     for key, val in doc.get("labels", {}).items():
-        labels[int(key)] = FieldLabel(val["symbol"], int(val["degree"]))
-    if not labels:
-        labels = None
-    return build_system("custom", cartan=cartan, labels=labels)
+        try:
+            index = int(key)
+        except ValueError:
+            raise ConfigError(f"label key {key!r} is not a simple index") from None
+        try:
+            labels[index] = FieldLabel(val["symbol"], int(val["degree"]))
+        except KeyError as exc:
+            raise ConfigError(f"label {key!r} has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"label {key!r} is not a field label: {exc}") from None
+    return build_system("custom", cartan=doc["cartan"], labels=labels or None)

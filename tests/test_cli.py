@@ -120,6 +120,14 @@ def test_indeterminate_zero_region_exit_code(capsys):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("command", ["sw", "sharp-check"])
+def test_assume_no_real_zeros_is_a_usage_error_without_a_point(capsys, command):
+    # sw and sharp-check evaluate no zeta order at a point, so they take no such flag
+    code, _, err = run(capsys, command, "--group", "D4", "--assume-no-real-zeros")
+    assert code == 1
+    assert "unrecognized arguments: --assume-no-real-zeros" in err
+
+
 def test_sharp_check_exit_zero(capsys):
     code, out, _ = run(capsys, "sharp-check", "--group", "3D4")
     assert code == 0

@@ -2,9 +2,11 @@
 
 Inside ``RootSystem`` a root is its signed-root position: ``_signed[k]`` is
 the root at position k, ``_gens[i - 1]`` is s_i as a permutation of the
-positions, and inversion sets are sorted position tuples.  These tests hold
-that layer against ``tests/reference_root.py`` on the five presets and on
-custom F4, E6 and E8, with random words that need not be reduced.
+positions, the per-root data are tuples indexed by positive-root position,
+and inversion sets are sorted position tuples.  These tests hold that layer
+against ``tests/reference_root.py`` on the five presets and on custom F4, E6
+and E8, with random words that need not be reduced; a vector that is not a
+root of the system is refused.
 """
 
 from fractions import Fraction as Q
@@ -67,9 +69,11 @@ def test_gens_are_the_coordinate_reflections(name):
 def test_provenance_and_reflection_words_match_a_reference_bfs(name):
     system = SYSTEMS[name]
     expected = ref.provenance(system.cartan)
-    got = [(r.coords, None if p is None else (p[0], p[1].coords))
-           for r, p in system._provenance.items()]
-    assert got == list(expected.items())
+    roots = system.positive_roots
+    assert len(system._provenance) == len(roots)
+    got = {r.coords: None if p is None else (p[0], roots[p[1]].coords)
+           for r, p in zip(roots, system._provenance)}
+    assert got == expected
     for root in system.positive_roots:
         letters = system.reflection_word(root).letters
         assert letters == ref.reflection_word(system.cartan, root.coords)
@@ -126,26 +130,20 @@ def off_system_vectors(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(off_system_vectors(), st.data())
-def test_vectors_off_the_system_keep_the_arithmetic_path(case, data):
+def test_vectors_off_the_system_are_unknown_roots(case, data):
     system, coords = case
     assert coords not in {r.coords for r in system._signed}
+    root = Root(coords)
     i = data.draw(st.integers(1, system.rank))
-    expected = ref.reflect(system.cartan, i, coords)
-    if any(x > 0 for x in expected) and any(x < 0 for x in expected):
-        with pytest.raises(ValueError, match="mixed-sign"):
-            system.reflect_root(i, Root(coords))
-    else:
-        assert system.reflect_root(i, Root(coords)) == Root(expected)
     letters = data.draw(words(system.rank))
-    image = ref.word_on_root(system.cartan, letters, coords)
-    # the first mixed-sign image along the word raises, as it always has
-    partial = [ref.word_on_root(system.cartan, letters[k:], coords)
-               for k in range(len(letters), -1, -1)]
-    if any(any(x > 0 for x in c) and any(x < 0 for x in c) for c in partial):
-        with pytest.raises(ValueError, match="mixed-sign"):
-            system.word_on_root(WeylWord(letters), Root(coords))
-    else:
-        assert system.word_on_root(WeylWord(letters), Root(coords)) == Root(image)
+    with pytest.raises(UnknownRootError):
+        system.reflect_root(i, root)
+    with pytest.raises(UnknownRootError):
+        system.word_on_root(WeylWord(letters), root)
+    for query in (system.label_of, system.coroot, system.norm_char,
+                  system.length_class_of, system.reflection_word):
+        with pytest.raises(UnknownRootError):
+            query(root)
 
 
 @pytest.mark.parametrize("name", NAMES)

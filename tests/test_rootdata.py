@@ -3,9 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from degeis.errors import (LabelInconsistencyError, NotFiniteTypeError,
+from degeis.errors import (ConfigError, LabelInconsistencyError, NotFiniteTypeError,
                            UnknownRootError, UnsupportedGroupError)
-from degeis.rootdata import (LABEL_F, Root, RootSystem, WeylWord, build_system,
+from degeis.rootdata import (LABEL_F, LABEL_K, Root, RootSystem, WeylWord, build_system,
                              load_custom)
 
 from conftest import F4_CARTAN, e_type, simply_laced
@@ -236,6 +236,66 @@ def test_not_finite_type():
         build_system("custom", cartan=[[2, -1], [-3, 1]])  # bad diagonal
     with pytest.raises(NotFiniteTypeError):
         build_system("custom", cartan=[[2, 1], [-1, 2]])  # positive off-diagonal
+
+
+@pytest.mark.parametrize("cartan,match", [
+    ([[2, -1.5], [-1, 2]], r"entry \(1, 2\) is -1.5"),
+    ([[2, -1], [-1, 2.0]], r"entry \(2, 2\) is 2.0"),
+    ([[2, -1], ["-1", 2]], r"entry \(2, 1\) is '-1'"),
+    ([], "empty"),
+], ids=["fraction", "float", "string", "empty"])
+def test_non_integer_or_empty_cartan_is_refused(cartan, match):
+    with pytest.raises(NotFiniteTypeError, match=match):
+        build_system("custom", cartan=cartan)
+    with pytest.raises(NotFiniteTypeError, match=match):
+        load_custom({"cartan": cartan})
+
+
+A2_CARTAN = [[2, -1], [-1, 2]]
+
+
+def _label(symbol, degree):
+    return {"symbol": symbol, "degree": degree}
+
+
+def test_partial_label_map_is_refused():
+    with pytest.raises(ConfigError, match="simple index 2"):
+        build_system("custom", cartan=A2_CARTAN, labels={1: LABEL_K})
+    with pytest.raises(ConfigError, match="simple index 2"):
+        load_custom({"cartan": A2_CARTAN, "labels": {"1": _label("F", 1)}})
+
+
+def test_custom_document_without_cartan_is_refused():
+    with pytest.raises(ConfigError, match="'cartan'"):
+        load_custom({"labels": {"1": _label("F", 1)}})
+    with pytest.raises(ConfigError, match="'cartan'"):
+        load_custom("[]")
+    with pytest.raises(ConfigError, match="not JSON"):
+        load_custom("{cartan")
+
+
+def test_label_without_degree_is_refused():
+    labels = {"1": {"symbol": "F"}, "2": _label("F", 1)}
+    with pytest.raises(ConfigError, match="label '1' has no 'degree'"):
+        load_custom({"cartan": A2_CARTAN, "labels": labels})
+
+
+def test_label_key_that_is_not_an_index_is_refused():
+    labels = {"x": _label("F", 1), "2": _label("F", 1)}
+    with pytest.raises(ConfigError, match="label key 'x'"):
+        load_custom({"cartan": A2_CARTAN, "labels": labels})
+
+
+def test_label_key_beyond_the_rank_is_refused():
+    labels = {"3": _label("F", 1)}
+    with pytest.raises(ConfigError, match="label index 3 is not a simple index 1..2"):
+        load_custom({"cartan": A2_CARTAN, "labels": labels})
+
+
+def test_label_f_of_degree_two_is_refused():
+    labels = {"1": _label("F", 2), "2": _label("F", 1)}
+    with pytest.raises(ConfigError, match="label '1'.*degree 1"):
+        load_custom({"cartan": A2_CARTAN, "labels": labels})
 
 
 @pytest.mark.parametrize("cartan", [

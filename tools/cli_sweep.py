@@ -10,6 +10,9 @@ the same bytes on every command of the sweep.
     PYTHONHASHSEED=4242 python3 tools/cli_sweep.py > b.txt
     diff a.txt b.txt
 
+``tools/cli_sweep.expected`` pins the output (Python 3.11); CI diffs both
+runs against it, so a change of output must update that file on purpose.
+
 The sweep covers ``table`` and ``poles`` (Markdown and JSON) on the 15
 preset lines at 81 rational points with |p/q| <= 2, ``sw``, ``sharp-check``,
 ``lfactor``, ``tate`` and usage errors.  ``tate`` at a constant exponent with
