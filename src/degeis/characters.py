@@ -194,65 +194,58 @@ def _require_d4(system: RootSystem, allow_tri: bool = False) -> None:
         raise UnsupportedGroupError(f"{system.name} has no such standard line")
 
 
-def line_chi_Q(system: RootSystem, param: str = "s") -> TorusCharacter:
+def line_chi_Q(system: RootSystem) -> TorusCharacter:
     """chi_s^Q = delta_Q^{s+1/2} delta_B^{-1/2}."""
     _require_d4(system)
-    return _chi_line(system, parabolic_levi(system, "Q"), param)
+    return _delta_line(system, parabolic_levi(system, "Q"), Q(1, 2))
 
 
-def line_chi_P(system: RootSystem, param: str = "s") -> TorusCharacter:
+def line_chi_P(system: RootSystem) -> TorusCharacter:
     """chi_s^P = delta_P^{s+1/2} delta_B^{-1/2}."""
     _require_d4(system, allow_tri=True)
-    return _chi_line(system, parabolic_levi(system, "P"), param)
+    return _delta_line(system, parabolic_levi(system, "P"), Q(1, 2))
 
 
-def line_mu_Q(system: RootSystem, param: str = "s") -> TorusCharacter:
+def line_mu_Q(system: RootSystem) -> TorusCharacter:
     """mu_s^Q = delta_B^{1/2} delta_Q^{s-1/2}."""
     _require_d4(system)
-    return _mu_line(system, parabolic_levi(system, "Q"), param)
+    return _delta_line(system, parabolic_levi(system, "Q"), Q(-1, 2))
 
 
-def line_mu_P(system: RootSystem, param: str = "s") -> TorusCharacter:
+def line_mu_P(system: RootSystem) -> TorusCharacter:
     """mu_s^P = delta_B^{1/2} delta_P^{s-1/2}."""
     _require_d4(system, allow_tri=True)
-    return _mu_line(system, parabolic_levi(system, "P"), param)
+    return _delta_line(system, parabolic_levi(system, "P"), Q(-1, 2))
 
 
-def line_kappa(system: RootSystem, param: str = "s") -> TorusCharacter:
+def line_kappa(system: RootSystem) -> TorusCharacter:
     """kappa_s = w_1 . mu_s^Q."""
     _require_d4(system)
-    return weyl_act(system, WeylWord.of(1), line_mu_Q(system, param))
+    return weyl_act(system, WeylWord.of(1), line_mu_Q(system))
 
 
-def _chi_line(system: RootSystem, levi: tuple[int, ...], param: str) -> TorusCharacter:
+def _delta_line(system: RootSystem, levi: tuple[int, ...], a: Q) -> TorusCharacter:
+    """delta_X^{s+a} delta_B^{-a} for the parabolic X with this Levi."""
     delta = modular_character(system, levi)
     delta_b = modular_character(system, ())
-    s = AffineForm.var(param)
+    s = AffineForm.var("s")
     return TorusCharacter(tuple(
-        (s + Q(1, 2)) * d.const - Q(1, 2) * b.const
-        for d, b in zip(delta.coords, delta_b.coords)))
+        (s + a) * d.const - a * b.const for d, b in zip(delta.coords, delta_b.coords)))
 
 
-def _mu_line(system: RootSystem, levi: tuple[int, ...], param: str) -> TorusCharacter:
-    delta = modular_character(system, levi)
-    delta_b = modular_character(system, ())
-    s = AffineForm.var(param)
-    return TorusCharacter(tuple(
-        (s - Q(1, 2)) * d.const + Q(1, 2) * b.const
-        for d, b in zip(delta.coords, delta_b.coords)))
+STANDARD_LINES = {"chiQ": line_chi_Q, "chiP": line_chi_P, "muP": line_mu_P,
+                  "muQ": line_mu_Q, "kappa": line_kappa}
 
 
-def standard_line(system: RootSystem, name: str, param: str = "s") -> TorusCharacter:
-    table = {"chiQ": line_chi_Q, "chiP": line_chi_P, "muP": line_mu_P,
-             "muQ": line_mu_Q, "kappa": line_kappa}
-    if name not in table:
-        raise UnsupportedGroupError(f"unknown line {name!r}; choose from {sorted(table)}")
-    return table[name](system, param)
+def standard_line(system: RootSystem, name: str) -> TorusCharacter:
+    if name not in STANDARD_LINES:
+        raise UnsupportedGroupError(f"unknown line {name!r}; choose from {sorted(STANDARD_LINES)}")
+    return STANDARD_LINES[name](system)
 
 
-def chi_line_for(system: RootSystem, parabolic: str, param: str = "s") -> TorusCharacter:
+def chi_line_for(system: RootSystem, parabolic: str) -> TorusCharacter:
     """delta_X^{s+1/2} delta_B^{-1/2} for any named parabolic (borel included)."""
-    return _chi_line(system, parabolic_levi(system, parabolic), param)
+    return _delta_line(system, parabolic_levi(system, parabolic), Q(1, 2))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .characters import (TorusCharacter, chi_line_for, iota_check,
+from .characters import (STANDARD_LINES, TorusCharacter, chi_line_for, iota_check,
                          parabolic_levi, standard_line)
 from .dualside import lfactor_standard, order_at_2, restrict_via_r
 from .eisenstein import (constant_term, entireness_report, pole_report,
@@ -52,7 +52,7 @@ def _parse(parse, text: str):
 def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacter:
     if spec is None:
         return chi_line_for(system, parabolic)
-    if spec in ("chiQ", "chiP", "muP", "muQ", "kappa"):
+    if spec in STANDARD_LINES:
         return standard_line(system, spec)
     coords = [_parse(parse_affine, p) for p in spec.split(",")]
     if len(coords) != system.rank:

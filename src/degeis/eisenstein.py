@@ -34,7 +34,7 @@ from .characters import (TorusCharacter, parabolic_levi,
 from .errors import (HyperplaneDegeneracyError, IndeterminateZeroRegionError,
                      NeedsHigherLogOrderError, UnsupportedGroupError)
 from .forms import AffineForm, Q, Rat, _q
-from .rootdata import RootSystem, WeylWord
+from .rootdata import RootSystem, WeylWalk, WeylWord, _getter
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, atom_limit, canonical_arg,
                     expand_in, form_limit, laurent_at, shift_form)
 
@@ -520,81 +520,51 @@ def _l_poly(pairs: list[tuple[str, AffineForm]]) -> ZetaExpr:
     return ZetaExpr.build(num=_l_factors(pairs))
 
 
-@dataclass(frozen=True)
-class _Walk:
-    """All of W in the order of ``weyl_elements()``, each element after its prefix.
+def _carry(walk: WeylWalk, table: _AtomTable,
+           expansion: _Expansion) -> list[tuple[int, Q, int]]:
+    """(order, scalar, packed multiset) of F_w = F_1 J(w) for every element of the walk.
 
-    Element k > 0 is w = u s_j with u its shortlex prefix; N(w) is N(u) plus
-    the root u(alpha_j).  ``steps[k - 1]`` is (index of u, j, position of
-    u(alpha_j)).  An element is looked up by the positions of its images of
-    the simple roots, which determine it.
+    F_1 is every root's shifted id, and each step swaps one root's shifted
+    id for its plain one.  Every id goes through ``expansion.term``, so an
+    atom that cannot be expanded raises there.
     """
-
-    system: RootSystem
-    elements: list[tuple[tuple[int, ...], WeylWord]]
-    steps: list[tuple[int, int, int]]
-    simple: list[int]                       # positions of the simple roots
-    index: dict[tuple[int, ...], int]       # images of the simple roots -> element index
-
-    @staticmethod
-    def of(system: RootSystem) -> "_Walk":
-        elements = system.weyl_elements()
-        by_word = {word.letters: k for k, (_, word) in enumerate(elements)}
-        simple = list(system._simple_pos)
-        steps = []
-        for _, word in elements[1:]:
-            parent = by_word[word.letters[:-1]]
-            j = word.letters[-1]
-            steps.append((parent, j, elements[parent][0][simple[j - 1]]))
-        return _Walk(system, elements, steps, simple,
-                     {tuple(perm[p] for p in simple): k for k, (perm, _) in enumerate(elements)})
-
-    def find(self, perm: tuple[int, ...]) -> int:
-        """Index of the element with this root permutation."""
-        return self.index[tuple(perm[p] for p in self.simple)]
-
-    def left(self, i: int) -> list[int]:
-        """Index of s_i w for every element w."""
-        s_i = self.system.perm_of_word(WeylWord.of(i))
-        return [self.index[tuple(s_i[perm[p]] for p in self.simple)]
-                for perm, _ in self.elements]
-
-    def carry(self, table: _AtomTable, expansion: _Expansion) -> list[tuple[int, Q, int]]:
-        """(order, scalar, packed multiset) of F_w = F_1 J(w) for every element.
-
-        F_1 is every root's shifted id, and each step swaps one root's shifted
-        id for its plain one.  Every id goes through ``expansion.term``, so an
-        atom that cannot be expanded raises there.
-        """
-        first = Counter(shifted for _, shifted in table.roots)
-        out = [expansion.term(Q(1), tuple(sorted(first.items())))]
-        swap = []
-        for k in range(len(table.roots)):
-            order, scalar, key = expansion.term(Q(1), table.counts((k,)))
-            # only the atoms that are polar in eps carry a scalar other than 1
-            swap.append((order, None if scalar == 1 else scalar, key))
-        for parent, _, root in self.steps:
-            o, c, m = out[parent]
-            do, dc, dm = swap[root]
-            out.append((o + do, c if dc is None else c * dc, m + dm))
-        return out
-
-    def inverse_columns(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Coordinates of w^{-1} varpi_j for every element w and every j.
-
-        (u s_j)^{-1} = s_j u^{-1}: one simple reflection of the prefix's columns.
-        """
-        rank = self.system.rank
-        out = [tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))]
-        for parent, j, _ in self.steps:
-            row = self.system.pairing[j - 1]
-            out.append(tuple(tuple(c - col[j - 1] * r for c, r in zip(col, row))
-                             if col[j - 1] else col for col in out[parent]))
-        return out
+    first = Counter(shifted for _, shifted in table.roots)
+    out = [expansion.term(Q(1), tuple(sorted(first.items())))]
+    swap = []
+    for k in range(len(table.roots)):
+        order, scalar, key = expansion.term(Q(1), table.counts((k,)))
+        # only the atoms that are polar in eps carry a scalar other than 1
+        swap.append((order, None if scalar == 1 else scalar, key))
+    for parent, _, root in walk.steps:
+        o, c, m = out[parent]
+        do, dc, dm = swap[root]
+        out.append((o + do, c if dc is None else c * dc, m + dm))
+    return out
 
 
-def generic_character(system: RootSystem, prefix: str = "z") -> TorusCharacter:
-    return TorusCharacter(tuple(AffineForm.var(f"{prefix}{i}")
+def _left(system: RootSystem, walk: WeylWalk, i: int) -> list[int]:
+    """Index of s_i w for every element w: the key of s_i w is s_i applied to w's."""
+    s_i = system._gens[i - 1]
+    # the index holds the keys in walk order
+    return [walk.index[_getter(key)(s_i)] for key in walk.index]
+
+
+def _inverse_columns(system: RootSystem, walk: WeylWalk) -> list[tuple[tuple[int, ...], ...]]:
+    """Coordinates of w^{-1} varpi_j for every element w and every j.
+
+    (u s_j)^{-1} = s_j u^{-1}: one simple reflection of the prefix's columns.
+    """
+    rank = system.rank
+    out = [tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))]
+    for parent, j, _ in walk.steps:
+        row = system.pairing[j - 1]
+        out.append(tuple(tuple(c - col[j - 1] * r for c, r in zip(col, row))
+                         if col[j - 1] else col for col in out[parent]))
+    return out
+
+
+def generic_character(system: RootSystem) -> TorusCharacter:
+    return TorusCharacter(tuple(AffineForm.var(f"z{i}")
                                 for i in range(1, system.rank + 1)))
 
 
@@ -613,11 +583,11 @@ def sharp_invariance_check(system: RootSystem, simple_index: int) -> tuple[bool,
     table_i = _AtomTable.of_line(system, weyl_act(system, WeylWord.of(simple_index), lam))
     if _l_poly(table.pairs) != _l_poly(table_i.pairs):
         return False, WeylWord()
-    walk = _Walk.of(system)
+    walk = system.weyl_elements()
     sets = _Multisets(system)
-    f = walk.carry(table, _Expansion(table, sets, "eps"))
-    f_i = walk.carry(table_i, _Expansion(table_i, sets, "eps"))
-    for (_, u), here, partner in zip(walk.elements, f, walk.left(simple_index)):
+    f = _carry(walk, table, _Expansion(table, sets, "eps"))
+    f_i = _carry(walk, table_i, _Expansion(table_i, sets, "eps"))
+    for (_, u), here, partner in zip(walk, f, _left(system, walk, simple_index)):
         if f_i[partner] != here:
             return False, u
     return True, None
@@ -630,7 +600,7 @@ def _eps_character(system: RootSystem, simple_index: int, offset: int) -> TorusC
     return TorusCharacter(tuple(coords))
 
 
-def _h0_cancellations(walk: _Walk, simple_index: int, sets: _Multisets,
+def _h0_cancellations(system: RootSystem, walk: WeylWalk, simple_index: int, sets: _Multisets,
                       columns: list[tuple[tuple[int, ...], ...]]) -> list[bool]:
     """For every w, whether F_w and F_{w_i w} cancel along <lambda, alpha_i^vee> = 0.
 
@@ -639,11 +609,11 @@ def _h0_cancellations(walk: _Walk, simple_index: int, sets: _Multisets,
     sum_{j != i} z_j varpi_j, so w^{-1} lambda is read off the columns
     w^{-1} varpi_j with j != i.
     """
-    table = _AtomTable.of_line(walk.system, _eps_character(walk.system, simple_index, 0))
-    f = walk.carry(table, _Expansion(table, sets, "eps"))
+    table = _AtomTable.of_line(system, _eps_character(system, simple_index, 0))
+    f = _carry(walk, table, _Expansion(table, sets, "eps"))
     i = simple_index
     results = []
-    for k, partner in enumerate(walk.left(i)):
+    for k, partner in enumerate(_left(system, walk, i)):
         (o1, c1, m1), (o2, c2, m2) = f[k], f[partner]
         here, there = columns[k], columns[partner]
         results.append(o1 == o2 == -1 and m1 == m2 and c2 == -c1
@@ -661,10 +631,10 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
     zero while the two exponents agree on the hyperplane.
     """
     system._check_index(simple_index)
-    walk = _Walk.of(system)
-    results = _h0_cancellations(walk, simple_index, _Multisets(system),
-                                walk.inverse_columns())
-    return results[walk.find(system.perm_of_word(word))]
+    walk = system.weyl_elements()
+    results = _h0_cancellations(system, walk, simple_index, _Multisets(system),
+                                _inverse_columns(system, walk))
+    return results[walk.index[walk.key(system.perm_of_word(word))]]
 
 
 @dataclass(frozen=True)
@@ -687,7 +657,7 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     pairwise (w against w_i w).  Non-simple hyperplanes reduce to simple ones
     because each positive root is Weyl-conjugate to a simple root.
     """
-    walk = _Walk.of(system)
+    walk = system.weyl_elements()
     sets = _Multisets(system)
     boundary_ok = True
     for i in range(1, system.rank + 1):
@@ -695,33 +665,24 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
             table = _AtomTable.of_line(system, _eps_character(system, i, offset))
             l_order = expand_in(_l_poly(table.pairs), "eps").order
             # orders are additive, so L * F_w never needs assembling
-            f = walk.carry(table, _Expansion(table, sets, "eps"))
+            f = _carry(walk, table, _Expansion(table, sets, "eps"))
             if any(l_order + order < 0 for order, _, _ in f):
                 boundary_ok = False
-    columns = walk.inverse_columns()
-    h0 = [_h0_cancellations(walk, i, sets, columns) for i in range(1, system.rank + 1)]
+    columns = _inverse_columns(system, walk)
+    h0 = [_h0_cancellations(system, walk, i, sets, columns) for i in range(1, system.rank + 1)]
     h0_ok = all(all(results) for results in h0)
     checked = sum(len(results) for results in h0)
+    # each positive root steps down its provenance chain, one simple reflection
+    # per link, to a simple root, which it is therefore W-conjugate to
+    prov, gens = system._provenance, system._gens
     orbit_ok = True
-    n = len(system.positive_roots)
-    simples = set(system._simple_pos)
-    for root in range(n):
-        orbit = {root}
-        frontier = [root]
-        found = root in simples
-        while frontier and not found:
-            nxt = []
-            for r in frontier:
-                for gen in system._gens:
-                    base = gen[r] % n
-                    if base not in orbit:
-                        orbit.add(base)
-                        nxt.append(base)
-                        if base in simples:
-                            found = True
-            frontier = nxt
-        if not found:
-            orbit_ok = False
+    for root in range(len(prov)):
+        k = root
+        for _ in prov:      # a chain longer than that has a cycle
+            if prov[k] is None or gens[prov[k][0] - 1][prov[k][1]] != k:
+                break
+            k = prov[k][1]
+        orbit_ok = orbit_ok and prov[k] is None and k in system._simple_pos
     return EntirenessReport(boundary_ok, h0_ok, orbit_ok, checked)
 
 

@@ -40,7 +40,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (ConfigError, EnumerationTooLargeError, LabelInconsistencyError,
                      NotFiniteTypeError, UnknownRootError,
@@ -58,6 +58,8 @@ class FieldLabel:
     degree: int
 
     def __post_init__(self):
+        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
+            raise ValueError(f"field degree {self.degree!r} is not an integer")
         if self.degree < 1:
             raise ValueError("field degree must be >= 1")
         if self.symbol == "F" and self.degree != 1:
@@ -117,6 +119,27 @@ class WeylWord:
         return "1" if not self.letters else "w[" + "".join(str(i) for i in self.letters) + "]"
 
 
+class WeylWalk(list):
+    """The (root permutation, shortlex word) pairs ``weyl_elements`` lists, with its walk.
+
+    Element k > 0 is w = u s_j with u its shortlex prefix, found before it;
+    ``steps[k - 1]`` is (index of u, j, position of the positive root
+    u(alpha_j)), so N(w) is N(u) plus that root.  An element is determined
+    by the positions of its images of the simple roots, ``key(perm)``, and
+    ``index`` maps that key to the element's index, in walk order.
+    """
+
+    def __init__(self, key: Callable[[Sequence[int]], tuple[int, ...]]):
+        super().__init__()
+        self.key, self.steps, self.index = key, [], {}
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """perm -> tuple(perm[p] for p in positions), one C call when there are two or more."""
+    get = operator.itemgetter(*positions)
+    return get if len(positions) > 1 else lambda perm: (get(perm),)
+
+
 _PRESET_DATA = {
     # name: (cartan rows, folded, nonsplit label)
     "split_D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
@@ -140,8 +163,8 @@ class RootSystem:
     def __init__(self, name: str, cartan: Sequence[Sequence[int]], *,
                  folded: bool, labels: Mapping[int, FieldLabel]):
         self.name = name
-        self.rank = len(cartan)
         self.cartan = _validate_cartan(cartan)
+        self.rank = len(self.cartan)
         self.folded = folded
         self.symmetrizer = _symmetrizer(self.cartan)
         _check_finite_type(self.cartan, self.symmetrizer)
@@ -152,7 +175,7 @@ class RootSystem:
         # self.pairing[i] is the vector subtracted (times s_i) by reflection i
         self._simple_labels = {i: labels[i] for i in range(1, self.rank + 1)}
         self._generate()
-        self._weyl_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], WeylWord]]] = {}
+        self._weyl_cache: dict[tuple[int, ...], WeylWalk] = {}
         self._inversion_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
 
     # -- construction -----------------------------------------------------
@@ -307,7 +330,7 @@ class RootSystem:
             perm = self._times[i - 1](perm)
         return perm
 
-    def weyl_elements(self, levi: Iterable[int] = ()) -> list[tuple[tuple[int, ...], WeylWord]]:
+    def weyl_elements(self, levi: Iterable[int] = ()) -> WeylWalk:
         """Minimal representatives of W_L \\ W as (root permutation, shortlex word).
 
         With the default empty Levi this is all of W.  The representatives are
@@ -315,7 +338,8 @@ class RootSystem:
         them exactly when w(alpha_i) is a positive root other than a Levi
         simple root (Deodhar's lemma), so the breadth-first walk visits
         |W| / |W_L| elements.  Words are the lexicographically least reduced
-        words, listed in shortlex order.
+        words, listed in shortlex order.  The list is cached per Levi, with
+        the walk's steps and element index (``WeylWalk``).
         """
         key = tuple(sorted(set(levi)))
         cached = self._weyl_cache.get(key)
@@ -332,23 +356,29 @@ class RootSystem:
                 f"{size} Weyl elements to enumerate on {self.name}, above the bound "
                 f"{_MAX_WEYL_ELEMENTS}", size=size, bound=_MAX_WEYL_ELEMENTS)
         n = len(self.positive_roots)
-        steps = list(zip(range(1, self.rank + 1), self._simple_pos, self._times))
+        simple = self._simple_pos
+        # (w s_i)(alpha_j) = w(s_i alpha_j): the key of w s_i read off w's permutation
+        letters = [(i, pos, times, _getter([gen[p] for p in simple]))
+                   for i, (pos, times, gen) in enumerate(zip(simple, self._times, self._gens), 1)]
         ident = tuple(range(2 * n))
-        seen = {ident}
-        order: list[tuple[tuple[int, ...], WeylWord]] = [(ident, WeylWord())]
+        walk = WeylWalk(_getter(simple))
+        walk.append((ident, WeylWord()))
+        index, steps = walk.index, walk.steps
+        index[walk.key(ident)] = 0
         # the output list is the queue: prefixes come in shortlex order and
         # letters ascend, so first discoveries are appended in shortlex order
-        for perm, word in order:
-            for i, pos, times in steps:
+        for k, (perm, word) in enumerate(walk):
+            for i, pos, times, step_key in letters:
                 image = perm[pos]
                 if image >= n or image in levi_pos:
                     continue
-                new = times(perm)
-                if new not in seen:
-                    seen.add(new)
-                    order.append((new, WeylWord(word.letters + (i,))))
-        self._weyl_cache[key] = order
-        return order
+                new = step_key(perm)
+                if new not in index:
+                    index[new] = len(walk)
+                    walk.append((times(perm), WeylWord(word.letters + (i,))))
+                    steps.append((k, i, image))
+        self._weyl_cache[key] = walk
+        return walk
 
     def weyl_order(self) -> int:
         return _weyl_group_order(self.positive_roots)
@@ -473,7 +503,9 @@ def _weyl_group_order(positive_roots: Iterable[Root]) -> int:
 
 
 def _validate_cartan(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The Cartan matrix as int rows, refused unless square, nonempty and integral."""
+    """The Cartan matrix as int rows, refused unless a nonempty square list of integer rows."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise NotFiniteTypeError(f"Cartan matrix 'cartan' is {rows!r}, not a list of rows")
     n = len(rows)
     if n == 0:
         raise NotFiniteTypeError("Cartan matrix is empty")
@@ -483,6 +515,8 @@ def _validate_cartan(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             try:
+                if isinstance(x, bool):     # an int to operator.index, not to JSON
+                    raise TypeError
                 cartan[i][j] = operator.index(x)
             except TypeError:
                 raise NotFiniteTypeError(
@@ -561,6 +595,7 @@ def build_system(preset: str, *, cartan: Sequence[Sequence[int]] | None = None,
     if preset == "custom":
         if cartan is None:
             raise UnsupportedGroupError("custom systems need a Cartan matrix")
+        cartan = _validate_cartan(cartan)
         indices = range(1, len(cartan) + 1)
         if labels is None:
             labels = {i: LABEL_F for i in indices}
@@ -572,6 +607,9 @@ def build_system(preset: str, *, cartan: Sequence[Sequence[int]] | None = None,
         if missing:
             raise ConfigError(f"no label for simple index {missing[0]}: a label map "
                               f"must cover every simple index")
+        bad = next((i for i in indices if not isinstance(labels[i], FieldLabel)), None)
+        if bad is not None:
+            raise ConfigError(f"label {bad} is {labels[bad]!r}, not a FieldLabel")
         folded = any(lab.degree > 1 for lab in labels.values())
         return RootSystem("custom", cartan, folded=folded, labels=dict(labels))
     if preset not in _PRESET_DATA:
@@ -601,14 +639,17 @@ def load_custom(document: str | dict) -> RootSystem:
         raise ConfigError(f"custom system is not JSON: {exc}") from None
     if not isinstance(doc, dict) or "cartan" not in doc:
         raise ConfigError("custom system needs a 'cartan' entry")
+    raw = doc.get("labels", {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'labels' is {raw!r}, not a map from simple indices to labels")
     labels = {}
-    for key, val in doc.get("labels", {}).items():
+    for key, val in raw.items():
         try:
             index = int(key)
         except ValueError:
             raise ConfigError(f"label key {key!r} is not a simple index") from None
         try:
-            labels[index] = FieldLabel(val["symbol"], int(val["degree"]))
+            labels[index] = FieldLabel(val["symbol"], val["degree"])
         except KeyError as exc:
             raise ConfigError(f"label {key!r} has no {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:

@@ -5,8 +5,8 @@ read F_w = F_1 J(w) off the character's atom table, expand each id once in
 eps, and carry Laurent data and canonical atom multisets from each
 element's prefix.  The differential tests below rebuild every F_w as one
 ``ZetaExpr`` (``conftest.sharp_f_w``) and compare per word; the negative
-controls swap one root's atoms in the table and expect each check to
-report the failure.
+controls swap one root's atoms in the table, or tamper with one root's
+provenance chain, and expect each check to report the failure.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import pytest
 
 from degeis import eisenstein
 from degeis.characters import TorusCharacter, weyl_act
-from degeis.eisenstein import (_AtomTable, _eps_character, _Expansion, _Multisets, _Walk,
-                               entireness_report, generic_character, sharp_invariance_check)
+from degeis.eisenstein import (_AtomTable, _carry, _eps_character, _Expansion, _inverse_columns,
+                               _left, _Multisets, entireness_report, generic_character,
+                               sharp_invariance_check)
 from degeis.errors import HyperplaneDegeneracyError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
@@ -35,7 +36,7 @@ def system_of(name):
 
 def sampled(walk, name):
     stride = F4_STRIDE if name == "F4" else 1
-    return range(0, len(walk.elements), stride)
+    return range(0, len(walk), stride)
 
 
 def pack(sets, expr):
@@ -44,10 +45,10 @@ def pack(sets, expr):
             + sum(sets.weight(label, m) for label, m in expr.residues))
 
 
-def carried(walk, lam, sets):
+def carried(system, lam, sets):
     """F_w's (order, scalar, packed multiset) in eps for every element, from lam's table."""
-    table = _AtomTable.of_line(walk.system, lam)
-    return walk.carry(table, _Expansion(table, sets, "eps"))
+    table = _AtomTable.of_line(system, lam)
+    return _carry(system.weyl_elements(), table, _Expansion(table, sets, "eps"))
 
 
 def eps_character(system, i, offset):
@@ -68,26 +69,26 @@ def eps_characters(system):
 @pytest.mark.parametrize("name", PRESETS + ["F4"])
 def test_carried_laurent_data_matches_full_builds(name):
     system = system_of(name)
-    walk = _Walk.of(system)
+    walk = system.weyl_elements()
     sets = _Multisets(system)
     for lam in eps_characters(system):
-        f = carried(walk, lam, sets)
+        f = carried(system, lam, sets)
         for k in sampled(walk, name):
-            ld = expand_in(sharp_f_w(system, lam, walk.elements[k][1]), "eps")
+            ld = expand_in(sharp_f_w(system, lam, walk[k][1]), "eps")
             assert not ld.leading.num and not ld.leading.den
             assert f[k] == (ld.order, ld.leading.scalar, pack(sets, ld.leading)), \
-                (name, str(lam), str(walk.elements[k][1]))
+                (name, str(lam), str(walk[k][1]))
 
 
 @pytest.mark.parametrize("name", PRESETS + ["F4"])
 def test_carried_exponents_match_weyl_act(name):
     system = system_of(name)
-    walk = _Walk.of(system)
-    columns = walk.inverse_columns()
+    walk = system.weyl_elements()
+    columns = _inverse_columns(system, walk)
     for i in range(1, system.rank + 1):
         lam = eps_character(system, i, 0)
         for k in sampled(walk, name):
-            word = walk.elements[k][1]
+            word = walk[k][1]
             expected = weyl_act(system, word.inverse(), lam).subs({"eps": 0})
             carried = tuple(
                 AffineForm.of(0, **{f"z{j + 1}": columns[k][j][row]
@@ -99,18 +100,18 @@ def test_carried_exponents_match_weyl_act(name):
 @pytest.mark.parametrize("name", PRESETS + ["F4"])
 def test_carried_invariance_multisets_match_full_builds(name):
     system = system_of(name)
-    walk = _Walk.of(system)
+    walk = system.weyl_elements()
     lam = generic_character(system)
     for i in range(1, system.rank + 1):
         lam_i = weyl_act(system, WeylWord.of(i), lam)
         sets = _Multisets(system)
-        f = carried(walk, lam, sets)
-        f_i = carried(walk, lam_i, sets)
-        left = walk.left(i)
+        f = carried(system, lam, sets)
+        f_i = carried(system, lam_i, sets)
+        left = _left(system, walk, i)
         for k in sampled(walk, name):
-            perm, u = walk.elements[k]
+            perm, u = walk[k]
             partner = WeylWord((i,) + u.letters)
-            assert walk.elements[left[k]][0] == system.perm_of_word(partner)
+            assert walk[left[k]][0] == system.perm_of_word(partner)
             assert f[k] == (0, 1, pack(sets, sharp_f_w(system, lam, u)))
             assert f_i[left[k]] == (0, 1, pack(sets, sharp_f_w(system, lam_i, partner)))
 
@@ -118,10 +119,9 @@ def test_carried_invariance_multisets_match_full_builds(name):
 def test_carry_raises_on_an_atom_that_cannot_be_expanded():
     """No silent (0, 1, 0) data: a pairing identically 0 has no expansion in eps."""
     system = build_system("A1")
-    walk = _Walk.of(system)
     table = _AtomTable.of_line(system, TorusCharacter.of(AffineForm.of(0)))
     with pytest.raises(HyperplaneDegeneracyError) as caught:
-        walk.carry(table, _Expansion(table, _Multisets(system), "eps"))
+        _carry(system.weyl_elements(), table, _Expansion(table, _Multisets(system), "eps"))
     with pytest.raises(HyperplaneDegeneracyError) as reference:
         expand_in(ZetaExpr.atom("F", AffineForm.of(0)), "eps")
     assert caught.value.info == reference.value.info
@@ -205,12 +205,38 @@ def test_h0_reports_a_swapped_atom(monkeypatch, name):
 
 def test_h0_reports_mismatched_exponents(monkeypatch):
     system = build_system("quasi_D4")
-    real = _Walk.inverse_columns
+    real = _inverse_columns
 
-    def shuffled(walk):
-        columns = real(walk)
+    def shuffled(system, walk):
+        columns = real(system, walk)
         return columns[1:] + columns[:1]
 
-    monkeypatch.setattr(_Walk, "inverse_columns", shuffled)
+    monkeypatch.setattr(eisenstein, "_inverse_columns", shuffled)
     rep = entireness_report(system)
     assert rep.boundary_ok and not rep.h0_ok
+
+
+def tampered(system, root, entry):
+    """The system's provenance with one positive root's entry replaced."""
+    prov = list(system._provenance)
+    prov[root] = entry
+    return tuple(prov)
+
+
+@pytest.mark.parametrize("name", ["G2", "quasi_D4", "split_D4"])
+def test_orbit_reports_a_tampered_provenance(monkeypatch, name):
+    system = build_system(name)
+    assert entireness_report(system).orbit_ok
+    n = len(system.positive_roots)
+    highest = n - 1
+    letter, parent = system._provenance[highest]
+    wrong = next(j for j in range(1, system.rank + 1)
+                 if system._gens[j - 1][parent] != highest)
+    fixed = next((j, highest) for j in range(1, system.rank + 1)
+                 if system._gens[j - 1][highest] == highest)
+    # a link that is not a simple reflection, a chain that stops above the
+    # simple roots, and a chain that loops on a root its letter fixes
+    for entry in ((wrong, parent), None, fixed):
+        monkeypatch.setattr(system, "_provenance", tampered(system, highest, entry))
+        rep = entireness_report(system)
+        assert rep.boundary_ok and rep.h0_ok and not rep.orbit_ok and not rep.entire, entry

@@ -203,6 +203,46 @@ def test_weyl_orders(split, quasi, tri, g2, a1):
         assert system.weyl_order() == len(system.weyl_elements())
 
 
+def walk_cases():
+    """(id, system, levi): the presets and custom F4 over all of W, and every F4 maximal Levi."""
+    for preset in ("split_D4", "quasi_D4", "tri_D4", "G2", "A1"):
+        yield preset, build_system(preset), ()
+    f4 = build_system("custom", cartan=F4_CARTAN)
+    yield "F4", f4, ()
+    for node in range(1, 5):
+        yield f"F4-{node}", f4, tuple(j for j in range(1, 5) if j != node)
+
+
+@pytest.mark.parametrize("system,levi", [case[1:] for case in walk_cases()],
+                         ids=[case[0] for case in walk_cases()])
+def test_walk_steps_extend_each_parent_by_one_letter(system, levi):
+    walk = system.weyl_elements(levi)
+    n = len(system.positive_roots)
+    assert walk[0] == (tuple(range(2 * n)), WeylWord())
+    assert len(walk.steps) == len(walk) - 1
+    for k, (parent, j, image) in enumerate(walk.steps, start=1):
+        perm, word = walk[k]
+        parent_perm, parent_word = walk[parent]
+        assert parent < k
+        assert word == WeylWord(parent_word.letters + (j,))
+        assert perm == system.perm_of_word(word) == system._times[j - 1](parent_perm)
+        # the root the step adds to N(w): the parent's image of alpha_j, positive
+        assert image == parent_perm[system._simple_pos[j - 1]] < n
+
+
+@pytest.mark.parametrize("system,levi", [case[1:] for case in walk_cases()],
+                         ids=[case[0] for case in walk_cases()])
+def test_walk_index_round_trips_and_the_walk_is_cached(system, levi):
+    walk = system.weyl_elements(levi)
+    assert list(walk.index.values()) == list(range(len(walk)))
+    for k, (perm, _) in enumerate(walk):
+        key = walk.key(perm)
+        assert key == tuple(perm[p] for p in system._simple_pos)
+        assert walk.index[key] == k
+    assert system.weyl_elements(levi) is walk
+    assert system.weyl_elements(tuple(reversed(levi)) * 2) is walk
+
+
 def test_weyl_order_of_reducible_systems():
     # A1 x A2 and A1 x A1: the height-partition formula multiplies over components
     a1_a2 = build_system("custom", cartan=[[2, 0, 0], [0, 2, -1], [0, -1, 2]])
@@ -254,6 +294,22 @@ def test_non_integer_or_empty_cartan_is_refused(cartan, match):
 A2_CARTAN = [[2, -1], [-1, 2]]
 
 
+@pytest.mark.parametrize("cartan", [[2], 5, "22"], ids=["flat-list", "number", "string"])
+def test_cartan_that_is_not_a_list_of_rows_is_refused(cartan):
+    with pytest.raises(NotFiniteTypeError, match="'cartan' is .*, not a list of rows"):
+        build_system("custom", cartan=cartan)
+    with pytest.raises(NotFiniteTypeError, match="'cartan' is .*, not a list of rows"):
+        load_custom({"cartan": cartan})
+
+
+def test_boolean_cartan_entries_are_refused():
+    # operator.index reads false and true as 0 and 1, which would build A1 x A1
+    with pytest.raises(NotFiniteTypeError, match=r"entry \(1, 2\) is False"):
+        load_custom('{"cartan": [[2, false], [false, 2]]}')
+    with pytest.raises(NotFiniteTypeError, match=r"entry \(2, 1\) is True"):
+        build_system("custom", cartan=[[2, 0], [True, 2]])
+
+
 def _label(symbol, degree):
     return {"symbol": symbol, "degree": degree}
 
@@ -289,6 +345,23 @@ def test_label_key_that_is_not_an_index_is_refused():
 def test_label_key_beyond_the_rank_is_refused():
     labels = {"3": _label("F", 1)}
     with pytest.raises(ConfigError, match="label index 3 is not a simple index 1..2"):
+        load_custom({"cartan": A2_CARTAN, "labels": labels})
+
+
+def test_label_map_with_strings_for_labels_is_refused():
+    with pytest.raises(ConfigError, match="label 1 is 'F', not a FieldLabel"):
+        build_system("custom", cartan=A2_CARTAN, labels={1: "F", 2: "F"})
+
+
+def test_labels_given_as_a_list_are_refused():
+    with pytest.raises(ConfigError, match="'labels' is \\['F', 'F'\\], not a map"):
+        load_custom({"cartan": A2_CARTAN, "labels": ["F", "F"]})
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "string"])
+def test_label_degree_that_is_not_an_integer_is_refused(degree):
+    labels = {"1": _label("K", degree), "2": _label("K", 2)}
+    with pytest.raises(ConfigError, match=f"label '1'.*degree {degree!r} is not an integer"):
         load_custom({"cartan": A2_CARTAN, "labels": labels})
 
 

@@ -21,7 +21,11 @@ calls ``pole_report`` directly, on the four F4 maximal parabolics and E6
 without node 1 along the chi line delta_P^{s+1/2} delta_B^{-1/2}, at the same
 81 points with and without ``assume_no_real_zeros``; it hashes each report's
 order, square-integrability, surviving exponents and groups (exponent, words,
-order, leading term, log flag), or the error's code.
+order, leading term, log flag), or the error's code.  The ``appendix``
+family calls the appendix checks directly on custom F4, B3, C3 and G2 with
+its nodes swapped: ``sharp_invariance_check`` for every simple index (the
+flag and the returned word), ``entireness_report`` (all four fields) and
+``h0_cancellation_check`` for every simple index on a fixed sample of words.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degeis import build_system, cli, constant_term, pole_report  # noqa: E402
-from degeis.characters import _chi_line  # noqa: E402
+from degeis.eisenstein import (entireness_report, h0_cancellation_check,  # noqa: E402
+                               sharp_invariance_check)
+from degeis.characters import _delta_line  # noqa: E402
 from degeis.errors import DegeisError  # noqa: E402
+from degeis.rootdata import WeylWord  # noqa: E402
 
 GROUPS = ("D4", "2D4", "3D4", "G2", "A1")
 
@@ -130,7 +137,7 @@ def library_calls():
     for name, cartan, node in MAXIMAL:
         system = build_system("custom", cartan=cartan)
         levi = tuple(i for i in range(1, system.rank + 1) if i != node)
-        ct = constant_term(system, levi, _chi_line(system, levi, "s"))
+        ct = constant_term(system, levi, _delta_line(system, levi, Fraction(1, 2)))
         for point in POINTS:
             for assume in (False, True):
                 label = ["pole_report", name, str(node), str(point), str(assume)]
@@ -140,6 +147,38 @@ def library_calls():
                     yield label, exc.code, "", str(exc)
                 else:
                     yield label, "ok", _report(rep), ""
+
+
+B3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+C3_CARTAN = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+G2_SWAPPED = [[2, -1], [-3, 2]]
+# (name, Cartan matrix, stride through the shortlex list of W for the h0 sample)
+APPENDIX = [("F4", F4_CARTAN, 97), ("B3", B3_CARTAN, 7), ("C3", C3_CARTAN, 7),
+            ("G2-swapped", G2_SWAPPED, 1)]
+
+
+def appendix_calls():
+    """The appendix checks on custom systems, as library_calls yields them.
+
+    The h0 sample is every stride-th shortlex element of W, the longest one,
+    and the non-reduced word 1 1 2.
+    """
+    for name, cartan, stride in APPENDIX:
+        system = build_system("custom", cartan=cartan)
+        indices = range(1, system.rank + 1)
+        for i in indices:
+            passed, word = sharp_invariance_check(system, i)
+            yield ["sharp_invariance_check", name, str(i)], "ok", json.dumps(
+                [passed, None if word is None else str(word)]), ""
+        rep = entireness_report(system)
+        yield ["entireness_report", name], "ok", json.dumps(
+            [rep.boundary_ok, rep.h0_ok, rep.orbit_ok, rep.checked_words]), ""
+        words = [word for _, word in system.weyl_elements()]
+        sample = words[::stride] + [words[-1], WeylWord.of(1, 1, 2)]
+        for i in indices:
+            for word in sample:
+                yield (["h0_cancellation_check", name, str(i), str(word)], "ok",
+                       json.dumps(h0_cancellation_check(system, i, word)), "")
 
 
 USAGE = [
@@ -179,6 +218,7 @@ FAMILIES = {
     "tate-divergent": lambda: cli_calls(tate_commands(True)),
     "usage": lambda: cli_calls(USAGE),
     "library": library_calls,
+    "appendix": appendix_calls,
 }
 
 
