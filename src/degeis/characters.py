@@ -106,7 +106,7 @@ def weyl_act(system: RootSystem, word: WeylWord, char: TorusCharacter) -> TorusC
         system._check_index(i)
         s_i = coords[i - 1]
         row = system.pairing[i - 1]
-        coords = [c - s_i * r if r else c for c, r in zip(coords, row)]
+        coords = [c._plus(s_i, -r) if r else c for c, r in zip(coords, row)]
     return TorusCharacter(tuple(coords))
 
 

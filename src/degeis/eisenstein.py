@@ -13,8 +13,10 @@ where J(w, s) is the Gindikin-Karpelevich factor
 
 Pole analysis groups the terms by the value of their exponent at the point;
 distinct limit exponents are linearly independent characters and never
-cancel.  Within a group the Laurent expansion is carried to the first two
-orders with the log-t correction
+cancel.  The values are integer numerators over one denominator, carried
+along the coset walk like the generic exponents: lambda(s0) once, then one
+integer simple reflection per term.  Within a group the Laurent expansion is
+carried to the first two orders with the log-t correction
 
     t^{exp_w(s)} = t^{exp_w(s0)} (1 + (s - s0) <exp_w'(s0), log t> + ...),
 
@@ -27,13 +29,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import (HyperplaneDegeneracyError, IndeterminateZeroRegionError,
                      NeedsHigherLogOrderError, UnsupportedGroupError)
-from .forms import AffineForm, Q, Rat, _q
+from .forms import AffineForm, Q, Rat, _q, _ratio, _ratio_str
 from .rootdata import RootSystem, WeylWalk, WeylWord, _getter
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, atom_limit, canonical_arg,
                     expand_in, form_limit, laurent_at, shift_form)
@@ -61,7 +64,8 @@ class _AtomTable:
     so the Laurent data of every term follows from one expansion per id
     (``_Expansion``).  A line's table keeps the pairings it was built from,
     and ``roots[k]`` holds the (plain, shifted) ids of the positive root at
-    position k.
+    position k.  A constant term's table also keeps the coset walk's
+    ``steps``, term k being its parent's times one simple reflection.
     """
 
     def __init__(self):
@@ -70,6 +74,7 @@ class _AtomTable:
         self.roots: list[tuple[int, int]] = []
         self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
+        self.steps: list[tuple[int, int, int]] | None = None
 
     def intern(self, key: object) -> int:
         if key not in self.ids:
@@ -167,21 +172,23 @@ def constant_term(system: RootSystem, levi: Iterable[int],
 
     The walk lists every w = u s_i after its prefix u, so the inversion set
     extends u's by one root and the exponent is
-    (u s_i)^{-1} lambda = s_i (u^{-1} lambda).  Each J(w) is read off the
-    line's atom table.
+    (u s_i)^{-1} lambda = s_i (u^{-1} lambda): one ``weyl_act`` of the
+    step's letter on the parent's exponent.  Each J(w) is read off the
+    line's atom table, which keeps the walk's steps for the exponents at a
+    point (``_exponents_at``).
     """
     levi_set = tuple(levi)
     table = _AtomTable.of_line(system, line)
-    exponents = {(): line}
+    table.steps = system.weyl_elements(levi_set).steps
+    exponents = [line]
+    for parent, i, _ in table.steps:
+        exponents.append(weyl_act(system, WeylWord.of(i), exponents[parent]))
     one = Q(1)
     terms = []
-    for word in coset_reps(system, levi_set):
-        if word.letters:
-            exponents[word.letters] = weyl_act(system, WeylWord(word.letters[-1:]),
-                                               exponents[word.letters[:-1]])
+    for word, exponent in zip(coset_reps(system, levi_set), exponents):
         counts = table.counts(system._inversions(word))
         table.terms.append((one, counts))
-        terms.append(GKTerm(word, table.expr(counts), exponents[word.letters]))
+        terms.append(GKTerm(word, table.expr(counts), exponent))
     return ConstantTerm(system, levi_set, line, tuple(terms), table)
 
 
@@ -315,12 +322,44 @@ class _Expansion:
 
 
 def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
-    """The atom table of ct (interned here for terms built by hand) and ct's parameters."""
-    table = ct.table if ct.table is not None else _AtomTable.of_terms(ct.terms)
+    """The atom table of ct (interned here for terms built by hand) and ct's parameters.
+
+    Every factor and exponent of a walk-built term is linear in the line's
+    coordinates, and the first exponent is the line: its parameters are ct's.
+    """
+    if ct.table is not None:
+        return ct.table, list(ct.line.params)
+    table = _AtomTable.of_terms(ct.terms)
     params = table.params()
     for t in ct.terms:
         params.update(t.exponent.params)
     return table, sorted(params)
+
+
+def _exponents_at(ct: ConstantTerm,
+                  assignment: Mapping[str, Q]) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, numerators): term k's exponent at the point is numerators[k] / den.
+
+    On a walk-built table the line is evaluated once and put over the lcm of
+    its denominators; each step's reflection x -> x - x_i * pairing[i] keeps
+    the numerators integers over that denominator.  Terms built by hand are
+    not walk-ordered, and each exponent is evaluated.  One positive
+    denominator for all terms makes the integer tuples sort as the
+    ``Fraction`` tuples do.
+    """
+    if ct.table is None:
+        values = [t.exponent.evaluate(assignment) for t in ct.terms]
+        den = lcm(*(x.denominator for v in values for x in v))
+        return den, [tuple(x.numerator * (den // x.denominator) for x in v) for v in values]
+    ratios = [_ratio(x) for x in ct.line.evaluate(assignment)]
+    den = lcm(*(q for _, q in ratios))
+    out = [tuple(p * (den // q) for p, q in ratios)]
+    pairing = ct.system.pairing
+    for parent, i, _ in ct.table.steps:
+        x = out[parent]
+        x_i = x[i - 1]
+        out.append(tuple(c - x_i * r for c, r in zip(x, pairing[i - 1])) if x_i else x)
+    return den, out
 
 
 _Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, key, counts
@@ -329,6 +368,9 @@ _Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, k
 def _group_order(system: RootSystem, members: list[_Member], param: str,
                  expansion: _Expansion) -> tuple[int, ZetaExpr | None, bool]:
     """Order of the sum of a group of terms sharing one limit exponent."""
+    if len(members) == 1:
+        _, order, scalar, _, counts = members[0]
+        return order, expansion.leading(scalar, counts), False
     m = min(order for _, order, _, _, _ in members)
     lowest = [member for member in members if member[1] == m]
     # add up the leading scalars of each monomial
@@ -369,18 +411,18 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     assignment = {params[0]: pt}
     expansion = _Expansion(table, _Multisets(system, table.bound()), _EPS, assignment,
                            assume_no_real_zeros)
-    grouped: dict[tuple[Q, ...], list[_Member]] = {}
-    for term, (scalar, counts) in zip(ct.terms, table.terms):
+    den, exps = _exponents_at(ct, assignment)
+    grouped: dict[tuple[int, ...], list[_Member]] = {}
+    for term, (scalar, counts), exp0 in zip(ct.terms, table.terms, exps):
         order, leading, key = expansion.term(scalar, counts)
-        exp0 = term.exponent.evaluate(assignment)
         grouped.setdefault(exp0, []).append((term, order, leading, key, counts))
 
     groups = []
     for exp0 in sorted(grouped):
         members = grouped[exp0]
         order, leading, log_term = _group_order(system, members, params[0], expansion)
-        groups.append(TermGroup(exp0, tuple(t.word for t, *_ in members),
-                                order, leading, log_term))
+        groups.append(TermGroup(tuple(Q(x, den) for x in exp0),
+                                tuple(t.word for t, *_ in members), order, leading, log_term))
     overall = max(0, max(-g.order for g in groups))
     surviving = tuple(g.exponent_at_point for g in groups if -g.order == overall)
     sq = all(all(x < 0 for x in root_basis_coords(system, exp)) for exp in surviving)
@@ -702,16 +744,16 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     assignment = {params[0] if params else "s": pt}
     expansion = _Expansion(table, _Multisets(ct.system, table.bound()), _EPS, assignment,
                            assume_no_real_zeros)
+    den, exps = _exponents_at(ct, assignment)
     rows = []
-    for term, (scalar, counts) in zip(ct.terms, table.terms):
+    for term, (scalar, counts), exp_val in zip(ct.terms, table.terms, exps):
         order = expansion.term(scalar, counts)[0]
-        exp_val = term.exponent.evaluate(assignment)
         rows.append({
             "word": str(term.word),
             "j_factor": str(term.j_factor),
             "pole_order": pole_order_of(order),
             "exponent": str(term.exponent),
-            "exponent_at_point": "(" + ",".join(str(x) for x in exp_val) + ")",
+            "exponent_at_point": "(" + ",".join(_ratio_str(x, den) for x in exp_val) + ")",
         })
     return rows
 

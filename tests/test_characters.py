@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degeis.characters import (TorusCharacter, iota_check, line_chi_P,
                                line_chi_Q, line_kappa, line_mu_P, line_mu_Q,
@@ -9,9 +12,9 @@ from degeis.characters import (TorusCharacter, iota_check, line_chi_P,
                                root_basis_coords, weyl_act)
 from degeis.errors import UnsupportedGroupError
 from degeis.forms import AffineForm
-from degeis.rootdata import WeylWord
+from degeis.rootdata import WeylWord, build_system
 
-from conftest import af
+from conftest import F4_CARTAN, af
 
 
 def test_modular_characters_closed_forms(quasi, split, tri):
@@ -92,6 +95,41 @@ def test_weyl_act_respects_reduction(quasi):
         word = WeylWord(tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 8))))
         red = quasi.reduce(word)
         assert weyl_act(quasi, word, lam).coords == weyl_act(quasi, red, lam).coords
+
+
+def reference_weyl_act(system, word, char):
+    """weyl_act as the subtraction of a scaled form: c - s_i * r per coordinate."""
+    coords = list(char.coords)
+    for i in reversed(word.letters):
+        s_i = coords[i - 1]
+        coords = [c - s_i * r if r else c for c, r in zip(coords, system.pairing[i - 1])]
+    return tuple(coords)
+
+
+@cache
+def _system(name):
+    return build_system("custom", cartan=F4_CARTAN) if name == "F4" else build_system(name)
+
+
+_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def _actions(draw):
+    """A system (folded ones included), a character in s and t and a word, any length."""
+    system = _system(draw(st.sampled_from(["split_D4", "quasi_D4", "tri_D4", "G2", "A1", "F4"])))
+    char = TorusCharacter(tuple(AffineForm.of(draw(_coeffs), s=draw(_coeffs), t=draw(_coeffs))
+                                for _ in range(system.rank)))
+    word = WeylWord(tuple(draw(st.lists(st.integers(1, system.rank), max_size=12))))
+    return system, char, word
+
+
+@settings(max_examples=200, deadline=None)
+@given(_actions())
+def test_weyl_act_matches_the_subtraction_of_scaled_forms(case):
+    """One ``_plus`` per coordinate gives the same normalised forms as c - s_i * r."""
+    system, char, word = case
+    assert weyl_act(system, word, char).coords == reference_weyl_act(system, word, char)
 
 
 def test_pairing_invariance_under_weyl(quasi, split, g2):

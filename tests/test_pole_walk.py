@@ -4,19 +4,23 @@
 J(w) is a list of (id, count) pairs over them.  ``pole_report`` and
 ``render_table_rows`` expand each id once per point and sum over the counts.
 These tests hold that path against ``laurent_at`` of each term's J and
-against a from-scratch ``ZetaExpr.build``, and gate its build counts.
+against a from-scratch ``ZetaExpr.build``, and gate its build counts.  The
+exponents at the point are carried along the coset walk as integers over
+one denominator; they are held against ``TorusCharacter.evaluate`` of each
+term, and the reports against the same terms built by hand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from degeis import eisenstein, zetas
-from degeis.characters import TorusCharacter, chi_line_for, weyl_act
-from degeis.eisenstein import (ConstantTerm, GKTerm, _AtomTable, _Expansion, _Multisets,
-                               constant_term, pole_report, render_table_rows)
+from degeis.characters import TorusCharacter, _delta_line, chi_line_for, weyl_act
+from degeis.eisenstein import (ConstantTerm, GKTerm, _AtomTable, _Expansion, _exponents_at,
+                               _Multisets, constant_term, pole_report, render_table_rows)
 from degeis.errors import DegeisError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
@@ -37,6 +41,10 @@ def _outcome(call):
         return call()
     except DegeisError as exc:
         return "raises", type(exc), str(exc), exc.info
+
+
+def _raised(outcome):
+    return isinstance(outcome, tuple) and outcome[0] == "raises"
 
 
 def compare(ct, point, assume):
@@ -116,9 +124,8 @@ def test_constant_pairings_cancel_without_raising(coords):
     assert cancelled
 
 
-def test_terms_built_by_hand_match_laurent_at(quasi):
-    """Affine factors, residue symbols and scalars are interned on entry."""
-    lam = TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2))
+def _built_by_hand(quasi, lam):
+    """Terms with affine factors, residue symbols and scalars, one per element of W."""
     lpoly = sharp_l_poly(quasi, lam)
     terms = []
     for k, (_, w) in enumerate(quasi.weyl_elements()):
@@ -126,7 +133,12 @@ def test_terms_built_by_hand_match_laurent_at(quasi):
         if k % 3 == 0:
             j = j * ZetaExpr.residue_symbol("F", k % 2 + 1) / xi("K", 2, 1)
         terms.append(GKTerm(w, j, weyl_act(quasi, w.inverse(), lam)))
-    ct = ConstantTerm(quasi, (), lam, tuple(terms))
+    return ConstantTerm(quasi, (), lam, tuple(terms))
+
+
+def test_terms_built_by_hand_match_laurent_at(quasi):
+    """Affine factors, residue symbols and scalars are interned on entry."""
+    ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2)))
     for point in (Q(0), Q(1), Q(-2), Q(1, 2), Q(1, 3), Q(-1, 4)):
         for assume in (False, True):
             bad, first_error = compare(ct, point, assume)
@@ -219,3 +231,109 @@ def test_pole_report_builds_nothing(monkeypatch):
     rep = pole_report(ct, Q(1, 2))
     assert len(rep.groups) == 192
     assert (counter.builds, counter.laurents) == (0, 0)
+
+
+# -- the exponents at the point, carried along the walk ----------------------------
+
+def chi_cases():
+    """The 15 preset lines, then F4 without each node and E6 without node 1 on the chi line."""
+    yield from sweep_cases()
+    for case_id, system, levi, _ in exceptional_cases():
+        yield case_id, system, levi, _delta_line(system, levi, Q(1, 2))
+
+
+CARRY_POINTS = POOL[::5]
+
+
+def reference_groups(ct, point):
+    """(exponent at the point, words) per distinct exponent, from evaluate and Fractions."""
+    grouped = {}
+    for term in ct.terms:
+        grouped.setdefault(term.exponent.evaluate({"s": point}), []).append(term.word)
+    return [(exp, tuple(words)) for exp, words in sorted(grouped.items())]
+
+
+def _check_reports(ct, hand, point):
+    """Both reports of ct agree with those of the same terms built by hand,
+    and pole_report groups as the Fraction tuples sort."""
+    for assume in (False, True):
+        rep = _outcome(lambda: pole_report(ct, point, assume_no_real_zeros=assume))
+        assert rep == _outcome(lambda: pole_report(hand, point, assume_no_real_zeros=assume))
+        if not _raised(rep):
+            assert [(g.exponent_at_point, g.words) for g in rep.groups] == \
+                reference_groups(ct, point)
+        rows = _outcome(lambda: render_table_rows(ct, point, assume_no_real_zeros=assume))
+        assert rows == _outcome(
+            lambda: render_table_rows(hand, point, assume_no_real_zeros=assume))
+        if not _raised(rows):
+            assert [r["exponent_at_point"] for r in rows] == [
+                "(" + ",".join(str(x) for x in t.exponent.evaluate({"s": point})) + ")"
+                for t in ct.terms]
+
+
+@pytest.mark.parametrize("case", list(chi_cases()), ids=lambda case: case[0])
+def test_carried_exponents_match_evaluate(case):
+    """Each carried numerator over den is the term's exponent evaluated at the point,
+    the int tuples sort as the Fraction tuples do, and the reports do not change."""
+    _, system, levi, line = case
+    ct = constant_term(system, levi, line)
+    hand = ConstantTerm(system, ct.levi, line, ct.terms)
+    for point in CARRY_POINTS:
+        assignment = {"s": point}
+        den, exps = _exponents_at(ct, assignment)
+        values = [t.exponent.evaluate(assignment) for t in ct.terms]
+        assert den > 0
+        assert [tuple(Q(x, den) for x in e) for e in exps] == values
+        assert [tuple(Q(x, den) for x in e) for e in sorted(set(exps))] == sorted(set(values))
+        # the line is term 0 and every reflection is integral: the same denominator
+        assert _exponents_at(hand, assignment) == (den, exps)
+        _check_reports(ct, hand, point)
+
+
+def test_terms_built_by_hand_group_as_before(quasi):
+    """Terms in no walk order, with exponents over 2 and 3, group by the Fraction order."""
+    ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, Q(1, 2)), af(Q(1, 3), 2)))
+    ct = ConstantTerm(quasi, (), ct.line, ct.terms[::-1])
+    for point in (Q(0), Q(1), Q(-2), Q(1, 2), Q(1, 3), Q(-1, 4)):
+        den, exps = _exponents_at(ct, {"s": point})
+        assert [tuple(Q(x, den) for x in e) for e in exps] == [
+            t.exponent.evaluate({"s": point}) for t in ct.terms]
+        rep = _outcome(lambda: pole_report(ct, point, assume_no_real_zeros=True))
+        if not _raised(rep):
+            assert [(g.exponent_at_point, g.words) for g in rep.groups] == \
+                reference_groups(ct, point)
+            assert rep.surviving_exponents == tuple(
+                g.exponent_at_point for g in rep.groups if -g.order == rep.order)
+
+
+def test_hand_built_exponents_go_over_the_lcm_of_their_denominators(a1):
+    """Values over 2 and 3 go over 6, and stay two groups in the Fraction order."""
+    terms = (GKTerm(WeylWord(), xi("F", 2), TorusCharacter.of(af(1, Q(1, 2)))),
+             GKTerm(WeylWord.of(1), xi("F", 1), TorusCharacter.of(af(1, Q(1, 3)))))
+    ct = ConstantTerm(a1, (), TorusCharacter.of(af(1)), terms)
+    assert _exponents_at(ct, {"s": Q(0)}) == (6, [(3,), (2,)])
+    rep = pole_report(ct, Q(1, 4), assume_no_real_zeros=True)
+    assert [(g.exponent_at_point, g.words) for g in rep.groups] == reference_groups(ct, Q(1, 4))
+
+
+def test_a_walk_built_report_evaluates_the_line_once(monkeypatch):
+    """D4 Borel at 1/2: each report makes one evaluate call, of the line, and rank subs."""
+    ct = _d4_borel()
+    calls = Counter()
+    evaluate, subs = TorusCharacter.evaluate, AffineForm.subs
+
+    def counted_evaluate(self, point):
+        calls["evaluate"] += 1
+        return evaluate(self, point)
+
+    def counted_subs(self, assignment):
+        calls["subs"] += 1
+        return subs(self, assignment)
+
+    monkeypatch.setattr(TorusCharacter, "evaluate", counted_evaluate)
+    monkeypatch.setattr(AffineForm, "subs", counted_subs)
+    for report in (pole_report, render_table_rows):
+        calls.clear()
+        report(ct, Q(1, 2))
+        assert calls == {"evaluate": 1, "subs": ct.system.rank}, report.__name__
+

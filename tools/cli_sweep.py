@@ -10,8 +10,9 @@ the same bytes on every command of the sweep.
     PYTHONHASHSEED=4242 python3 tools/cli_sweep.py > b.txt
     diff a.txt b.txt
 
-``tools/cli_sweep.expected`` pins the output (Python 3.11); CI diffs both
-runs against it, so a change of output must update that file on purpose.
+``tools/cli_sweep.expected`` pins the output, the same on Python 3.10 to
+3.13; CI diffs both runs against it on each of those versions, so a change
+of output must update that file on purpose.
 
 The sweep covers ``table`` and ``poles`` (Markdown and JSON) on the 15
 preset lines at 81 rational points with |p/q| <= 2, ``sw``, ``sharp-check``,
@@ -26,6 +27,8 @@ family calls the appendix checks directly on custom F4, B3, C3 and G2 with
 its nodes swapped: ``sharp_invariance_check`` for every simple index (the
 flag and the returned word), ``entireness_report`` (all four fields) and
 ``h0_cancellation_check`` for every simple index on a fixed sample of words.
+The ``library_table`` family calls ``render_table_rows`` on the same
+maximal parabolics and points as ``library`` and hashes the rows as JSON.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degeis import build_system, cli, constant_term, pole_report  # noqa: E402
 from degeis.eisenstein import (entireness_report, h0_cancellation_check,  # noqa: E402
-                               sharp_invariance_check)
+                               render_table_rows, sharp_invariance_check)
 from degeis.characters import _delta_line  # noqa: E402
 from degeis.errors import DegeisError  # noqa: E402
 from degeis.rootdata import WeylWord  # noqa: E402
@@ -128,25 +131,25 @@ def _report(rep) -> str:
                    for g in rep.groups]})
 
 
-def library_calls():
-    """pole_report at every point of every maximal parabolic.
+def library_calls(name, report, render):
+    """report(ct, point) at every point of every maximal parabolic.
 
-    Yields (label, outcome, report, message): the outcome is "ok" or the
-    code of the typed error raised.
+    Yields (label, outcome, text, message): the outcome is "ok", with
+    render(result) as text, or the code of the typed error raised.
     """
-    for name, cartan, node in MAXIMAL:
+    for group, cartan, node in MAXIMAL:
         system = build_system("custom", cartan=cartan)
         levi = tuple(i for i in range(1, system.rank + 1) if i != node)
         ct = constant_term(system, levi, _delta_line(system, levi, Fraction(1, 2)))
         for point in POINTS:
             for assume in (False, True):
-                label = ["pole_report", name, str(node), str(point), str(assume)]
+                label = [name, group, str(node), str(point), str(assume)]
                 try:
-                    rep = pole_report(ct, point, assume_no_real_zeros=assume)
+                    result = report(ct, point, assume_no_real_zeros=assume)
                 except DegeisError as exc:
                     yield label, exc.code, "", str(exc)
                 else:
-                    yield label, "ok", _report(rep), ""
+                    yield label, "ok", render(result), ""
 
 
 B3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
@@ -217,8 +220,9 @@ FAMILIES = {
     "tate": lambda: cli_calls(tate_commands(False)),
     "tate-divergent": lambda: cli_calls(tate_commands(True)),
     "usage": lambda: cli_calls(USAGE),
-    "library": library_calls,
+    "library": lambda: library_calls("pole_report", pole_report, _report),
     "appendix": appendix_calls,
+    "library_table": lambda: library_calls("render_table_rows", render_table_rows, json.dumps),
 }
 
 
