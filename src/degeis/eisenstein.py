@@ -26,7 +26,6 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
@@ -34,12 +33,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
-from .errors import (HyperplaneDegeneracyError, IndeterminateZeroRegionError,
-                     NeedsHigherLogOrderError, UnsupportedGroupError)
+from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q, _ratio, _ratio_str
 from .rootdata import RootSystem, WeylWalk, WeylWord, _getter
-from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, atom_limit, canonical_arg,
-                    expand_in, form_limit, laurent_at, shift_form)
+from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
+                    _intern, _Multisets, canonical_arg, expand_in, laurent_at)
 
 
 # -- constant terms ---------------------------------------------------------
@@ -49,9 +47,6 @@ class GKTerm:
     word: WeylWord
     j_factor: ZetaExpr
     exponent: TorusCharacter        # w^{-1} . lambda_s, affine in the parameter
-
-
-_Counts = tuple[tuple[int, int], ...]      # (id, count) pairs, ids ascending
 
 
 class _AtomTable:
@@ -76,12 +71,6 @@ class _AtomTable:
         self.terms: list[tuple[Q, _Counts]] = []
         self.steps: list[tuple[int, int, int]] | None = None
 
-    def intern(self, key: object) -> int:
-        if key not in self.ids:
-            self.ids[key] = len(self.keys)
-            self.keys.append(key)
-        return self.ids[key]
-
     @staticmethod
     def of_line(system: RootSystem, line: TorusCharacter) -> "_AtomTable":
         """The two atoms xi(<line,a^vee>) and xi(<line,a^vee>+1) of every positive root a.
@@ -93,8 +82,9 @@ class _AtomTable:
         table = _AtomTable()
         table.pairs = _pairings(system, line)
         args = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0]) for label, p in table.pairs]
-        for key in sorted({(label, arg) for label, *both in args for arg in both}):
-            table.intern(key)
+        _intern(table.ids, ((key, 1) for key in sorted({(label, arg) for label, *both in args
+                                                         for arg in both})))
+        table.keys = list(table.ids)
         table.roots = [(table.ids[(label, plain)], table.ids[(label, shifted)])
                        for label, plain, shifted in args]
         return table
@@ -103,15 +93,8 @@ class _AtomTable:
     def of_terms(terms: Iterable[GKTerm]) -> "_AtomTable":
         """The table of terms built by hand: every factor of every J interned."""
         table = _AtomTable()
-        for term in terms:
-            j = term.j_factor
-            counts: dict[int, int] = {}
-            for key, c in itertools.chain(
-                    (((a.label, a.arg), a.exp) for a in j.atoms),
-                    ((f, 1) for f in j.num), ((f, -1) for f in j.den), j.residues):
-                i = table.intern(key)
-                counts[i] = counts.get(i, 0) + c
-            table.terms.append((j.scalar, tuple(sorted((i, c) for i, c in counts.items() if c))))
+        table.terms = [(t.j_factor.scalar, _intern(table.ids, _factors(t.j_factor))) for t in terms]
+        table.keys = list(table.ids)
         return table
 
     def counts(self, inversions: Iterable[int]) -> _Counts:
@@ -130,15 +113,6 @@ class _AtomTable:
     def bound(self) -> int:
         """The largest total |count| of a term, which bounds any merged count."""
         return max((sum(abs(c) for _, c in counts) for _, counts in self.terms), default=0)
-
-    def params(self) -> set[str]:
-        names: set[str] = set()
-        for key in self.keys:
-            if isinstance(key, AffineForm):
-                names.update(key.params)
-            elif isinstance(key, tuple):
-                names.update(key[1].params)
-        return names
 
 
 @dataclass(frozen=True)
@@ -213,114 +187,6 @@ class PoleReport:
     square_integrable: bool
 
 
-class _Multisets:
-    """Interns keys to small ints and packs a multiset of keys into one int.
-
-    Key number j with multiplicity m adds m << (width * j).  The width leaves
-    room for multiplicities of either sign up to twice the number of positive
-    roots, or up to twice ``bound`` if that is larger, so two packed ints are
-    equal exactly when the multisets are.
-    """
-
-    def __init__(self, system: RootSystem, bound: int = 0):
-        self.ids: dict[object, int] = {}
-        self.width = max(len(system.positive_roots), bound).bit_length() + 2
-
-    def weight(self, key: object, count: int = 1) -> int:
-        return count << (self.width * self.ids.setdefault(key, len(self.ids)))
-
-
-class _Expansion:
-    """Every id of an atom table expanded once as var -> 0.
-
-    The pole reports shift each factor to point + var first; the appendix
-    checks give no point and expand in eps as the factors stand.  Per id:
-    the order of vanishing, the leading scalar (None for 1) and the leading
-    monomial, as its canonical key: (label, arg) of an atom at var = 0,
-    canonical so that atoms meeting there merge, or the label of a residue
-    symbol.  The keys are packed by the shared ``_Multisets``, and a term's
-    Laurent data are then sums over its counts.  An id whose expansion
-    raises is kept aside, and raises again only for a term that contains it,
-    as ``expand_in`` would for that term.  Affine factors come only from
-    terms built by hand, which are always expanded at a point.
-    """
-
-    def __init__(self, table: _AtomTable, sets: _Multisets, var: str,
-                 point: Mapping[str, Q] | None = None, assume_no_real_zeros: bool = False):
-        self.var = var
-        self.assume = assume_no_real_zeros
-        self.data: list[tuple[int, Q | None, int, tuple[str, AffineForm] | str | None]] = []
-        self.failing: dict[int, ZetaAtom] = {}
-        # the leading monomials' ranks and the ranked atom keys, numbered by ``leading``
-        self.ranks: list[int | str | None] | None = None
-        self.atoms: list[tuple[str, AffineForm]] = []
-        for i, key in enumerate(table.keys):
-            if isinstance(key, str):
-                self.data.append((0, None, sets.weight(key), key))
-            elif isinstance(key, AffineForm):
-                zero, lead = form_limit(shift_form(key, point, var), var)
-                self.data.append((zero, lead.const, 0, None))
-            else:
-                label, arg = key
-                if point is not None:
-                    arg = canonical_arg(shift_form(arg, point, var))[0]
-                atom = ZetaAtom(label, arg)
-                try:
-                    limit = atom_limit(atom, var, assume_no_real_zeros=assume_no_real_zeros)
-                except (HyperplaneDegeneracyError, IndeterminateZeroRegionError):
-                    self.failing[i] = atom
-                    self.data.append((0, None, 0, None))
-                    continue
-                if isinstance(limit, ZetaAtom):
-                    lead = (label, canonical_arg(limit.arg)[0])
-                    self.data.append((0, None, sets.weight(lead), lead))
-                else:
-                    self.data.append((-1, limit, sets.weight(label), label))
-
-    def term(self, scalar: Q, counts: _Counts) -> tuple[int, Q, int]:
-        """(order, leading scalar, packed leading monomial) of one term."""
-        if scalar == 0:
-            raise ValueError("Laurent expansion of the zero expression")
-        if self.failing and any(i in self.failing for i, _ in counts):
-            first = min(ZetaAtom(a.label, a.arg, c) for i, c in counts
-                        if (a := self.failing.get(i)) is not None)
-            atom_limit(first, self.var, assume_no_real_zeros=self.assume)   # raises
-        order = key = 0
-        data = self.data
-        for i, c in counts:
-            o, factor, weight, _ = data[i]
-            order += o * c
-            key += weight * c
-            if factor is not None:
-                scalar *= factor ** c
-        return order, scalar, key
-
-    def leading(self, scalar: Q, counts: _Counts) -> ZetaExpr:
-        """scalar (nonzero) times the leading monomial of a term with these counts.
-
-        The first call numbers the distinct atom keys in atom order, as
-        ``_AtomTable.of_line`` numbers a line's atoms, so summing counts per
-        rank and sorting the ranks gives the canonical form: no build.
-        """
-        if self.ranks is None:
-            leads = [lead for *_, lead in self.data]
-            self.atoms = sorted({lead for lead in leads if isinstance(lead, tuple)})
-            rank = {lead: r for r, lead in enumerate(self.atoms)}
-            self.ranks = [rank[lead] if isinstance(lead, tuple) else lead for lead in leads]
-        atoms: dict[int, int] = {}
-        residues: dict[str, int] = {}
-        for i, c in counts:
-            r = self.ranks[i]
-            if isinstance(r, int):
-                atoms[r] = atoms.get(r, 0) + c
-            elif r is not None:
-                residues[r] = residues.get(r, 0) + c
-        return ZetaExpr(scalar,
-                        atoms=tuple(ZetaAtom(*self.atoms[r], c)
-                                    for r, c in sorted(atoms.items()) if c),
-                        residues=tuple(sorted((l, m) for l, m in residues.items() if m)))
-
-
 def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
     """The atom table of ct (interned here for terms built by hand) and ct's parameters.
 
@@ -329,11 +195,8 @@ def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
     """
     if ct.table is not None:
         return ct.table, list(ct.line.params)
-    table = _AtomTable.of_terms(ct.terms)
-    params = table.params()
-    for t in ct.terms:
-        params.update(t.exponent.params)
-    return table, sorted(params)
+    params = {p for t in ct.terms for p in (*t.j_factor.params, *t.exponent.params)}
+    return _AtomTable.of_terms(ct.terms), sorted(params)
 
 
 def _exponents_at(ct: ConstantTerm,
@@ -409,7 +272,7 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     if len(params) != 1:
         raise ValueError(f"pole_report needs a one-parameter line, got {params}")
     assignment = {params[0]: pt}
-    expansion = _Expansion(table, _Multisets(system, table.bound()), _EPS, assignment,
+    expansion = _Expansion(table.keys, _Multisets(table.bound()), _EPS, assignment,
                            assume_no_real_zeros)
     den, exps = _exponents_at(ct, assignment)
     grouped: dict[tuple[int, ...], list[_Member]] = {}
@@ -511,7 +374,7 @@ def sharp_limit(system: RootSystem, levi: Sequence[int], line: TorusCharacter,
     dropped = len(factors) - len(num)   # identically zero along the line: divide out
     expr = ZetaExpr.build(num=num, atoms=_xi_shifted(pairs))
     ld = laurent_at(expr, {param: _q(point)})
-    rescaled = ld.leading * ZetaExpr.build(slope ** (-ld.order))
+    rescaled = ld.leading * slope ** (-ld.order)
     return SharpLimit(ld.order, rescaled, dropped, slope)
 
 
@@ -626,9 +489,9 @@ def sharp_invariance_check(system: RootSystem, simple_index: int) -> tuple[bool,
     if _l_poly(table.pairs) != _l_poly(table_i.pairs):
         return False, WeylWord()
     walk = system.weyl_elements()
-    sets = _Multisets(system)
-    f = _carry(walk, table, _Expansion(table, sets, "eps"))
-    f_i = _carry(walk, table_i, _Expansion(table_i, sets, "eps"))
+    sets = _Multisets(len(system.positive_roots))
+    f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
+    f_i = _carry(walk, table_i, _Expansion(table_i.keys, sets, "eps"))
     for (_, u), here, partner in zip(walk, f, _left(system, walk, simple_index)):
         if f_i[partner] != here:
             return False, u
@@ -652,7 +515,7 @@ def _h0_cancellations(system: RootSystem, walk: WeylWalk, simple_index: int, set
     w^{-1} varpi_j with j != i.
     """
     table = _AtomTable.of_line(system, _eps_character(system, simple_index, 0))
-    f = _carry(walk, table, _Expansion(table, sets, "eps"))
+    f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
     i = simple_index
     results = []
     for k, partner in enumerate(_left(system, walk, i)):
@@ -674,7 +537,7 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
     """
     system._check_index(simple_index)
     walk = system.weyl_elements()
-    results = _h0_cancellations(system, walk, simple_index, _Multisets(system),
+    results = _h0_cancellations(system, walk, simple_index, _Multisets(len(system.positive_roots)),
                                 _inverse_columns(system, walk))
     return results[walk.index[walk.key(system.perm_of_word(word))]]
 
@@ -700,14 +563,14 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     because each positive root is Weyl-conjugate to a simple root.
     """
     walk = system.weyl_elements()
-    sets = _Multisets(system)
+    sets = _Multisets(len(system.positive_roots))
     boundary_ok = True
     for i in range(1, system.rank + 1):
         for offset in (1, -1):
             table = _AtomTable.of_line(system, _eps_character(system, i, offset))
             l_order = expand_in(_l_poly(table.pairs), "eps").order
             # orders are additive, so L * F_w never needs assembling
-            f = _carry(walk, table, _Expansion(table, sets, "eps"))
+            f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
             if any(l_order + order < 0 for order, _, _ in f):
                 boundary_ok = False
     columns = _inverse_columns(system, walk)
@@ -742,8 +605,8 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     if len(params) > 1:
         raise ValueError(f"render_table_rows needs a one-parameter line, got {params}")
     assignment = {params[0] if params else "s": pt}
-    expansion = _Expansion(table, _Multisets(ct.system, table.bound()), _EPS, assignment,
-                           assume_no_real_zeros)
+    # the rows read orders only: no packed monomials
+    expansion = _Expansion(table.keys, None, _EPS, assignment, assume_no_real_zeros)
     den, exps = _exponents_at(ct, assignment)
     rows = []
     for term, (scalar, counts), exp_val in zip(ct.terms, table.terms, exps):

@@ -17,6 +17,12 @@ symbol of xi_L at 1.  Expressions are kept in a canonical form:
   merge by adding exponents.
 
 Two expressions are equal as functions iff their canonical forms coincide.
+
+Laurent data come from one expansion, ``_Expansion``: each factor of a
+table of terms (``_intern``) is taken to its limit once, and a term's data
+are sums over its factor counts.  ``expand_in`` expands an expression as
+the one term of its own table; ``laurent_at`` shifts it to the point, then
+calls ``expand_in``.
 """
 
 from __future__ import annotations
@@ -24,26 +30,35 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import HyperplaneDegeneracyError, IndeterminateZeroRegionError
 from .forms import AffineForm, Q, Rat, _make, _q, _ratio
 
 
-def _primitive(f: AffineForm) -> tuple[AffineForm, int, int]:
-    """Rescale f to integer coprime coefficients with positive lead.
+def _primitive(f: AffineForm, var: str | None = None) -> tuple[AffineForm | None, int, int]:
+    """f, at var = 0 if var is given, rescaled to integer coprime coefficients with positive lead.
 
-    Returns (primitive form, num, den) with f == num/den * primitive.
+    Returns (primitive form, num, den) with f == num/den * primitive, or
+    (None, num, den) when f is the constant num/den.
     """
-    if f.is_zero():
-        raise ValueError("zero form has no primitive representative")
     terms = f.coeff_nums
-    g = gcd(f.const_num, *(c for _, c in terms))
-    if (terms[0][1] if terms else f.const_num) < 0:
+    if var is not None:
+        terms = tuple([t for t in terms if t[0] != var])
+    c = f.const_num
+    if not terms:
+        return None, c, f.den
+    g = gcd(c, *[x for _, x in terms])
+    if terms[0][1] < 0:
         g = -g
     if g == 1 and f.den == 1:
-        return f, 1, 1
-    return _make(1, f.const_num // g, tuple((n, c // g) for n, c in terms)), g, f.den
+        return f if len(terms) == len(f.coeff_nums) else _make(1, c, terms), 1, 1
+    return _make(1, c // g, tuple([(n, x // g) for n, x in terms])), g, f.den
+
+
+def _primitive_order(f: AffineForm) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """The sort key of a primitive form: with denominator 1 it orders as its integers."""
+    return f.const_num, f.coeff_nums
 
 
 def canonical_arg(arg: AffineForm) -> tuple[AffineForm, bool]:
@@ -92,24 +107,14 @@ class ZetaExpr:
         num_sc, den_sc = sc.numerator, sc.denominator
         nn: list[AffineForm] = []
         dd: list[AffineForm] = []
-        for f in num:
-            if f.is_constant():
-                num_sc *= f.const_num
-                den_sc *= f.den
-                continue
-            p, a, b = _primitive(f)
-            num_sc *= a
-            den_sc *= b
-            nn.append(p)
-        for f in den:
-            if f.is_constant():
-                num_sc *= f.den
-                den_sc *= f.const_num
-                continue
-            p, a, b = _primitive(f)
-            num_sc *= b
-            den_sc *= a
-            dd.append(p)
+        for forms, kept, flip in ((num, nn, False), (den, dd, True)):
+            for f in forms:
+                p, a, b = _primitive(f)
+                if flip:
+                    a, b = b, a
+                num_sc, den_sc = num_sc * a, den_sc * b
+                if p is not None:
+                    kept.append(p)
         sc = Q(num_sc, den_sc)
         if sc == 0:
             return ZetaExpr(Q(0))
@@ -128,7 +133,8 @@ class ZetaExpr:
         for l, m in residues:
             res[l] = res.get(l, 0) + m
         rr = tuple(sorted((l, m) for l, m in res.items() if m != 0))
-        return ZetaExpr(sc, tuple(sorted(nn)), tuple(sorted(dd)), at, rr)
+        return ZetaExpr(sc, tuple(sorted(nn, key=_primitive_order)),
+                        tuple(sorted(dd, key=_primitive_order)), at, rr)
 
     @staticmethod
     def one() -> "ZetaExpr":
@@ -233,46 +239,190 @@ class LaurentData:
         return f"order {self.order}, leading {self.leading}"
 
 
-def form_limit(f: AffineForm, var: str) -> tuple[int, AffineForm]:
+def form_limit(f: AffineForm, var: str) -> tuple[int, AffineForm | None, int, int]:
     """Order of vanishing (0 or 1) of an affine factor as var -> 0, and its leading form.
 
     f = a*var vanishes to order 1 with leading coefficient a; any other f
-    leads with itself at var = 0.
+    leads with itself at var = 0.  The leading form comes as ``_primitive``
+    gives it: (primitive form, num, den), the form None for a constant.
     """
-    g = f.drop(var)
-    if not g.is_zero():
-        return 0, g
-    a = f.coeff(var)
+    lead, num, den = _primitive(f, var)
+    if lead is not None or num:
+        return 0, lead, num, den
+    a = next((c for n, c in f.coeff_nums if n == var), 0)
     if a == 0:
         raise ValueError("zero affine factor")
-    return 1, AffineForm.const_form(a)
+    return 1, None, a, f.den
 
 
-def atom_limit(atom: ZetaAtom, var: str, *,
-               assume_no_real_zeros: bool = False) -> Q | ZetaAtom:
-    """Leading behaviour of one atom xi_L(arg)^e as var -> 0.
+def atom_limit(label: str, arg: AffineForm, var: str, *, exp: int = 1,
+               assume_no_real_zeros: bool = False) -> tuple[int, int] | AffineForm:
+    """Leading behaviour of one atom xi_L(arg)^exp as var -> 0.
 
     A polar atom, xi_L(eps) ~ -R_L/eps or xi_L(1+eps) ~ R_L/eps with
-    eps = slope*var, returns its coefficient sign/slope: the atom contributes
-    order -e, that coefficient to the power e and the residue symbol R_L^e.
-    Any other atom returns itself at var = 0, with order 0.  Raises as
-    ``expand_in`` documents.
+    eps = slope*var, returns its coefficient sign/slope as an integer pair
+    (num, den): the atom contributes order -exp, that coefficient to the
+    power exp and the residue symbol R_L^exp.  Any other atom returns its argument at var = 0,
+    with order 0.  Raises as ``expand_in`` documents, naming the atom.
     """
-    arg = atom.arg
     g = arg.drop(var)
     if g.is_constant():
         c, d = g.const_num, g.den
         if c == 0 or c == d:
             slope = next((s for n, s in arg.coeff_nums if n == var), 0)
             if slope == 0:
-                raise HyperplaneDegeneracyError(
-                    f"xi_{atom.label} argument identically {c}", atom=str(atom))
-            return Q(-arg.den if c == 0 else arg.den, slope)
+                raise HyperplaneDegeneracyError(f"xi_{label} argument identically {c}",
+                                                atom=str(ZetaAtom(label, arg, exp)))
+            return -arg.den if c == 0 else arg.den, slope
         if 0 < c < d and not assume_no_real_zeros:
             raise IndeterminateZeroRegionError(
-                f"xi_{atom.label}({g}) lies in (0,1); possible real zero",
-                atom=str(atom))
-    return ZetaAtom(atom.label, g, atom.exp)
+                f"xi_{label}({g}) lies in (0,1); possible real zero",
+                atom=str(ZetaAtom(label, arg, exp)))
+    return g
+
+
+_Counts = tuple[tuple[int, int], ...]      # (id, count) pairs, ids ascending
+
+
+def _factors(expr: ZetaExpr) -> Iterator[tuple[object, int]]:
+    """(key, count) of every factor but the scalar: (label, arg) and e of xi_L(arg)^e,
+    the form and +-1 of an affine factor in num or den, L and m of R_L^m."""
+    return itertools.chain((((a.label, a.arg), a.exp) for a in expr.atoms),
+                           ((f, 1) for f in expr.num), ((f, -1) for f in expr.den),
+                           expr.residues)
+
+
+def _intern(ids: dict[object, int], factors: Iterable[tuple[object, int]]) -> _Counts:
+    """The factors as (id, count) pairs, each new key numbered in ids as it arrives."""
+    counts: dict[int, int] = {}
+    for key, c in factors:
+        i = ids.setdefault(key, len(ids))
+        counts[i] = counts.get(i, 0) + c
+    return tuple(sorted((i, c) for i, c in counts.items() if c))
+
+
+class _Multisets:
+    """Interns keys to small ints and packs a multiset of keys into one int.
+
+    Key number j with multiplicity m adds m << (width * j).  The width leaves
+    room for multiplicities of either sign up to twice ``bound``, so packed
+    multisets of total multiplicity at most ``bound`` are equal as ints
+    exactly when they are equal.
+    """
+
+    def __init__(self, bound: int):
+        self.ids: dict[object, int] = {}
+        self.width = bound.bit_length() + 2
+
+    def weight(self, key: object, count: int = 1) -> int:
+        return count << (self.width * self.ids.setdefault(key, len(self.ids)))
+
+
+class _Expansion:
+    """Every factor key of a table (``_intern``) expanded once as var -> 0.
+
+    The pole reports shift each factor to point + var first; ``expand_in``
+    and the appendix checks expand in var as the factors stand.  Per key:
+    the order of vanishing, the leading scalar and the key of the leading
+    monomial: (label, arg) of an atom at var = 0, canonical so that atoms
+    meeting there merge, the label of a polar atom's or a residue symbol's
+    R_L, or the primitive form of an affine factor left generic by other
+    parameters.  The shared ``_Multisets``, if given, packs these keys, and
+    a term's Laurent data are sums over its counts.  A key whose expansion
+    raises is kept aside, and raises again only for a term that contains it.
+    """
+
+    def __init__(self, keys: Iterable[object], sets: _Multisets | None, var: str,
+                 point: Mapping[str, Q] | None = None, assume_no_real_zeros: bool = False):
+        self.var = var
+        self.assume = assume_no_real_zeros
+        # per key: order, leading scalar as (num, den) or None for 1, packed leading monomial
+        self.data: list[tuple[int, tuple[int, int] | None, int]] = []
+        self.failing: dict[int, tuple[str, AffineForm]] = {}
+        # (kind: 0 R_L, 1 atom, 2 form; sort key; key index; leading key), ranked by ``leading``
+        self.keyed: list[tuple[int, object, int, object]] = []
+        self.leads: list[tuple[int, object]] = []
+        self.ranks: list[int | None] | None = None
+        for i, key in enumerate(keys):
+            order, factor, lead, kind = 0, None, key, 0
+            if isinstance(key, AffineForm):
+                order, lead, num, den = form_limit(
+                    key if point is None else shift_form(key, point, var), var)
+                factor, kind = (num, den), 2
+            elif isinstance(key, tuple):
+                label, arg = key
+                if point is not None:
+                    arg = canonical_arg(shift_form(arg, point, var))[0]
+                try:
+                    limit = atom_limit(label, arg, var, assume_no_real_zeros=assume_no_real_zeros)
+                except (HyperplaneDegeneracyError, IndeterminateZeroRegionError):
+                    self.failing[i], lead = (label, arg), None
+                else:
+                    if isinstance(limit, AffineForm):
+                        lead, kind = (label, canonical_arg(limit)[0]), 1
+                    else:
+                        order, factor, lead = -1, limit, label
+            if lead is not None:
+                self.keyed.append((kind, _primitive_order(lead) if kind == 2 else lead, i, lead))
+            self.data.append((order, None if factor is None or factor[0] == factor[1] else factor,
+                              0 if lead is None or sets is None else sets.weight(lead)))
+
+    def term(self, scalar: Q, counts: _Counts) -> tuple[int, Q, int]:
+        """(order, leading scalar, packed leading monomial) of one term."""
+        if scalar == 0:
+            raise ValueError("Laurent expansion of the zero expression")
+        if self.failing and any(i in self.failing for i, _ in counts):
+            label, arg, c = min((*self.failing[i], c) for i, c in counts if i in self.failing)
+            atom_limit(label, arg, self.var, exp=c, assume_no_real_zeros=self.assume)   # raises
+        order = key = 0
+        num = den = 1
+        data = self.data
+        for i, c in counts:
+            o, factor, weight = data[i]
+            order += o * c
+            key += weight * c
+            if factor is not None:
+                p, q = factor if c > 0 else factor[::-1]
+                num *= p ** abs(c)
+                den *= q ** abs(c)
+        if num != den:
+            scalar = Q(scalar.numerator * num, scalar.denominator * den)
+        return order, scalar, key
+
+    def leading(self, scalar: Q, counts: _Counts) -> ZetaExpr:
+        """scalar (nonzero) times the leading monomial of a term with these counts.
+
+        The first call ranks the distinct leading keys in the order of a
+        canonical ``ZetaExpr``, each kind sorted (forms by
+        ``_primitive_order``).  Summing counts per rank and sorting the ranks
+        then gives the canonical form: no build.
+        """
+        ranks, leads = self.ranks, self.leads
+        if ranks is None:
+            self.ranks = ranks = [None] * len(self.data)
+            last = None
+            for kind, order_key, i, lead in sorted(self.keyed):
+                if (kind, order_key) != last:
+                    leads.append((kind, lead))
+                    last = kind, order_key
+                ranks[i] = len(leads) - 1
+        summed: dict[int, int] = {}
+        for i, c in counts:
+            r = ranks[i]
+            if r is not None:
+                summed[r] = summed.get(r, 0) + c
+        residues, atoms, num, den = [], [], [], []
+        for r, c in sorted(summed.items()):
+            kind, lead = leads[r]
+            if not c:
+                continue
+            if kind == 0:
+                residues.append((lead, c))
+            elif kind == 1:
+                atoms.append(ZetaAtom(*lead, c))
+            else:
+                (num if c > 0 else den).extend([lead] * abs(c))
+        return ZetaExpr(scalar, tuple(num), tuple(den), tuple(atoms), tuple(residues))
 
 
 def expand_in(expr: ZetaExpr, var: str, *,
@@ -284,31 +434,14 @@ def expand_in(expr: ZetaExpr, var: str, *,
     identically 0 or 1 with no var dependence at all cannot be expanded and
     raises hyperplane-degeneracy; a constant argument strictly inside (0,1)
     raises indeterminate-zero-region unless assume_no_real_zeros is set
-    (completed zetas may vanish there).
+    (completed zetas may vanish there).  expr is expanded as the one term of
+    its own factor table.
     """
-    if expr.is_zero():
-        raise ValueError("Laurent expansion of the zero expression")
-    order = 0
-    scalar = expr.scalar
-    num: list[AffineForm] = []
-    den: list[AffineForm] = []
-    for forms, kept, step in ((expr.num, num, 1), (expr.den, den, -1)):
-        for f in forms:
-            zero, lead = form_limit(f, var)
-            order += step * zero
-            kept.append(lead)
-
-    atoms: list[ZetaAtom] = []
-    residues = list(expr.residues)
-    for a in expr.atoms:
-        limit = atom_limit(a, var, assume_no_real_zeros=assume_no_real_zeros)
-        if isinstance(limit, ZetaAtom):
-            atoms.append(limit)
-        else:
-            order -= a.exp
-            scalar *= limit ** a.exp
-            residues.append((a.label, a.exp))
-    return LaurentData(order, ZetaExpr.build(scalar, num, den, atoms, residues))
+    ids: dict[object, int] = {}
+    counts = _intern(ids, _factors(expr))
+    expansion = _Expansion(list(ids), None, var, assume_no_real_zeros=assume_no_real_zeros)
+    order, scalar, _ = expansion.term(expr.scalar, counts)
+    return LaurentData(order, expansion.leading(scalar, counts))
 
 
 def shift_form(f: AffineForm, point: Mapping[str, Rat], var: str) -> AffineForm:

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degeis.characters import TorusCharacter, root_basis_coords
-from degeis.eisenstein import GKTerm, _AtomTable, _Expansion, _Multisets, constant_term
+from degeis.eisenstein import GKTerm, _AtomTable, constant_term
 from degeis.errors import DegeisError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
-from degeis.zetas import _EPS, ZetaAtom, ZetaExpr, atom_limit, shift_form
+from degeis.zetas import (_EPS, ZetaAtom, ZetaExpr, _Expansion, _Multisets, atom_limit,
+                          shift_form)
 
 from conftest import F4_CARTAN, af, e_type, exceptional_cases, sweep_cases
 from reference_solve import ref_root_basis_coords
@@ -41,18 +42,17 @@ def reference_leading(table, point, assume, scalar, counts):
             residues.append((key, c))
         elif isinstance(key, tuple):
             label, arg = key
-            limit = atom_limit(ZetaAtom(label, shift_form(arg, {"s": point}, _EPS)), _EPS,
+            limit = atom_limit(label, shift_form(arg, {"s": point}, _EPS), _EPS,
                                assume_no_real_zeros=assume)
-            if isinstance(limit, ZetaAtom):
-                atoms.append(ZetaAtom(label, limit.arg, c))
+            if isinstance(limit, AffineForm):
+                atoms.append(ZetaAtom(label, limit, c))
             else:
                 residues.append((label, c))
     return ZetaExpr.build(scalar, atoms=atoms, residues=residues)
 
 
 def expansion_at(table, point, assume):
-    return _Expansion(table, _Multisets(build_system("A1"), table.bound()), _EPS,
-                      {"s": point}, assume)
+    return _Expansion(table.keys, _Multisets(table.bound()), _EPS, {"s": point}, assume)
 
 
 def mismatches(table, point, assume, counts_list, scalar=Q(1)):

@@ -15,6 +15,7 @@ from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import ZetaAtom, ZetaExpr, expand_in, laurent_at
 
 from conftest import af, rebuild
+from reference_laurent import ref_expand_in
 
 GROUPS = ("split_D4", "quasi_D4", "tri_D4", "G2", "A1")
 
@@ -132,9 +133,10 @@ def test_functional_equation_leaves_orders_invariant(atom):
 
 
 def _laurent_by_substitution(expr, point):
-    """Reference: substitute point + eps for every parameter symbolically, then expand."""
+    """Reference: substitute point + eps for every parameter symbolically, then
+    expand factor by factor (``reference_laurent``)."""
     shifted = expr.subs({name: AffineForm.var("_eps") + value for name, value in point.items()})
-    return expand_in(shifted, "_eps", assume_no_real_zeros=True)
+    return ref_expand_in(shifted, "_eps", assume_no_real_zeros=True)
 
 
 def _outcome(expand, expr, point):
@@ -171,6 +173,79 @@ def test_laurent_at_equals_expansion_after_symbolic_shift(case):
     expr, point = case
     lhs = _outcome(lambda e, p: laurent_at(e, p, assume_no_real_zeros=True), expr, point)
     assert lhs == _outcome(_laurent_by_substitution, expr, point)
+
+
+_PARAMS = ("x", "y", "z")     # x is the expansion variable
+_nonzero = _rats.filter(bool)
+
+
+@st.composite
+def _expansion_cases(draw):
+    """An expression in 1-3 parameters with every kind of factor expand_in meets.
+
+    Affine factors vanish at x = 0 or are generic; atoms are polar (argument
+    0 or 1 at x = 0), generic in the other parameters, identically 0 or 1,
+    constant in (0, 1) at x = 0, or constant outside [0, 1] there.  A twin
+    is an earlier form or argument with another slope in x, so that the two
+    lead alike at x = 0 and their counts add."""
+    names = _PARAMS[:draw(st.integers(1, 3))]
+    others = names[1:]
+    made = []
+
+    def twin():
+        earlier = made[draw(st.integers(0, len(made) - 1))]
+        return earlier.drop("x") + AffineForm.var("x", draw(_rats))
+
+    def form():
+        kind = draw(st.sampled_from(["vanishing", "generic", "twin"]))
+        if kind == "vanishing":
+            return AffineForm.var("x", draw(_nonzero))
+        f = twin() if kind == "twin" and made else AffineForm.of(
+            draw(_rats), **{n: draw(_rats) for n in names})
+        made.append(f if not f.is_zero() else AffineForm.of(1))
+        return made[-1]
+
+    def arg(kind):
+        slope = AffineForm.var("x", draw(_rats))
+        if kind == "twin" and made:
+            made.append(twin())
+            return made[-1]
+        if kind == "polar":
+            return AffineForm.var("x", draw(_nonzero)) + draw(st.sampled_from([0, 1]))
+        if kind == "generic" and others:
+            made.append(slope + AffineForm.var(draw(st.sampled_from(others)), draw(_nonzero)))
+            return made[-1]
+        if kind == "identical":
+            return AffineForm.of(draw(st.sampled_from([0, 1])))
+        if kind == "inside":
+            return slope + draw(st.fractions(min_value=0, max_value=1, max_denominator=6)
+                                .filter(lambda q: 0 < q < 1))
+        return slope + draw(st.sampled_from([Q(-3, 2), Q(-1), Q(4, 3), Q(2), Q(5)]))
+
+    kinds = st.sampled_from(["polar", "generic", "identical", "inside", "outside", "twin"])
+    atoms = [ZetaAtom(draw(_labels), arg(draw(kinds)), draw(st.sampled_from([-2, -1, 1, 2])))
+             for _ in range(draw(st.integers(0, 5)))]
+    num = [form() for _ in range(draw(st.integers(0, 3)))]
+    den = [form() for _ in range(draw(st.integers(0, 3)))]
+    residues = [(draw(_labels), draw(st.sampled_from([-1, 1, 2])))
+                for _ in range(draw(st.integers(0, 2)))]
+    return ZetaExpr.build(draw(_nonzero), num, den, atoms, residues)
+
+
+def _expansion_outcome(expand, expr, assume):
+    try:
+        ld = expand(expr, "x", assume_no_real_zeros=assume)
+    except (DegeisError, ValueError) as exc:
+        return "raises", type(exc), getattr(exc, "info", None)
+    return ld, str(ld)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_expansion_cases(), st.booleans())
+def test_expand_in_matches_the_factor_by_factor_reference(expr, assume):
+    """The atom-table expansion gives the reference's LaurentData, or its error and info."""
+    assert (_expansion_outcome(expand_in, expr, assume)
+            == _expansion_outcome(ref_expand_in, expr, assume))
 
 
 def test_atoms_that_collide_at_the_point_cancel():

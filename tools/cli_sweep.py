@@ -29,6 +29,11 @@ flag and the returned word), ``entireness_report`` (all four fields) and
 ``h0_cancellation_check`` for every simple index on a fixed sample of words.
 The ``library_table`` family calls ``render_table_rows`` on the same
 maximal parabolics and points as ``library`` and hashes the rows as JSON.
+The ``laurent`` family calls ``intertwiner_residue`` for every coset word of
+the 15 preset lines at every fifth of the 81 points, and ``expand_in`` in eps
+on the L polynomial of every eps character (each simple index, offsets 1, -1
+and 0) of the five presets; it hashes each order and leading term, or the
+error's code.
 """
 
 from __future__ import annotations
@@ -45,11 +50,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degeis import build_system, cli, constant_term, pole_report  # noqa: E402
-from degeis.eisenstein import (entireness_report, h0_cancellation_check,  # noqa: E402
-                               render_table_rows, sharp_invariance_check)
-from degeis.characters import _delta_line  # noqa: E402
+from degeis.eisenstein import (_eps_character, _l_poly, _pairings,  # noqa: E402
+                               coset_reps, entireness_report, h0_cancellation_check,
+                               intertwiner_residue, render_table_rows, sharp_invariance_check)
+from degeis.characters import _delta_line, parabolic_levi  # noqa: E402
 from degeis.errors import DegeisError  # noqa: E402
 from degeis.rootdata import WeylWord  # noqa: E402
+from degeis.zetas import expand_in  # noqa: E402
 
 GROUPS = ("D4", "2D4", "3D4", "G2", "A1")
 
@@ -184,6 +191,35 @@ def appendix_calls():
                        json.dumps(h0_cancellation_check(system, i, word)), "")
 
 
+def _laurent(label, call):
+    """(label, outcome, text, message) of one Laurent call, as library_calls yields them."""
+    try:
+        ld = call()
+    except DegeisError as exc:
+        return label, exc.code, "", str(exc)
+    return label, "ok", json.dumps([ld.order, str(ld.leading)]), ""
+
+
+def laurent_calls():
+    """intertwiner_residue on every coset word of every preset line at every
+    fifth point, then expand_in of the L polynomial of every eps character."""
+    for group, parabolic, spec in LINES:
+        system = cli._system(group)
+        line = cli._line(system, spec, parabolic)
+        for word in coset_reps(system, parabolic_levi(system, parabolic)):
+            for point in POINTS[::5]:
+                yield _laurent(["intertwiner_residue", group, parabolic, str(spec), str(word),
+                                str(point)],
+                               lambda: intertwiner_residue(system, word, line, point))
+    for group in GROUPS:
+        system = cli._system(group)
+        for i in range(1, system.rank + 1):
+            for offset in (1, -1, 0):
+                poly = _l_poly(_pairings(system, _eps_character(system, i, offset)))
+                yield _laurent(["expand_in", group, str(i), str(offset)],
+                               lambda: expand_in(poly, "eps"))
+
+
 USAGE = [
     [], ["--help"], ["--version"], ["nonsense"], ["table"], ["table", "--help"],
     ["table", "--group", "D4"], ["table", "--group", "E9", "--point", "1"],
@@ -223,6 +259,7 @@ FAMILIES = {
     "library": lambda: library_calls("pole_report", pole_report, _report),
     "appendix": appendix_calls,
     "library_table": lambda: library_calls("render_table_rows", render_table_rows, json.dumps),
+    "laurent": laurent_calls,
 }
 
 
