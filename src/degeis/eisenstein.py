@@ -26,7 +26,6 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -35,7 +34,7 @@ from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q, _ratio, _ratio_str
-from .rootdata import RootSystem, WeylWalk, WeylWord, _getter
+from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
                     _intern, _Multisets, canonical_arg, expand_in, laurent_at)
 
@@ -416,12 +415,13 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
 # each positive root contributes its plain atom xi(<lam,a^vee>) when w inverts
 # it and its shifted atom xi(<lam,a^vee>+1) otherwise, N(w) = {a>0 : w^{-1}a<0}.
 # Both are the atoms of the root in lam's atom table.  What the entireness
-# checks compare -- the canonical atom multiset, and the order and leading
-# coefficient of the expansion in eps -- is additive over the ids (the scalar
-# multiplicative), and each step of the Weyl walk inverts one more root, so
-# every F_w is carried from its prefix's data instead of being built.
+# checks compare -- the order and leading coefficient of the expansion in eps,
+# with its canonical multiset of atoms and residue symbols -- is additive over
+# the factors (the scalar multiplicative), so F_w's data are the sum of its
+# roots' chosen atoms' data, and each check is a fact about the roots' two
+# atoms.
 #
-# W-invariance needs no walk (Langlands' product formula; Casselman's
+# W-invariance (Langlands' product formula; Casselman's
 # N(s_i w) = s_i N(w) + {alpha_i}).  Let a > 0 and b = s_i a.  For a != alpha_i,
 # b > 0, b != alpha_i and a in N(s_i u) <=> b in N(u), since
 # (s_i u)^{-1} a = u^{-1} b; and alpha_i in N(s_i u) <=> alpha_i not in N(u).
@@ -431,38 +431,35 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
 # xi(z + [alpha_i not in N(u)]) by xi_L(1-z) = xi_L(z).  So
 # F_{s_i u}(s_i lam) = F_u(lam) for every u, and L(s_i lam) = L(lam) because
 # each root's (p+1)(p-1) = p^2 - 1 is even in p.
+#
+# Boundary, lam = eps +- 1 in coordinate i, z_j elsewhere.  Orders add, so
+# every L F_w has order >= ord L + sum_a min(ord plain_a, ord shifted_a).  At
+# eps = 0, <lam,a^vee> is generic in the z_j unless a = alpha_i, so only
+# alpha_i's atoms can be polar; w = 1 (every root's shifted atom) or w_0
+# (every plain atom) takes alpha_i's lesser one and attains the bound.
+#
+# H^0, lam = eps in coordinate i.  There the exponents of w and s_i w agree,
+# since (s_i w)^{-1} varpi_j = w^{-1} varpi_j for j != i, and by the lemma
+# above a = s_i b takes in F_{s_i w} the atom b takes in F_w, and alpha_i the
+# other one.  So F_w + F_{s_i w} has no pole, for every w, once every b > 0
+# other than alpha_i has order-0 atoms with the data of s_i b's (s_i b > 0),
+# and alpha_i's two atoms have order -1, one leading multiset and opposite
+# scalars.
 
 def _l_poly(pairs: list[tuple[str, AffineForm]]) -> ZetaExpr:
     return ZetaExpr.build(num=_l_factors(pairs))
 
 
-def _carry(walk: WeylWalk, table: _AtomTable,
-           expansion: _Expansion) -> list[tuple[int, Q, int]]:
-    """(order, scalar, packed multiset) of F_w = F_1 J(w) for every element of the walk.
+def _root_atoms(table: _AtomTable) -> list[tuple[tuple[int, Q, int], tuple[int, Q, int]]]:
+    """(order, scalar, packed leading multiset) in eps of every root's (plain, shifted) atom.
 
-    F_1 is every root's shifted id, and each step swaps one root's shifted
-    id for its plain one.  Every id goes through ``expansion.term``, so an
-    atom that cannot be expanded raises there.
+    Each id is expanded once and read through ``_Expansion.term``, so an
+    atom that cannot be expanded raises here.
     """
-    first = Counter(shifted for _, shifted in table.roots)
-    out = [expansion.term(Q(1), tuple(sorted(first.items())))]
-    swap = []
-    for k in range(len(table.roots)):
-        order, scalar, key = expansion.term(Q(1), table.counts((k,)))
-        # only the atoms that are polar in eps carry a scalar other than 1
-        swap.append((order, None if scalar == 1 else scalar, key))
-    for parent, _, root in walk.steps:
-        o, c, m = out[parent]
-        do, dc, dm = swap[root]
-        out.append((o + do, c if dc is None else c * dc, m + dm))
-    return out
-
-
-def _left(system: RootSystem, walk: WeylWalk, i: int) -> list[int]:
-    """Index of s_i w for every element w: the key of s_i w is s_i applied to w's."""
-    s_i = system._gens[i - 1]
-    # the index holds the keys in walk order
-    return [walk.index[_getter(key)(s_i)] for key in walk.index]
+    expansion = _Expansion(table.keys, _Multisets(1), "eps")
+    one = Q(1)
+    data = [expansion.term(one, ((k, 1),)) for k in range(len(table.keys))]
+    return [(data[plain], data[shifted]) for plain, shifted in table.roots]
 
 
 def sharp_invariance_check(system: RootSystem, simple_index: int) -> tuple[bool, WeylWord | None]:
@@ -505,38 +502,24 @@ def _eps_character(system: RootSystem, simple_index: int, offset: int) -> TorusC
     return TorusCharacter(tuple(coords))
 
 
-def _h0_cancellations(system: RootSystem, walk: WeylWalk, simple_index: int,
-                      sets: _Multisets) -> list[bool]:
-    """For every w, whether F_w and F_{w_i w} cancel along <lambda, alpha_i^vee> = 0.
-
-    Both must have a simple pole in eps with opposite leading coefficients.
-    Their exponents agree at eps = 0 without a check: there lambda is
-    sum_{j != i} z_j varpi_j, and (s_i w)^{-1} varpi_j = w^{-1} s_i varpi_j
-    = w^{-1} varpi_j for j != i.
-    """
-    table = _AtomTable.of_line(system, _eps_character(system, simple_index, 0))
-    f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
-    results = []
-    for (o1, c1, m1), partner in zip(f, _left(system, walk, simple_index)):
-        o2, c2, m2 = f[partner]
-        results.append(o1 == o2 == -1 and m1 == m2 and c2 == -c1)
-    return results
-
-
 def h0_cancellation_check(system: RootSystem, simple_index: int,
                           word: WeylWord) -> bool:
-    """Residue cancellation along the hyperplane <lambda, alpha_i^vee> = 0.
+    """Residue cancellation of F_w and F_{s_i w} along <lambda, alpha_i^vee> = 0.
 
-    Parameterizes a generic point of the hyperplane plus a transversal
-    coordinate eps (the i-th fundamental-weight coordinate itself), expands
-    F_w and F_{w_i w} to first order and verifies that the residues sum to
-    zero.  The two exponents agree on the hyperplane for every w, so only
-    the residues are compared (``_h0_cancellations``).
+    eps is the i-th fundamental-weight coordinate, the others generic.  By
+    the per-root facts of the block comment above, the residues cancel for
+    every w or for none: the word is validated, and the verdict is index i's.
     """
     system._check_index(simple_index)
-    walk = system.weyl_elements()
-    results = _h0_cancellations(system, walk, simple_index, _Multisets(len(system.positive_roots)))
-    return results[walk.index[walk.key(system.perm_of_word(word))]]
+    system.perm_of_word(word)
+    table = _AtomTable.of_line(system, _eps_character(system, simple_index, 0))
+    atoms = _root_atoms(table)
+    gen, alpha = system._gens[simple_index - 1], system._simple_pos[simple_index - 1]
+    (o1, c1, m1), (o2, c2, m2) = atoms[alpha]
+    n = len(atoms)
+    return (o1 == o2 == -1 and m1 == m2 and c2 == -c1
+            and all(gen[b] < n and atoms[gen[b]] == pair and pair[0][0] == pair[1][0] == 0
+                    for b, pair in enumerate(atoms) if b != alpha))
 
 
 @dataclass(frozen=True)
@@ -544,7 +527,7 @@ class EntirenessReport:
     boundary_ok: bool      # poles along <lam,a>=+-1 killed by the polynomial zeros
     h0_ok: bool            # poles along <lam,a>=0 cancel in pairs
     orbit_ok: bool         # every positive root is W-conjugate to a simple root
-    checked_words: int
+    checked_words: int     # the pairs (i, w) the H^0 verdicts cover: rank * |W|
 
     @property
     def entire(self) -> bool:
@@ -556,23 +539,22 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
 
     Along H_alpha^{+-1} the simple xi-poles of every L * F_w are cancelled by
     the zeros of the polynomial normalizer; along H_alpha^0 the terms cancel
-    pairwise (w against w_i w).  Non-simple hyperplanes reduce to simple ones
-    because each positive root is Weyl-conjugate to a simple root.
+    pairwise (w against w_i w).  Both are decided from each root's two atoms
+    (block comment above), with no walk over W.  Non-simple hyperplanes reduce
+    to simple ones because each positive root is Weyl-conjugate to a simple
+    root.
     """
-    walk = system.weyl_elements()
-    sets = _Multisets(len(system.positive_roots))
     boundary_ok = True
     for i in range(1, system.rank + 1):
         for offset in (1, -1):
             table = _AtomTable.of_line(system, _eps_character(system, i, offset))
             l_order = expand_in(_l_poly(table.pairs), "eps").order
-            # orders are additive, so L * F_w never needs assembling
-            f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
-            if any(l_order + order < 0 for order, _, _ in f):
+            # the least order of any L * F_w; orders are additive
+            if l_order + sum(min(p[0], s[0]) for p, s in _root_atoms(table)) < 0:
                 boundary_ok = False
-    h0 = [_h0_cancellations(system, walk, i, sets) for i in range(1, system.rank + 1)]
-    h0_ok = all(all(results) for results in h0)
-    checked = sum(len(results) for results in h0)
+    # every word has the identity's verdict
+    h0_ok = all([h0_cancellation_check(system, i, WeylWord()) for i in range(1, system.rank + 1)])
+    checked = system.rank * system.weyl_order()
     # each positive root steps down its provenance chain, one simple reflection
     # per link, to a simple root, which it is therefore W-conjugate to
     prov, gens = system._provenance, system._gens

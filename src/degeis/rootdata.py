@@ -124,14 +124,12 @@ class WeylWalk(list):
 
     Element k > 0 is w = u s_j with u its shortlex prefix, found before it;
     ``steps[k - 1]`` is (index of u, j, position of the positive root
-    u(alpha_j)), so N(w) is N(u) plus that root.  An element is determined
-    by the positions of its images of the simple roots, ``key(perm)``, and
-    ``index`` maps that key to the element's index, in walk order.
+    u(alpha_j)), so N(w) is N(u) plus that root.
     """
 
-    def __init__(self, key: Callable[[Sequence[int]], tuple[int, ...]]):
+    def __init__(self):
         super().__init__()
-        self.key, self.steps, self.index = key, [], {}
+        self.steps: list[tuple[int, int, int]] = []
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -339,7 +337,7 @@ class RootSystem:
         simple root (Deodhar's lemma), so the breadth-first walk visits
         |W| / |W_L| elements.  Words are the lexicographically least reduced
         words, listed in shortlex order.  The list is cached per Levi, with
-        the walk's steps and element index (``WeylWalk``).
+        the walk's steps (``WeylWalk``).
         """
         key = tuple(sorted(set(levi)))
         cached = self._weyl_cache.get(key)
@@ -361,10 +359,12 @@ class RootSystem:
         letters = [(i, pos, times, _getter([gen[p] for p in simple]))
                    for i, (pos, times, gen) in enumerate(zip(simple, self._times, self._gens), 1)]
         ident = tuple(range(2 * n))
-        walk = WeylWalk(_getter(simple))
+        walk = WeylWalk()
         walk.append((ident, WeylWord()))
-        index, steps = walk.index, walk.steps
-        index[walk.key(ident)] = 0
+        steps = walk.steps
+        # an element is determined by its images of the simple roots, the
+        # identity's being the simple roots' own positions
+        seen = {simple}
         # the output list is the queue: prefixes come in shortlex order and
         # letters ascend, so first discoveries are appended in shortlex order
         for k, (perm, word) in enumerate(walk):
@@ -373,8 +373,8 @@ class RootSystem:
                 if image >= n or image in levi_pos:
                     continue
                 new = step_key(perm)
-                if new not in index:
-                    index[new] = len(walk)
+                if new not in seen:
+                    seen.add(new)
                     walk.append((times(perm), WeylWord(word.letters + (i,))))
                     steps.append((k, i, image))
         self._weyl_cache[key] = walk

@@ -1,16 +1,16 @@
 """The appendix checks, against F_w built in full and against a walk over W.
 
-``entireness_report`` never builds F_w: it reads F_w = F_1 J(w) off the
-character's atom table, expands each id once in eps, and carries Laurent
-data and canonical atom multisets from each element's prefix.  The
-differential tests below rebuild every F_w as one ``ZetaExpr``
-(``conftest.sharp_f_w``) and compare per word.  ``sharp_invariance_check``
-walks nothing: it checks per root that s_i carries coroot pairings and
-labels to those of s_i a.  It must answer as the term-by-term walk over W
-(``reference_appendix``) does, on intact systems and on systems with one
-root's coroot perturbed.  The negative controls swap one root's atoms, or
-tamper with one root's provenance chain, and expect each check to report the
-failure.
+No appendix check walks W.  ``sharp_invariance_check`` checks per root that
+s_i carries coroot pairings and labels to those of s_i a, and
+``entireness_report`` and ``h0_cancellation_check`` read each root's plain
+and shifted atom off the character's atom table, expanded once in eps.  They
+must answer as the term-by-term walk over W (``reference_appendix``) does,
+on intact systems and on systems with one root's coroot perturbed.  The walk
+carries Laurent data and canonical atom multisets from each element's
+prefix; the tests below also check it against every F_w rebuilt as one
+``ZetaExpr`` (``conftest.sharp_f_w``).  The negative controls swap one
+root's atoms, or tamper with one root's provenance chain, and expect each
+check to report the failure.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ import pytest
 
 from degeis import eisenstein
 from degeis.characters import TorusCharacter, weyl_act
-from degeis.eisenstein import (_AtomTable, _carry, _eps_character, _h0_cancellations, _left,
-                               entireness_report, sharp_invariance_check)
-from degeis.errors import EnumerationTooLargeError, HyperplaneDegeneracyError
+from degeis.eisenstein import (_AtomTable, _eps_character, entireness_report,
+                               h0_cancellation_check, sharp_invariance_check)
+from degeis.errors import HyperplaneDegeneracyError
 from degeis.forms import AffineForm
-from degeis.rootdata import LABEL_E, LABEL_K, WeylWord, _preset_labels, build_system
+from degeis.rootdata import LABEL_E, LABEL_K, RootSystem, WeylWord, _preset_labels, build_system
 from degeis.zetas import ZetaExpr, _Expansion, _Multisets, expand_in
 
 from conftest import F4_CARTAN, e_type, sharp_f_w
-from reference_appendix import (generic_character, ref_h0_cancellations, ref_inverse_columns,
+from reference_appendix import (_carry, _left, generic_character, ref_boundary,
+                                ref_h0_cancellations, ref_inverse_columns,
                                 ref_sharp_invariance_check)
 
 PRESETS = ["A1", "G2", "tri_D4", "quasi_D4", "split_D4"]
@@ -142,7 +143,10 @@ def test_h0_partner_exponents_agree_at_eps_zero(name):
 # on A1 the perturbed coroot 2 alpha^vee still gives residues that cancel
 @pytest.mark.parametrize("name", PRESETS[1:] + ["F4"])
 def test_h0_cancellations_match_the_reference_with_exponents(monkeypatch, name):
-    """Dropping the exponent comparison changes no result, intact or with a coroot perturbed."""
+    """The per-root H^0 verdict is the walk's, which the exponent comparison does not change.
+
+    Intact, and with the highest root's coroot perturbed.
+    """
     system = system_of(name)
     walk = system.weyl_elements()
     columns = ref_inverse_columns(system, walk)
@@ -154,9 +158,13 @@ def test_h0_cancellations_match_the_reference_with_exponents(monkeypatch, name):
             bumped = highest[:j] + (highest[j] + 1,) + highest[j + 1:]
             monkeypatch.setattr(system, "_cvec", cvec[:-1] + (bumped,))
         for i in range(1, system.rank + 1):
-            sets = _Multisets(len(system.positive_roots))
-            results = _h0_cancellations(system, walk, i, sets)
-            assert results == ref_h0_cancellations(system, walk, i, sets, columns), (j, i)
+            results = ref_h0_cancellations(system, walk, i, _Multisets(len(system.positive_roots)))
+            left = _left(system, walk, i)
+            with_exponents = [ok and columns[k][:i - 1] == columns[p][:i - 1]
+                              and columns[k][i:] == columns[p][i:]
+                              for k, (ok, p) in enumerate(zip(results, left))]
+            assert with_exponents == results, (j, i)
+            assert h0_cancellation_check(system, i, WeylWord()) == all(results), (j, i)
             assert j is not None or all(results)
             failed += results.count(False)
     assert failed
@@ -189,22 +197,71 @@ def test_invariance_reports_a_perturbed_coroot_as_the_walk_does(monkeypatch, nam
         assert not all(passed), k
 
 
-def test_invariance_on_e7_and_e8_walks_nothing(monkeypatch):
-    """Past the enumeration bound the invariance check still answers: it lists no W."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("sharp_invariance_check built a table, a walk or an expression")
+def walk_verdicts(system):
+    """The boundary verdict and the H^0 verdict of every simple index, by the walk over W."""
+    walk = system.weyl_elements()
+    h0 = [all(ref_h0_cancellations(system, walk, i, _Multisets(len(system.positive_roots))))
+          for i in range(1, system.rank + 1)]
+    return ref_boundary(system), h0
 
-    monkeypatch.setattr(eisenstein, "_carry", refuse)
-    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(refuse))
-    monkeypatch.setattr(ZetaExpr, "build", staticmethod(refuse))
+
+def per_root_verdicts(system):
+    """The same verdicts from ``entireness_report`` and ``h0_cancellation_check``."""
+    rep = entireness_report(system)
+    h0 = [h0_cancellation_check(system, i, WeylWord()) for i in range(1, system.rank + 1)]
+    assert rep.h0_ok == all(h0)
+    return rep.boundary_ok, h0
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F4", "B3", "C3", "G2-swapped", "E6", "F4-K", "G2-E"])
+def test_entireness_matches_the_walk_over_w(name):
+    system = system_of(name)
+    assert per_root_verdicts(system) == walk_verdicts(system) == (True, [True] * system.rank)
+    assert entireness_report(system).checked_words == system.rank * len(system.weyl_elements())
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_entireness_reports_a_perturbed_coroot_as_the_walk_does(monkeypatch, name):
+    """+1 on one coordinate of one root's coroot vector, for every root and coordinate.
+
+    Per perturbation: the boundary verdict and rank H^0 verdicts, 422 in all
+    over the presets.
+    """
+    system = build_system(name)
+    cvec = system._cvec
+    failed = False
+    for k, c in enumerate(cvec):
+        for j in range(system.rank):
+            bumped = c[:j] + (c[j] + 1,) + c[j + 1:]
+            monkeypatch.setattr(system, "_cvec", cvec[:k] + (bumped,) + cvec[k + 1:])
+            boundary, h0 = per_root_verdicts(system)
+            assert (boundary, h0) == walk_verdicts(system), (k, j)
+            failed = failed or not (boundary and all(h0))
+    # on A1 the perturbed coroot 2 alpha^vee still gives a normalizer and residues that cancel
+    assert failed or name == "A1"
+
+
+def test_invariance_on_e7_and_e8_walks_nothing(monkeypatch):
+    """Past the enumeration bound every appendix check still answers: none lists W.
+
+    The invariance check builds no table and no expression either.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("sharp_invariance_check built a table or an expression")
+
     for rank in (7, 8):
         system = e_type(rank)
-        assert all(sharp_invariance_check(system, i) == (True, None)
+        with monkeypatch.context() as patched:
+            patched.setattr(_AtomTable, "of_line", staticmethod(refuse))
+            patched.setattr(ZetaExpr, "build", staticmethod(refuse))
+            assert all(sharp_invariance_check(system, i) == (True, None)
+                       for i in range(1, rank + 1))
+        rep = entireness_report(system)
+        assert rep.entire
+        assert rep.checked_words == rank * system.weyl_order()
+        assert all(h0_cancellation_check(system, i, system.parse_word("12")) is True
                    for i in range(1, rank + 1))
         assert system._weyl_cache == {}
-    with pytest.raises(EnumerationTooLargeError) as info:
-        entireness_report(e_type(7))
-    assert info.value.code == "enumeration-too-large"
 
 
 @pytest.mark.parametrize("name", PRESETS + ["F4"])
@@ -227,21 +284,31 @@ def test_carried_invariance_multisets_match_full_builds(name):
             assert f_i[left[k]] == (0, 1, pack(sets, sharp_f_w(system, lam_i, partner)))
 
 
-def test_carry_raises_on_an_atom_that_cannot_be_expanded():
-    """No silent (0, 1, 0) data: a pairing identically 0 has no expansion in eps."""
+def test_per_root_checks_raise_on_an_atom_that_cannot_be_expanded(monkeypatch):
+    """No silent (0, 1, 0) data: a pairing identically 0 has no expansion in eps.
+
+    The boundary and H^0 checks raise the typed error the walk and
+    ``expand_in`` raise.
+    """
     system = build_system("A1")
-    table = _AtomTable.of_line(system, TorusCharacter.of(AffineForm.of(0)))
-    with pytest.raises(HyperplaneDegeneracyError) as caught:
-        _carry(system.weyl_elements(), table,
-               _Expansion(table.keys, _Multisets(len(system.positive_roots)), "eps"))
+    zero = TorusCharacter.of(AffineForm.of(0))
     with pytest.raises(HyperplaneDegeneracyError) as reference:
         expand_in(ZetaExpr.atom("F", AffineForm.of(0)), "eps")
-    assert caught.value.info == reference.value.info
+    table = _AtomTable.of_line(system, zero)
+    with pytest.raises(HyperplaneDegeneracyError) as walked:
+        _carry(system.weyl_elements(), table,
+               _Expansion(table.keys, _Multisets(len(system.positive_roots)), "eps"))
+    assert walked.value.info == reference.value.info
+    monkeypatch.setattr(eisenstein, "_eps_character", lambda system, i, offset: zero)
+    for check in (entireness_report, lambda system: h0_cancellation_check(system, 1, WeylWord())):
+        with pytest.raises(HyperplaneDegeneracyError) as caught:
+            check(system)
+        assert caught.value.info == reference.value.info
 
 
 def count_calls(monkeypatch):
-    counts = {"build": 0, "expand_in": 0}
-    build = ZetaExpr.build
+    counts = {"build": 0, "expand_in": 0, "weyl_elements": 0, "of_line": 0}
+    build, weyl_elements, of_line = ZetaExpr.build, RootSystem.weyl_elements, _AtomTable.of_line
 
     def counted_build(*args, **kwargs):
         counts["build"] += 1
@@ -251,23 +318,34 @@ def count_calls(monkeypatch):
         counts["expand_in"] += 1
         return expand_in(*args, **kwargs)
 
+    def counted_walk(*args, **kwargs):
+        counts["weyl_elements"] += 1
+        return weyl_elements(*args, **kwargs)
+
+    def counted_table(*args, **kwargs):
+        counts["of_line"] += 1
+        return of_line(*args, **kwargs)
+
     monkeypatch.setattr(ZetaExpr, "build", staticmethod(counted_build))
     monkeypatch.setattr(eisenstein, "expand_in", counted_expand)
+    monkeypatch.setattr(RootSystem, "weyl_elements", counted_walk)
+    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(counted_table))
     return counts
 
 
 @pytest.mark.parametrize("name", ["split_D4", "F4"])
 def test_appendix_checks_build_per_root_not_per_word(monkeypatch, name):
     system = system_of(name)
-    system.weyl_elements()
     counts = count_calls(monkeypatch)
     assert all(sharp_invariance_check(system, i)[0] for i in range(1, system.rank + 1))
-    assert counts == {"build": 0, "expand_in": 0}
+    assert counts == {"build": 0, "expand_in": 0, "weyl_elements": 0, "of_line": 0}
     assert entireness_report(system).entire
     rank = system.rank
-    # F_w is read off the atom tables without a build; only the L polynomials
-    # of the two boundary characters per simple root are built, each of those
-    # also expanded in eps with no further build
+    # one atom table per eps character, three per simple root, and no walk;
+    # only the L polynomials of the two boundary characters per simple root
+    # are built, each of those also expanded in eps with no further build
+    assert counts["weyl_elements"] == 0
+    assert counts["of_line"] == 3 * rank
     assert counts["expand_in"] <= 2 * rank
     assert counts["build"] <= 2 * rank
 
@@ -303,12 +381,21 @@ def test_invariance_reports_a_swapped_atom(monkeypatch, name):
     assert not ref_sharp_invariance_check(system, 1)[0]
 
 
+# the whole normalizer; without the p - 1 factors only elements inverting
+# alpha_i keep a pole at eps + 1 (w_0, not 1), and without the p + 1 factors
+# only elements not inverting it keep one at eps - 1 (1, not w_0)
+NORMALIZERS = [lambda pairs: [], lambda pairs: [p + 1 for _, p in pairs],
+               lambda pairs: [p - 1 for _, p in pairs]]
+
+
 @pytest.mark.parametrize("name", ["G2", "quasi_D4"])
 def test_boundary_reports_a_missing_normalizer(monkeypatch, name):
     system = build_system(name)
-    monkeypatch.setattr(eisenstein, "_l_factors", lambda pairs: [])
-    rep = entireness_report(system)
-    assert not rep.boundary_ok and rep.h0_ok and not rep.entire
+    for factors in NORMALIZERS:
+        monkeypatch.setattr(eisenstein, "_l_factors", factors)
+        rep = entireness_report(system)
+        assert not rep.boundary_ok and rep.h0_ok and not rep.entire
+        assert not ref_boundary(system)
 
 
 @pytest.mark.parametrize("name", ["G2", "quasi_D4"])
@@ -320,6 +407,57 @@ def test_h0_reports_a_swapped_atom(monkeypatch, name):
     swap_atoms(monkeypatch, alpha_2, calls={boundary_calls + 1})     # the H^0 character of alpha_1
     rep = entireness_report(system)
     assert rep.boundary_ok and not rep.h0_ok and not rep.entire
+
+
+def tamper_h0_table(monkeypatch, system, change):
+    """Apply change(table, position of alpha_1) to every atom table of alpha_1's H^0 character."""
+    real = _AtomTable.of_line
+    line, alpha = _eps_character(system, 1, 0), system._simple_pos[0]
+
+    def tampered(system, lam):
+        table = real(system, lam)
+        if lam == line:
+            change(table, alpha)
+        return table
+
+    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(tampered))
+
+
+def fixed_root_made_polar(system):
+    """A root b != alpha_1 fixed by s_1, given alpha_1's coroot: its atoms are polar too."""
+    alpha, gen = system._simple_pos[0], system._gens[0]
+    b = next(k for k in range(len(system.positive_roots)) if k != alpha and gen[k] == k)
+    cvec = list(system._cvec)
+    cvec[b] = cvec[alpha]
+    return tuple(cvec)
+
+
+def same_atom_twice(table, alpha):
+    """alpha_1's plain atom in place of its shifted one: equal residues, not opposite."""
+    table.roots[alpha] = (table.roots[alpha][0],) * 2
+
+
+def relabelled_shift(table, alpha):
+    """alpha_1's shifted atom under a label no root carries: opposite scalars, other residue."""
+    plain, shifted = table.roots[alpha]
+    label, arg = table.keys[shifted]
+    table.keys.append(("X", arg))
+    table.roots[alpha] = plain, len(table.keys) - 1
+
+
+@pytest.mark.parametrize("name", ["G2", "quasi_D4"])
+@pytest.mark.parametrize("broken", ["polar fixed root", "same atom twice", "relabelled shift"])
+def test_h0_reports_each_broken_per_root_fact(monkeypatch, name, broken):
+    """Each H^0 fact the walk needs, broken on alpha_1 alone: both report it."""
+    system = build_system(name)
+    if broken == "polar fixed root":
+        monkeypatch.setattr(system, "_cvec", fixed_root_made_polar(system))
+    else:
+        change = same_atom_twice if broken == "same atom twice" else relabelled_shift
+        tamper_h0_table(monkeypatch, system, change)
+    _, h0 = per_root_verdicts(system)
+    assert h0 == walk_verdicts(system)[1]
+    assert not h0[0]
 
 
 def tampered(system, root, entry):
