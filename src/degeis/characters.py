@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IotaMismatchError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q, _ratio
@@ -81,10 +81,15 @@ class TorusCharacter:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
+        return self.text()
 
-    def to_json(self) -> dict:
-        return {"coords": [c.to_json() for c in self.coords]}
+    def text(self, form_text: Callable[[AffineForm], str] = str) -> str:
+        """The text form, each coordinate rendered by ``form_text``."""
+        return "(" + ",".join([form_text(c) for c in self.coords]) + ")"
+
+    def to_json(self, form_json: Callable[[AffineForm], dict] = AffineForm.to_json) -> dict:
+        """The JSON layout, each coordinate encoded by ``form_json``."""
+        return {"coords": [form_json(c) for c in self.coords]}
 
 
 def _scale(form: AffineForm, scalar: Rat | AffineForm) -> AffineForm:

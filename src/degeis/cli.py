@@ -4,13 +4,16 @@ Subcommands expose every computation and emit Markdown or JSON with
 deterministic ordering.  Exit codes: 0 success, 1 configuration error,
 2 indeterminate zero region, 3 check failure, 4 mathematical limit (the
 input is valid but needs what the engine does not model:
-needs-higher-log-order, hyperplane-degeneracy, unmodeled-point).
+needs-higher-log-order, hyperplane-degeneracy, unmodeled-point), 141 stdout
+closed by its reader before the output was written (``degeis ... | head``),
+with nothing printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -23,11 +26,13 @@ from .eisenstein import (constant_term, entireness_report, pole_report,
                          sharp_invariance_check, siegel_weil_constant)
 from .errors import (ConfigError, DegeisError, IndeterminateZeroRegionError,
                      MathematicalLimitError)
-from .forms import parse_affine, parse_rational
+from .forms import AffineForm, parse_affine, parse_rational
 from .localint import ShellFunction, tate_integral
 from .rootdata import RootSystem, build_system
+from .zetas import ZetaAtom
 
 SCHEMA = "degeis/1"
+EXIT_CLOSED_STDOUT = 141     # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 _GROUPS = {"D4": "split_D4", "2D4": "quasi_D4", "3D4": "tri_D4",
            "G2": "G2", "A1": "A1"}
@@ -64,35 +69,54 @@ def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacte
     return line
 
 
-def _json(value, newline: str = "\n") -> str:
+def _json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for the payload types only.
 
     Strings are quoted by the stdlib's C quoting function, so the bytes are the
     stdlib's.  Anything but dict (with str keys), list, str, int, bool and None
-    raises TypeError: its encoding is not guessed.
+    raises TypeError: its encoding is not guessed.  A dict object met again at
+    the same depth is encoded once: from its second meeting its text is kept
+    for the call, keyed by (id, indent).  The payload holds every object for
+    the whole call, so no id is reused.
     """
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        for k in value:
-            if not isinstance(k, str):
-                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-        items = [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + newline + "]"
-    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+    seen: set[tuple[int, str]] = set()
+    texts: dict[tuple[int, str], str] = {}
+
+    def encode(value, newline: str) -> str:
+        if isinstance(value, str):
+            return _quote(value)
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = newline + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            key = (id(value), newline)
+            text = texts.get(key)
+            if text is not None:
+                return text
+            for k in value:
+                if not isinstance(k, str):
+                    raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            items = [f"{_quote(k)}: {encode(value[k], inner)}" for k in sorted(value)]
+            text = "{" + inner + ("," + inner).join(items) + newline + "}"
+            if key in seen:
+                texts[key] = text
+            else:
+                seen.add(key)
+            return text
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            items = [encode(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+    return encode(value, "\n")
 
 
 def _emit(args, payload: dict, markdown) -> None:
@@ -110,8 +134,11 @@ def cmd_table(args) -> int:
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "line": str(line), "rows": rows}
     if args.format == "json":
-        payload["rows"] = [r | {"j_factor_json": t.j_factor.to_json(),
-                                "exponent_json": t.exponent.to_json()}
+        # one dict per distinct atom and exponent coordinate, shared by the rows
+        atom_json = functools.cache(ZetaAtom.to_json)
+        form_json = functools.cache(AffineForm.to_json)
+        payload["rows"] = [r | {"j_factor_json": t.j_factor.to_json(atom_json),
+                                "exponent_json": t.exponent.to_json(form_json)}
                            for r, t in zip(rows, ct.terms)]
     _emit(args, payload, lambda: render_markdown_table(rows, point))
     return 0
@@ -311,6 +338,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()      # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point the descriptor at devnull,
+        # so that what is still buffered is dropped at exit instead of raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

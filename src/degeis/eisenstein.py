@@ -27,16 +27,18 @@ next order whenever the log-t coefficient survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
-from .forms import AffineForm, Q, Rat, _q, _ratio, _ratio_str
+from .forms import AffineForm, Q, Rat, _make, _q, _ratio, _ratio_str, _Terms
 from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
-                    _intern, _Multisets, canonical_arg, expand_in, laurent_at)
+                    _intern, _kept, _Multisets, expand_in, laurent_at)
 
 
 # -- constant terms ---------------------------------------------------------
@@ -69,6 +71,8 @@ class _AtomTable:
         self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
         self.steps: list[tuple[int, int, int]] | None = None
+        # one ZetaAtom per (id, count), shared by every J that holds it
+        self.atoms: dict[tuple[int, int], ZetaAtom] = {}
 
     @staticmethod
     def of_line(system: RootSystem, line: TorusCharacter) -> "_AtomTable":
@@ -76,16 +80,22 @@ class _AtomTable:
 
         Both are canonical under the functional equation, and the ids are
         numbered in canonical atom order, so sorting a term's ids sorts its
-        atoms.
+        atoms.  The arguments stay integers over the pairings' one
+        denominator until each distinct one becomes a form: over one
+        denominator, (label, const, coefficients) sort as (label, form) do.
         """
         table = _AtomTable()
-        table.pairs = _pairings(system, line)
-        args = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0]) for label, p in table.pairs]
-        _intern(table.ids, ((key, 1) for key in sorted({(label, arg) for label, *both in args
-                                                         for arg in both})))
-        table.keys = list(table.ids)
-        table.roots = [(table.ids[(label, plain)], table.ids[(label, shifted)])
-                       for label, plain, shifted in args]
+        den, nums = _pairing_nums(system, line)
+        labels = [label.symbol for label in system._labels]
+        table.pairs = [(label, _make(den, c, t)) for label, (c, t) in zip(labels, nums)]
+
+        def canonical(c, t):
+            return (c, t) if _kept(den, c, t) else (den - c, tuple([(n, -x) for n, x in t]))
+        args = [((label, *canonical(c, t)), (label, *canonical(c + den, t)))
+                for label, (c, t) in zip(labels, nums)]
+        ids = {key: k for k, key in enumerate(sorted({key for both in args for key in both}))}
+        table.keys = [(label, _make(den, c, t)) for label, c, t in ids]
+        table.roots = [(ids[plain], ids[shifted]) for plain, shifted in args]
         return table
 
     @staticmethod
@@ -107,7 +117,11 @@ class _AtomTable:
 
     def expr(self, counts: _Counts) -> ZetaExpr:
         """The canonical ZetaExpr of a line's counts, already in atom order: no build."""
-        return ZetaExpr(atoms=tuple(ZetaAtom(*self.keys[i], c) for i, c in counts))
+        atoms = self.atoms
+        for ic in counts:
+            if ic not in atoms:
+                atoms[ic] = ZetaAtom(*self.keys[ic[0]], ic[1])
+        return ZetaExpr(atoms=tuple([atoms[ic] for ic in counts]))
 
     def bound(self) -> int:
         """The largest total |count| of a term, which bounds any merged count."""
@@ -309,9 +323,28 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
 
 # -- normalized (sharp) series ------------------------------------------------
 
+def _pairing_nums(system: RootSystem, lam: TorusCharacter) -> tuple[int, list[tuple[int, _Terms]]]:
+    """<lam, alpha^vee> = (const + coefficients) / den, (const, coefficients) = nums[k],
+    for the positive root at position k: integer combinations of the coordinates'
+    numerators over their lcm.  Coefficients name-sorted, zeros dropped, unreduced."""
+    coords = lam.coords
+    den = lcm(*(f.den for f in coords))
+    names = sorted({n for f in coords for n, _ in f.coeff_nums})
+    # one column per component, the constants first: its numerators over den
+    cols = [tuple(f.const_num * (den // f.den) for f in coords)]
+    cols += [tuple(dict(f.coeff_nums).get(n, 0) * (den // f.den) for f in coords)
+             for n in names]
+    nums = []
+    for vec in system._cvec:
+        const, *coeffs = [sum(map(mul, vec, col)) for col in cols]
+        nums.append((const, tuple([(n, x) for n, x in zip(names, coeffs) if x])))
+    return den, nums
+
+
 def _pairings(system: RootSystem, lam: TorusCharacter) -> list[tuple[str, AffineForm]]:
     """(label of alpha, <lam, alpha^vee>) for every positive root alpha, in root order."""
-    return [(label.symbol, lam.pair(vec)) for label, vec in zip(system._labels, system._cvec)]
+    den, nums = _pairing_nums(system, lam)
+    return [(label.symbol, _make(den, c, t)) for label, (c, t) in zip(system._labels, nums)]
 
 
 def _l_factors(pairs: list[tuple[str, AffineForm]]) -> list[AffineForm]:
@@ -586,14 +619,16 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     # the rows read orders only: no packed monomials
     expansion = _Expansion(table.keys, None, _EPS, assignment, assume_no_real_zeros)
     den, exps = _exponents_at(ct, assignment)
+    # each distinct atom argument and exponent coordinate is rendered once
+    arg_text, form_text = cache(str), cache(str)
     rows = []
     for term, (scalar, counts), exp_val in zip(ct.terms, table.terms, exps):
         order = expansion.term(scalar, counts)[0]
         rows.append({
             "word": str(term.word),
-            "j_factor": str(term.j_factor),
+            "j_factor": term.j_factor.text(arg_text),
             "pole_order": pole_order_of(order),
-            "exponent": str(term.exponent),
+            "exponent": term.exponent.text(form_text),
             "exponent_at_point": "(" + ",".join(_ratio_str(x, den) for x in exp_val) + ")",
         })
     return rows

@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import HyperplaneDegeneracyError, IndeterminateZeroRegionError
-from .forms import AffineForm, Q, Rat, _make, _q, _ratio
+from .forms import AffineForm, Q, Rat, _make, _q, _ratio, _Terms
 
 
 def _primitive(f: AffineForm, var: str | None = None) -> tuple[AffineForm | None, int, int]:
@@ -61,14 +61,19 @@ def _primitive_order(f: AffineForm) -> tuple[int, tuple[tuple[str, int], ...]]:
     return f.const_num, f.coeff_nums
 
 
+def _kept(den: int, const_num: int, coeff_nums: _Terms) -> bool:
+    """Whether (const_num + coeff_nums) / den represents {x, 1-x}: its leading
+    coefficient is positive, or, constant, it is the larger of the two."""
+    return coeff_nums[0][1] > 0 if coeff_nums else 2 * const_num >= den
+
+
 def canonical_arg(arg: AffineForm) -> tuple[AffineForm, bool]:
     """Representative of {arg, 1-arg} under the functional equation.
 
     Picks the one with positive leading parameter coefficient; for constant
     arguments the larger of the two.  Returns (canonical, flipped).
     """
-    terms = arg.coeff_nums
-    keep = terms[0][1] > 0 if terms else 2 * arg.const_num >= arg.den
+    keep = _kept(arg.den, arg.const_num, arg.coeff_nums)
     return (arg, False) if keep else (1 - arg, True)
 
 
@@ -193,6 +198,10 @@ class ZetaExpr:
         return tuple(sorted(names))
 
     def __str__(self) -> str:
+        return self.text()
+
+    def text(self, arg_text: Callable[[AffineForm], str] = str) -> str:
+        """The text form, each atom's argument rendered by ``arg_text``."""
         if self.is_zero():
             return "0"
         top: list[str] = []
@@ -205,7 +214,7 @@ class ZetaExpr:
         for f in self.den:
             bot.append(f"({f})")
         for a in self.atoms:
-            s = f"xi_{a.label}({a.arg})"
+            s = f"xi_{a.label}({arg_text(a.arg)})"
             (top if a.exp > 0 else bot).append(s if abs(a.exp) == 1 else f"{s}^{abs(a.exp)}")
         if self.scalar != 1 or not top:
             top.insert(0, str(self.scalar))
@@ -214,12 +223,13 @@ class ZetaExpr:
             expr += "/" + ("*".join(bot) if len(bot) == 1 else "(" + "*".join(bot) + ")")
         return expr
 
-    def to_json(self) -> dict:
+    def to_json(self, atom_json: Callable[[ZetaAtom], dict] = ZetaAtom.to_json) -> dict:
+        """The JSON layout, each atom encoded by ``atom_json``."""
         return {
             "scalar": str(self.scalar),
             "num": [str(f) for f in self.num],
             "den": [str(f) for f in self.den],
-            "atoms": [a.to_json() for a in self.atoms],
+            "atoms": [atom_json(a) for a in self.atoms],
             "residues": [{"label": l, "power": m} for l, m in self.residues],
         }
 

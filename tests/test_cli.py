@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -252,3 +253,26 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+@pytest.mark.parametrize("argv,first", [
+    # the reader leaves after one line, and the rest of the 467 KB does not fit the pipe
+    (["table", "--group", "D4", "--parabolic", "borel", "--point=1/2", "--format", "json"],
+     b"{\n"),
+    # the reader leaves first, and the short table is still buffered when main returns
+    (["table", "--group", "G2", "--parabolic", "borel", "--point=1/2"], None),
+])
+def test_a_closed_stdout_exits_quietly(argv, first):
+    """`degeis ... | head -1`: no traceback, neither in main nor at interpreter exit."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = "import sys; sys.path.insert(0, sys.argv.pop(1)); from degeis.cli import main; " \
+           "sys.exit(main())"
+    # stdout block-buffered, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-c", code, src, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if first is not None:
+        assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (cli.EXIT_CLOSED_STDOUT, b"")

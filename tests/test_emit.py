@@ -43,3 +43,61 @@ def test_emitter_edge_cases(payload):
 def test_emitter_refuses_other_types(payload):
     with pytest.raises(TypeError):
         _json(payload)
+
+
+# -- one dict object inserted many times -----------------------------------------
+
+_SLOT = object()      # where a template takes the shared dict
+_templates = st.recursive(
+    st.one_of(_scalars, st.just(_SLOT)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+def _fill(template, shared):
+    """The template with the one object ``shared`` at every slot."""
+    if template is _SLOT:
+        return shared
+    if isinstance(template, list):
+        return [_fill(v, shared) for v in template]
+    if isinstance(template, dict):
+        return {k: _fill(v, shared) for k, v in template.items()}
+    return template
+
+
+@settings(max_examples=200, deadline=None)
+@given(_templates, _templates, st.dictionaries(_text, _payloads, min_size=1, max_size=4))
+def test_repeated_dicts_match_the_stdlib(outer, inner, shared):
+    """A dict object at equal and at different depths, and inside another repeated dict."""
+    middle = {"m": _fill(inner, shared), "s": shared}
+    payload = [_fill(outer, middle), shared, shared, [shared, middle], {"a": middle, "b": shared}]
+    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_repeated_dicts_at_one_depth_match_the_stdlib():
+    shared = {"label": "F", "arg": {"const": "1/2", "coeffs": {"s": "1"}}, "exp": -1}
+    payload = {"rows": [{"atoms": [shared, shared]} for _ in range(3)], "last": [[shared]]}
+    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [{"a": 1, 2: "b"}, {"a": {None: 1}}])
+def test_a_repeated_dict_with_a_foreign_key_raises_at_every_occurrence(bad):
+    """The first occurrence raises, at any depth, and a failed encoding is never kept."""
+    for payload in ([bad, bad], [[bad], bad], {"x": [{}, bad], "y": bad}, [bad, [[bad]]]):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                _json(payload)
+
+
+def test_the_memo_lasts_one_call():
+    """A dict encoded twice in one call, then given a foreign key, raises in the next."""
+    shared = {"a": [1]}
+    payload = [shared, shared, [shared]]
+    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    shared[1] = "b"
+    with pytest.raises(TypeError):
+        _json(payload)
+    del shared[1]
+    shared["a"].append(2)
+    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)

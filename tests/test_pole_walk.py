@@ -16,15 +16,18 @@ from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degeis import eisenstein, zetas
 from degeis.characters import TorusCharacter, _delta_line, chi_line_for, weyl_act
-from degeis.eisenstein import (ConstantTerm, GKTerm, _AtomTable, _exponents_at, constant_term,
-                               pole_report, render_table_rows)
+from degeis.eisenstein import (ConstantTerm, GKTerm, _AtomTable, _exponents_at, _pairings,
+                               constant_term, pole_report, render_table_rows)
 from degeis.errors import DegeisError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
-from degeis.zetas import _EPS, ZetaExpr, _Expansion, _Multisets, laurent_at
+from degeis.zetas import (_EPS, ZetaAtom, ZetaExpr, _Expansion, _Multisets, canonical_arg,
+                          laurent_at)
 
 from conftest import (af, exceptional_cases, gk_reference, sharp_f_w, sharp_l_poly,
                       sweep_cases, xi)
@@ -336,3 +339,72 @@ def test_a_walk_built_report_evaluates_the_line_once(monkeypatch):
         report(ct, Q(1, 2))
         assert calls == {"evaluate": 1, "subs": ct.system.rank}, report.__name__
 
+
+
+# -- one ZetaAtom per (id, count), and the rows' text --------------------------------
+
+def test_d4_borel_makes_one_zeta_atom_per_id_and_count(monkeypatch):
+    """1,438 atom occurrences over the 192 terms, 24 distinct (id, count): 24 ZetaAtoms,
+    each term holding the table's own objects, and every J still canonical."""
+    made = []
+
+    def counted(*args):
+        made.append(ZetaAtom(*args))
+        return made[-1]
+
+    monkeypatch.setattr(eisenstein, "ZetaAtom", counted)
+    ct = _d4_borel()
+    pairs = {ic for _, counts in ct.table.terms for ic in counts}
+    occurrences = [a for t in ct.terms for a in t.j_factor.atoms]
+    assert (len(ct.terms), len(occurrences), len(pairs), len(made)) == (192, 1438, 24, 24)
+    assert {id(a) for a in occurrences} == {id(a) for a in made}
+    for term in ct.terms:
+        assert ZetaExpr.build(atoms=term.j_factor.atoms) == term.j_factor
+
+
+def _rows_match_str(ct, point):
+    rows = render_table_rows(ct, point, assume_no_real_zeros=True)
+    assert [r["j_factor"] for r in rows] == [str(t.j_factor) for t in ct.terms]
+    assert [r["exponent"] for r in rows] == [str(t.exponent) for t in ct.terms]
+
+
+@pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda case: case[0])
+def test_row_text_is_str_of_each_term(case):
+    """Each distinct argument and coordinate is rendered once per table; the rows read
+    as ``str`` of each term, walk-built and by hand."""
+    _, system, levi, line = case
+    ct = constant_term(system, levi, line)
+    _rows_match_str(ct, Q(2))
+    _rows_match_str(ConstantTerm(system, ct.levi, line, ct.terms), Q(2))
+
+
+def test_row_text_of_terms_built_by_hand(quasi):
+    """Affine factors, residue symbols and scalars: the rows still read as ``str``."""
+    ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2)))
+    assert ct.table is None
+    _rows_match_str(ct, Q(2))
+
+
+# -- the atom table's pairings and order in integers ----------------------------------
+
+_SYSTEMS = {name: build_system(name) for name in ("split_D4", "quasi_D4", "tri_D4", "G2", "A1")}
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_coords = st.builds(lambda c, a, b: AffineForm(c, [("s", a), ("t", b)]),
+                    _rationals, _rationals, st.sampled_from([Q(0), Q(0), Q(1, 3), Q(-2, 5)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SYSTEMS)), st.lists(_coords, min_size=4, max_size=4))
+def test_of_line_matches_the_form_construction(name, coords):
+    """The integer pairings are TorusCharacter.pair of each coroot, and the ids are
+    numbered in the (label, form) order of the canonical arguments, as sorted forms give it."""
+    system = _SYSTEMS[name]
+    line = TorusCharacter(tuple(coords[:system.rank]))
+    pairs = [(label.symbol, line.pair(vec)) for label, vec in zip(system._labels, system._cvec)]
+    args = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0]) for label, p in pairs]
+    keys = sorted({(label, arg) for label, *both in args for arg in both})
+    table = _AtomTable.of_line(system, line)
+    assert table.pairs == pairs == _pairings(system, line)
+    assert table.keys == keys
+    assert table.roots == [(keys.index((label, plain)), keys.index((label, shifted)))
+                           for label, plain, shifted in args]
