@@ -154,24 +154,20 @@ def modular_character(system: RootSystem, levi: Iterable[int], *,
                       ambient: Iterable[int] | None = None) -> TorusCharacter:
     """Modular character of the standard parabolic with the given Levi.
 
-    Sums the norm characters of the roots in the unipotent radical.  With
-    ``ambient`` the computation happens inside the standard Levi subgroup on
-    that simple-root subset (e.g. delta^L_{L cap R}).
+    Sums the norm characters of the radical's roots as integer coordinates,
+    mapped once by ``_weighted_char``.  With ``ambient`` the computation happens
+    inside the standard Levi subgroup on that simple-root subset (delta^L_{L cap R}).
     """
     levi_set = set(levi)
     amb = set(ambient) if ambient is not None else set(range(1, system.rank + 1))
     if not levi_set <= amb:
         raise ValueError("levi must be contained in the ambient subset")
-    total = [Q(0)] * system.rank
-    for r in system.positive_roots:
+    total = [0] * system.rank
+    for r, label in zip(system.positive_roots, system._labels):
         support = {j + 1 for j, c in enumerate(r.coords) if c != 0}
-        if not support <= amb:
-            continue
-        if support <= levi_set:
-            continue
-        for j, v in enumerate(system.norm_char(r)):
-            total[j] += v
-    return TorusCharacter.constant(total)
+        if support <= amb and not support <= levi_set:
+            total = [t + label.degree * c for t, c in zip(total, r.coords)]
+    return TorusCharacter.constant(system._weighted_char(total))
 
 
 def parabolic_levi(system: RootSystem, parabolic: str) -> tuple[int, ...]:

@@ -55,17 +55,26 @@ def _parse(parse, text: str):
 
 
 def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacter:
+    """The line, which pairs to all -1 (chi) or all +1 (mu) with the parabolic's
+    Levi simple coroots; ``borel`` has no Levi and takes any line."""
     if spec is None:
         return chi_line_for(system, parabolic)
     if spec in STANDARD_LINES:
-        return standard_line(system, spec)
-    coords = [_parse(parse_affine, p) for p in spec.split(",")]
-    if len(coords) != system.rank:
-        raise ConfigError(f"custom line needs {system.rank} coordinates, got {len(coords)}")
-    line = TorusCharacter(tuple(coords))
-    if line.params != ("s",):
-        raise ConfigError("a custom line must be affine in the one parameter s that "
-                          f"--point assigns; found parameters {list(line.params)}")
+        line = standard_line(system, spec)
+    else:
+        coords = [_parse(parse_affine, p) for p in spec.split(",")]
+        if len(coords) != system.rank:
+            raise ConfigError(f"custom line needs {system.rank} coordinates, got {len(coords)}")
+        line = TorusCharacter(tuple(coords))
+        if line.params != ("s",):
+            raise ConfigError("a custom line must be affine in the one parameter s that "
+                              f"--point assigns; found parameters {list(line.params)}")
+    levi = parabolic_levi(system, parabolic)
+    for i in levi:
+        c = line.coords[i - 1]
+        if c != line.coords[levi[0] - 1] or not (c.is_constant() and abs(c.const) == 1):
+            raise ConfigError(f"line coordinate {i} is {c}: on parabolic {parabolic} the Levi "
+                              f"coordinates {list(levi)} must be all -1 (chi) or all +1 (mu)")
     return line
 
 

@@ -21,7 +21,7 @@ respect to the norms |.|_{F_alpha} of the root fields, which makes the
 coroot-pairing vector of every root equal to its own root coordinates, and
 makes simple reflections act on fundamental-weight coordinates through the
 transpose of ``A``.  For split systems everything is classical (pairing
-matrix = A, coroots by reflection transport from simple coroots).
+matrix = A, coroot alpha^vee = 2 alpha / (alpha, alpha)).
 
 The norm character of a root (its fundamental-weight coordinate vector as an
 absolute-value character of the torus) is
@@ -219,15 +219,13 @@ class RootSystem:
         self._gens = tuple(tuple(g + [(k + n) % (2 * n) for k in g]) for g in half)
         self._times = tuple(operator.itemgetter(*g) for g in self._gens)
 
-        # Labels and lengths are constant on Weyl orbits, so a root takes
-        # them from the simple root its provenance chain starts at (the
-        # W-invariant norm of alpha_i is 2 d_i).  A split coroot vector is its
-        # parent's under the dual reflection, which subtracts (row i of the
-        # pairing matrix . v) from coordinate i; folded systems, and simple
-        # roots, pair through the root's own coordinates.
+        # Labels and norms are constant on Weyl orbits, so a root takes its
+        # label, length class and norm 2 d_o (d the symmetrizer) from the simple
+        # root alpha_o its provenance chain starts at.  A split root's coroot is
+        # 2 alpha / (alpha, alpha) = sum_i c_i d_i / d_o alpha_i^vee (Bourbaki
+        # VI.1); folded systems pair through the root's own coordinates.
         prov: list[tuple[int, int] | None] = [None] * n
         origin = [0] * n
-        cvec = list(coords)
         for c, p in provenance.items():
             k = pos[c]
             if p is None:
@@ -235,14 +233,11 @@ class RootSystem:
                 continue
             letter, parent = p[0], pos[p[1]]
             prov[k], origin[k] = (letter, parent), origin[parent]
-            if not self.folded:
-                v = list(cvec[parent])
-                v[letter - 1] -= sum(a * x for a, x in zip(self.pairing[letter - 1], v))
-                cvec[k] = tuple(v)
         self._provenance = tuple(prov)
-        self._cvec = tuple(cvec)
-        self._labels = tuple(self._simple_labels[i + 1] for i in origin)
         d, long_d = self.symmetrizer, max(self.symmetrizer)
+        self._cvec = tuple(coords) if self.folded else tuple(
+            tuple(x * d_i // d[o] for x, d_i in zip(c, d)) for c, o in zip(coords, origin))
+        self._labels = tuple(self._simple_labels[i + 1] for i in origin)
         self._length_class = tuple("long" if d[i] == long_d else "short" for i in origin)
         for k, lab in enumerate(self._labels):
             for gen in self._gens:
@@ -251,18 +246,16 @@ class RootSystem:
                     raise LabelInconsistencyError(
                         f"labels differ on the Weyl orbit of {self.positive_roots[k]}: "
                         f"{lab.symbol} vs {other.symbol}")
-        self._nchar = tuple(self._norm_char(c, lab.degree) for c, lab in zip(coords, self._labels))
 
-    def _norm_char(self, coords: tuple[int, ...], degree: int) -> tuple[Q, ...]:
-        # summed as numerators over the lcm of the simple-root degrees
-        degrees = [self._simple_labels[i + 1].degree for i in range(self.rank)]
+    def _weighted_char(self, weighted: Sequence[int]) -> tuple[Q, ...]:
+        """sum_i n_i / deg_i * pairing column i, over the lcm of the degrees: additive
+        in n, and the norm character of the root c at n = deg_alpha * c."""
+        degrees = [lab.degree for lab in self._simple_labels.values()]
         den = math.lcm(*degrees)
         out = [0] * self.rank
-        for i, c in enumerate(coords):
-            if c:
-                w = c * degree * (den // degrees[i])
-                for j, p in enumerate(self.pairing[i]):
-                    out[j] += w * p
+        for n_i, deg, column in zip(weighted, degrees, self.pairing):
+            for j, p in enumerate(column):
+                out[j] += n_i * (den // deg) * p
         return tuple(Q(x, den) for x in out)
 
     # -- queries -----------------------------------------------------------
@@ -296,9 +289,8 @@ class RootSystem:
 
     def norm_char(self, root: Root) -> tuple[Q, ...]:
         """Fundamental-weight coordinates of |root|_{F_root} as a character."""
-        k, n = self._position(root), len(self.positive_roots)
-        vec = self._nchar[k % n]
-        return vec if k < n else tuple(-x for x in vec)
+        degree = self.label_of(root).degree
+        return self._weighted_char([degree * c for c in root.coords])
 
     def reflect_root(self, i: int, root: Root) -> Root:
         """s_i(root) for a root of the system: a lookup in ``_gens``."""

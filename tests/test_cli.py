@@ -203,6 +203,53 @@ def test_custom_line_with_two_parameters_is_refused(capsys):
     assert "config-error" in err and "'t'" in err
 
 
+# -- a line must belong to the parabolic ----------------------------------------
+
+def _levi_rule(i, c, parabolic, levi):
+    return (f"error[config-error]: line coordinate {i} is {c}: on parabolic {parabolic} the "
+            f"Levi coordinates {levi} must be all -1 (chi) or all +1 (mu)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    # 2s, 3 and 0 at alpha_1, alpha_3, alpha_4: no degenerate series of P has this line
+    (("poles", "--group", "D4", "--parabolic", "P", "--line", "2s,s,3,0", "--point", "1"),
+     _levi_rule(1, "2s", "P", [1, 3, 4])),
+    (("table", "--group", "D4", "--parabolic", "P", "--line=-1,s,1,-1", "--point", "1"),
+     _levi_rule(3, "1", "P", [1, 3, 4])),
+    (("table", "--group", "2D4", "--parabolic", "Q", "--line", "s,-1,0", "--point", "1"),
+     _levi_rule(3, "0", "Q", [2, 3])),
+    # a named line on another parabolic (hyperplane-degeneracy, exit 4, before the rule)
+    (("poles", "--group", "D4", "--parabolic", "P", "--line", "chiQ", "--point", "1"),
+     _levi_rule(1, "6s+2", "P", [1, 3, 4])),
+    (("poles", "--group", "2D4", "--parabolic", "Q", "--line", "muP", "--point", "1"),
+     _levi_rule(2, "5s-3/2", "Q", [2, 3])),
+    (("table", "--group", "D4", "--parabolic", "Q", "--line", "kappa", "--point", "1"),
+     _levi_rule(2, "6s-1", "Q", [2, 3, 4])),
+])
+def test_a_line_off_the_parabolic_is_a_config_error(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("group,parabolic", [
+    ("D4", "P"), ("D4", "Q"), ("2D4", "P"), ("2D4", "Q"), ("3D4", "P")])
+def test_the_lines_of_a_parabolic_pass_the_rule(capsys, group, parabolic):
+    for line in (None, "chi" + parabolic, "mu" + parabolic):
+        argv = ["poles", "--group", group, "--parabolic", parabolic, "--point", "1/2"]
+        code, out, err = run(capsys, *argv, *(() if line is None else ("--line", line)))
+        assert (code, err) == (0, ""), line
+        assert out.startswith("pole order at 1/2: ")
+
+
+@pytest.mark.parametrize("line", ["1,s,1,1", "2s,s,3,0"])
+def test_custom_lines_that_pass_the_rule(capsys, line):
+    # a mu-type line on P, and any line on borel
+    parabolic = "P" if line.startswith("1,") else "borel"
+    code, out, err = run(capsys, "poles", "--group", "D4", "--parabolic", parabolic,
+                         "--line", line, "--point", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("pole order at 1: ")
+
+
 # -- one parser per process ----------------------------------------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
