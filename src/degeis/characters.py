@@ -9,18 +9,28 @@ attached to its simple root).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IotaMismatchError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q, _ratio
+from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
 
 
-@dataclass(frozen=True)
-class TorusCharacter:
-    coords: tuple[AffineForm, ...]
+class TorusCharacter(Record):
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[AffineForm, ...]):
+        _set_coords(self, coords)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @staticmethod
     def of(*coords: AffineForm | Rat) -> "TorusCharacter":
@@ -90,6 +100,9 @@ class TorusCharacter:
     def to_json(self, form_json: Callable[[AffineForm], dict] = AffineForm.to_json) -> dict:
         """The JSON layout, each coordinate encoded by ``form_json``."""
         return {"coords": [form_json(c) for c in self.coords]}
+
+
+(_set_coords,) = setters(TorusCharacter)
 
 
 def _scale(form: AffineForm, scalar: Rat | AffineForm) -> AffineForm:
@@ -249,15 +262,16 @@ def chi_line_for(system: RootSystem, parabolic: str) -> TorusCharacter:
     return _delta_line(system, parabolic_levi(system, parabolic), Q(1, 2))
 
 
-@dataclass(frozen=True)
-class IotaReport:
+class IotaReport(Record):
     """Result of the iota change-of-variables verification."""
 
-    iota_pq: TorusCharacter          # affine in (s1, s2)
-    iota_qp: TorusCharacter
-    identity_holds: bool
-    special_point_equal: bool
-    w1_relation_holds: bool
+    __slots__ = ("iota_pq", "iota_qp", "identity_holds", "special_point_equal",
+                 "w1_relation_holds")
+
+    def __init__(self, iota_pq: TorusCharacter,    # affine in (s1, s2)
+                 iota_qp: TorusCharacter, identity_holds: bool, special_point_equal: bool,
+                 w1_relation_holds: bool):
+        self._fill(iota_pq, iota_qp, identity_holds, special_point_equal, w1_relation_holds)
 
     @property
     def ok(self) -> bool:

@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--parabolic", default="borel", help="borel, P or Q")
             p.add_argument("--line", default=None,
                            help="chiQ|chiP|muP|muQ|kappa or comma-separated affine forms "
-                                "(default: the chi line of the parabolic)")
+                                "(default: the chi line of the parabolic); kappa is refused "
+                                "on every parabolic, see line_kappa in the library")
             p.add_argument("--point", required=True, help="rational point p/q")
         p.add_argument("--format", choices=("md", "json"), default="md")
         if line:    # after --format, where the usage and help have always listed it

@@ -9,21 +9,23 @@ L-function factorizations and their pole orders at s = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnmodeledPointError, UnsupportedGroupError
 from .forms import Q
+from .records import OrderedRecord, Record
 from .rootdata import Root, RootSystem, build_system
 
 _SHORT_POS = (Root((1, 0)), Root((1, 1)), Root((2, 1)))
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Record):
     """The seven weights, as fundamental-weight coordinate vectors."""
 
-    weights: tuple[tuple[Q, ...], ...]
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple[tuple[Q, ...], ...]):
+        self._fill(weights)
 
     @staticmethod
     def standard(system: RootSystem | None = None) -> "WeightSet":
@@ -51,16 +53,17 @@ def _g2() -> RootSystem:
     return build_system("G2")
 
 
-@dataclass(frozen=True)
-class DualPairEmbedding:
+class DualPairEmbedding(Record):
     """Coroot directions of the two commuting SL2s inside G2(C).
 
     The first corresponds to the unipotent class of a long root (the highest
     root), the second to a short root; the two roots are orthogonal.
     """
 
-    long_cochar: tuple[Q, ...]
-    short_cochar: tuple[Q, ...]
+    __slots__ = ("long_cochar", "short_cochar")
+
+    def __init__(self, long_cochar: tuple[Q, ...], short_cochar: tuple[Q, ...]):
+        self._fill(long_cochar, short_cochar)
 
     @staticmethod
     def standard(system: RootSystem | None = None) -> "DualPairEmbedding":
@@ -93,11 +96,14 @@ def restrict_via_r() -> list[tuple[Q, Q]]:
                   for w in ws.weights)
 
 
-@dataclass(frozen=True, order=True)
-class LFactor:
-    shift: Q            # the factor is L(s + shift, label)
-    label: str          # "zeta" | "tau" | "chi"
-    mult: int = 1
+class LFactor(OrderedRecord):
+    __slots__ = ("shift", "label", "mult")
+
+    def __init__(self,
+                 shift: Q,          # the factor is L(s + shift, label)
+                 label: str,        # "zeta" | "tau" | "chi"
+                 mult: int = 1):
+        self._fill(shift, label, mult)
 
     def degree(self) -> int:
         return (2 if self.label == "tau" else 1) * self.mult
@@ -108,9 +114,11 @@ class LFactor:
         return base if self.mult == 1 else f"{base}^{self.mult}"
 
 
-@dataclass(frozen=True)
-class LFactorization:
-    factors: tuple[LFactor, ...]
+class LFactorization(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[LFactor, ...]):
+        self._fill(factors)
 
     @staticmethod
     def build(factors: Iterable[LFactor]) -> "LFactorization":

@@ -26,7 +26,6 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import lcm
 from operator import mul
@@ -36,6 +35,7 @@ from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _make, _q, _ratio, _ratio_str, _Terms
+from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
                     _intern, _kept, _Multisets, expand_in, laurent_at)
@@ -43,11 +43,26 @@ from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, 
 
 # -- constant terms ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class GKTerm:
-    word: WeylWord
-    j_factor: ZetaExpr
-    exponent: TorusCharacter        # w^{-1} . lambda_s, affine in the parameter
+class GKTerm(Record):
+    __slots__ = ("word", "j_factor", "exponent")
+
+    def __init__(self, word: WeylWord, j_factor: ZetaExpr,
+                 exponent: TorusCharacter):     # w^{-1} . lambda_s, affine in the parameter
+        _set_word(self, word)
+        _set_j_factor(self, j_factor)
+        _set_exponent(self, exponent)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return ((self.word, self.j_factor, self.exponent)
+                    == (other.word, other.j_factor, other.exponent))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.j_factor, self.exponent))
+
+
+_set_word, _set_j_factor, _set_exponent = setters(GKTerm)
 
 
 class _AtomTable:
@@ -128,14 +143,15 @@ class _AtomTable:
         return max((sum(abs(c) for _, c in counts) for _, counts in self.terms), default=0)
 
 
-@dataclass(frozen=True)
-class ConstantTerm:
-    system: RootSystem
-    levi: tuple[int, ...]
-    line: TorusCharacter
-    terms: tuple[GKTerm, ...]
-    # the terms' J as id counts; None for terms built by hand, interned on use
-    table: _AtomTable | None = field(default=None, compare=False, repr=False)
+class ConstantTerm(Record):
+    __slots__ = ("system", "levi", "line", "terms", "table")
+    _compared = __slots__[:4]
+
+    def __init__(self, system: RootSystem, levi: tuple[int, ...], line: TorusCharacter,
+                 terms: tuple[GKTerm, ...],
+                 # the terms' J as id counts; None for terms built by hand, interned on use
+                 table: _AtomTable | None = None):
+        self._fill(system, levi, line, terms, table)
 
 
 def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
@@ -181,23 +197,43 @@ def constant_term(system: RootSystem, levi: Iterable[int],
 
 # -- pole reports -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermGroup:
-    exponent_at_point: tuple[Q, ...]
-    words: tuple[WeylWord, ...]
-    order: int                      # order of vanishing of the group sum
-    leading: ZetaExpr | None        # None when the leading survives only as log-t
-    log_term: bool
+class TermGroup(Record):
+    __slots__ = ("exponent_at_point", "words", "order", "leading", "log_term")
+
+    def __init__(self, exponent_at_point: tuple[Q, ...], words: tuple[WeylWord, ...],
+                 order: int,                # order of vanishing of the group sum
+                 leading: ZetaExpr | None,  # None when the leading survives only as log-t
+                 log_term: bool):
+        _set_exponent_at_point(self, exponent_at_point)
+        _set_words(self, words)
+        _set_order(self, order)
+        _set_leading(self, leading)
+        _set_log_term(self, log_term)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return ((self.exponent_at_point, self.words, self.order, self.leading, self.log_term)
+                    == (other.exponent_at_point, other.words, other.order, other.leading,
+                        other.log_term))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponent_at_point, self.words, self.order, self.leading,
+                     self.log_term))
 
 
-@dataclass(frozen=True)
-class PoleReport:
-    system: RootSystem
-    point: Q
-    order: int                      # pole order of the full constant term (>= 0)
-    groups: tuple[TermGroup, ...]
-    surviving_exponents: tuple[tuple[Q, ...], ...]
-    square_integrable: bool
+_set_exponent_at_point, _set_words, _set_order, _set_leading, _set_log_term = setters(TermGroup)
+
+
+class PoleReport(Record):
+    __slots__ = ("system", "point", "order", "groups", "surviving_exponents",
+                 "square_integrable")
+
+    def __init__(self, system: RootSystem, point: Q,
+                 order: int,                # pole order of the full constant term (>= 0)
+                 groups: tuple[TermGroup, ...], surviving_exponents: tuple[tuple[Q, ...], ...],
+                 square_integrable: bool):
+        self._fill(system, point, order, groups, surviving_exponents, square_integrable)
 
 
 def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
@@ -367,8 +403,7 @@ def sharp_normalizer(system: RootSystem, lam: TorusCharacter) -> ZetaExpr:
     return ZetaExpr.build(num=_l_factors(pairs), atoms=_xi_shifted(pairs))
 
 
-@dataclass(frozen=True)
-class SharpLimit:
+class SharpLimit(Record):
     """Laurent data of the restricted normalizer along a one-parameter line.
 
     ``order``/``leading`` are taken in the line-intrinsic coordinate: the
@@ -378,10 +413,10 @@ class SharpLimit:
     out against the transversal directions of the ambient parameter space.
     """
 
-    order: int
-    leading: ZetaExpr
-    dropped: int
-    slope: Q
+    __slots__ = ("order", "leading", "dropped", "slope")
+
+    def __init__(self, order: int, leading: ZetaExpr, dropped: int, slope: Q):
+        self._fill(order, leading, dropped, slope)
 
 
 def sharp_limit(system: RootSystem, levi: Sequence[int], line: TorusCharacter,
@@ -410,13 +445,16 @@ def sharp_limit(system: RootSystem, levi: Sequence[int], line: TorusCharacter,
     return SharpLimit(ld.order, rescaled, dropped, slope)
 
 
-@dataclass(frozen=True)
-class SiegelWeilReport:
-    sharp_p: SharpLimit              # along mu_s^P at 3/10
-    sharp_q: SharpLimit              # along mu_s^Q at 1/6
-    constant: ZetaExpr               # leading(E_P side) = constant * leading(E_Q side)
-    residue_w2342: LaurentData       # A_{w[2342]} on the spherical vector
-    section_constant: ZetaExpr
+class SiegelWeilReport(Record):
+    __slots__ = ("sharp_p", "sharp_q", "constant", "residue_w2342", "section_constant")
+
+    def __init__(self,
+                 sharp_p: SharpLimit,            # along mu_s^P at 3/10
+                 sharp_q: SharpLimit,            # along mu_s^Q at 1/6
+                 constant: ZetaExpr,             # leading(E_P side) = constant * leading(E_Q side)
+                 residue_w2342: LaurentData,     # A_{w[2342]} on the spherical vector
+                 section_constant: ZetaExpr):
+        self._fill(sharp_p, sharp_q, constant, residue_w2342, section_constant)
 
 
 def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
@@ -555,12 +593,15 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
                     for b, pair in enumerate(atoms) if b != alpha))
 
 
-@dataclass(frozen=True)
-class EntirenessReport:
-    boundary_ok: bool      # poles along <lam,a>=+-1 killed by the polynomial zeros
-    h0_ok: bool            # poles along <lam,a>=0 cancel in pairs
-    orbit_ok: bool         # every positive root is W-conjugate to a simple root
-    checked_words: int     # the pairs (i, w) the H^0 verdicts cover: rank * |W|
+class EntirenessReport(Record):
+    __slots__ = ("boundary_ok", "h0_ok", "orbit_ok", "checked_words")
+
+    def __init__(self,
+                 boundary_ok: bool,     # poles along <lam,a>=+-1 killed by the polynomial zeros
+                 h0_ok: bool,           # poles along <lam,a>=0 cancel in pairs
+                 orbit_ok: bool,        # every positive root is W-conjugate to a simple root
+                 checked_words: int):   # the pairs (i, w) the H^0 verdicts cover: rank * |W|
+        self._fill(boundary_ok, h0_ok, orbit_ok, checked_words)
 
     @property
     def entire(self) -> bool:

@@ -11,11 +11,11 @@ Re z > 0), a single valuation shell gives X^k (a single term, for every z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError
 from .forms import AffineForm, Q
+from .records import Record
 
 Poly = dict[int, Q]
 
@@ -39,16 +39,15 @@ def _padd(a: Poly, b: Poly) -> Poly:
     return _poly(out)
 
 
-@dataclass(frozen=True)
-class ShellFunction:
+class ShellFunction(Record):
     """lattice(k): indicator of pi^k O;  shell(k): indicator of valuation exactly k."""
 
-    kind: str
-    k: int
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        if self.kind not in ("lattice", "shell"):
+    def __init__(self, kind: str, k: int):
+        if kind not in ("lattice", "shell"):
             raise ValueError("kind must be 'lattice' or 'shell'")
+        self._fill(kind, k)
 
     @staticmethod
     def lattice(k: int) -> "ShellFunction":
@@ -65,14 +64,14 @@ _RIGHT_HALF_PLANE = "Re(z) > 0"
 _REGIONS = (_ALL_Z, _RIGHT_HALF_PLANE)
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Record):
     """num/den in X = q^{-z}, with the exponent form carried for printing."""
 
-    num: tuple[tuple[int, Q], ...]
-    den: tuple[tuple[int, Q], ...]
-    z: AffineForm
-    convergence: str = _RIGHT_HALF_PLANE
+    __slots__ = ("num", "den", "z", "convergence")
+
+    def __init__(self, num: tuple[tuple[int, Q], ...], den: tuple[tuple[int, Q], ...],
+                 z: AffineForm, convergence: str = _RIGHT_HALF_PLANE):
+        self._fill(num, den, z, convergence)
 
     @staticmethod
     def build(num: Poly, den: Poly, z: AffineForm,

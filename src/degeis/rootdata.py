@@ -39,31 +39,40 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (ConfigError, EnumerationTooLargeError, LabelInconsistencyError,
                      NotFiniteTypeError, UnknownRootError,
                      UnsupportedGroupError)
 from .forms import Q
+from .records import OrderedRecord, Record, setters
 
 # weyl_elements refuses to list more elements than this: the walk keeps one
 # permutation of the 2N signed roots per element (E6: 51840, E7: 2903040)
 _MAX_WEYL_ELEMENTS = 100_000
 
 
-@dataclass(frozen=True, order=True)
-class FieldLabel:
-    symbol: str
-    degree: int
+class FieldLabel(OrderedRecord):
+    __slots__ = ("symbol", "degree")
 
-    def __post_init__(self):
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise ValueError(f"field degree {self.degree!r} is not an integer")
-        if self.degree < 1:
+    def __init__(self, symbol: str, degree: int):
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise ValueError(f"field degree {degree!r} is not an integer")
+        if degree < 1:
             raise ValueError("field degree must be >= 1")
-        if self.symbol == "F" and self.degree != 1:
+        if symbol == "F" and degree != 1:
             raise ValueError("label F must have degree 1")
+        self._fill(symbol, degree)
+
+    # each build compares every root's label with its images under the simple
+    # reflections, thousands of times per command
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.symbol, self.degree) == (other.symbol, other.degree)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.degree))
 
 
 LABEL_F = FieldLabel("F", 1)
@@ -71,15 +80,23 @@ LABEL_K = FieldLabel("K", 2)
 LABEL_E = FieldLabel("E", 3)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    coords: tuple[int, ...]
+class Root(OrderedRecord):
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if all(c == 0 for c in self.coords):
+    def __init__(self, coords: tuple[int, ...]):
+        if all(c == 0 for c in coords):
             raise ValueError("zero vector is not a root")
-        if not (all(c >= 0 for c in self.coords) or all(c <= 0 for c in self.coords)):
-            raise ValueError(f"mixed-sign coordinates: {self.coords}")
+        if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
+            raise ValueError(f"mixed-sign coordinates: {coords}")
+        _set_root_coords(self, coords)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @property
     def positive(self) -> bool:
@@ -96,11 +113,21 @@ class Root:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(Record):
     """Word in simple reflections; letters are 1-based simple-root indices."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()):
+        _set_letters(self, letters)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @staticmethod
     def of(*letters: int) -> "WeylWord":
@@ -117,6 +144,10 @@ class WeylWord:
 
     def __str__(self) -> str:
         return "1" if not self.letters else "w[" + "".join(str(i) for i in self.letters) + "]"
+
+
+(_set_root_coords,) = setters(Root)
+(_set_letters,) = setters(WeylWord)
 
 
 class WeylWalk(list):

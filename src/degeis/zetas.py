@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import HyperplaneDegeneracyError, IndeterminateZeroRegionError
 from .forms import AffineForm, Q, Rat, _make, _q, _ratio, _Terms
+from .records import OrderedRecord, Record, setters
 
 
 def _primitive(f: AffineForm, var: str | None = None) -> tuple[AffineForm | None, int, int]:
@@ -77,11 +77,26 @@ def canonical_arg(arg: AffineForm) -> tuple[AffineForm, bool]:
     return (arg, False) if keep else (1 - arg, True)
 
 
-@dataclass(frozen=True, order=True)
-class ZetaAtom:
-    label: str
-    arg: AffineForm
-    exp: int = 1
+class ZetaAtom(OrderedRecord):
+    __slots__ = ("label", "arg", "exp")
+
+    def __init__(self, label: str, arg: AffineForm, exp: int = 1):
+        _set_label(self, label)
+        _set_arg(self, arg)
+        _set_exp(self, exp)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.label, self.arg, self.exp) == (other.label, other.arg, other.exp)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.arg, self.exp))
+
+    def __lt__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.label, self.arg, self.exp) < (other.label, other.arg, other.exp)
+        return NotImplemented
 
     def __str__(self) -> str:
         base = f"xi_{self.label}({self.arg})"
@@ -91,13 +106,29 @@ class ZetaAtom:
         return {"label": self.label, "arg": self.arg.to_json(), "exp": self.exp}
 
 
-@dataclass(frozen=True)
-class ZetaExpr:
-    scalar: Q = Q(1)
-    num: tuple[AffineForm, ...] = ()
-    den: tuple[AffineForm, ...] = ()
-    atoms: tuple[ZetaAtom, ...] = ()
-    residues: tuple[tuple[str, int], ...] = ()
+_set_label, _set_arg, _set_exp = setters(ZetaAtom)
+
+
+class ZetaExpr(Record):
+    __slots__ = ("scalar", "num", "den", "atoms", "residues")
+
+    def __init__(self, scalar: Q = Q(1), num: tuple[AffineForm, ...] = (),
+                 den: tuple[AffineForm, ...] = (), atoms: tuple[ZetaAtom, ...] = (),
+                 residues: tuple[tuple[str, int], ...] = ()):
+        _set_scalar(self, scalar)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_atoms(self, atoms)
+        _set_residues(self, residues)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return ((self.scalar, self.num, self.den, self.atoms, self.residues)
+                    == (other.scalar, other.num, other.den, other.atoms, other.residues))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.scalar, self.num, self.den, self.atoms, self.residues))
 
     @staticmethod
     def build(scalar: Rat = 1,
@@ -234,16 +265,20 @@ class ZetaExpr:
         }
 
 
-@dataclass(frozen=True)
-class LaurentData:
+_set_scalar, _set_num, _set_den, _set_atoms, _set_residues = setters(ZetaExpr)
+
+
+class LaurentData(Record):
     """Order of vanishing (negative = pole) and the leading coefficient.
 
     ``leading`` is a ZetaExpr; when the expansion point is fully numeric it is
     a monomial: rational * prod xi_L(q)^e * prod R_L^m.
     """
 
-    order: int
-    leading: ZetaExpr
+    __slots__ = ("order", "leading")
+
+    def __init__(self, order: int, leading: ZetaExpr):
+        self._fill(order, leading)
 
     def __str__(self) -> str:
         return f"order {self.order}, leading {self.leading}"

@@ -53,7 +53,8 @@ from degeis import build_system, cli, constant_term, pole_report  # noqa: E402
 from degeis.eisenstein import (_eps_character, _l_poly, _pairings,  # noqa: E402
                                coset_reps, entireness_report, h0_cancellation_check,
                                intertwiner_residue, render_table_rows, sharp_invariance_check)
-from degeis.characters import _delta_line, parabolic_levi  # noqa: E402
+from degeis.characters import (_delta_line, chi_line_for, parabolic_levi,  # noqa: E402
+                               standard_line)
 from degeis.errors import DegeisError  # noqa: E402
 from degeis.rootdata import WeylWord  # noqa: E402
 from degeis.zetas import expand_in  # noqa: E402
@@ -205,7 +206,7 @@ def laurent_calls():
     fifth point, then expand_in of the L polynomial of every eps character."""
     for group, parabolic, spec in LINES:
         system = cli._system(group)
-        line = cli._line(system, spec, parabolic)
+        line = chi_line_for(system, parabolic) if spec is None else standard_line(system, spec)
         for word in coset_reps(system, parabolic_levi(system, parabolic)):
             for point in POINTS[::5]:
                 yield _laurent(["intertwiner_residue", group, parabolic, str(spec), str(word),
