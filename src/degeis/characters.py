@@ -9,8 +9,8 @@ attached to its simple root).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IotaMismatchError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q, _ratio

@@ -26,7 +26,7 @@ from .eisenstein import (constant_term, entireness_report, pole_report,
                          sharp_invariance_check, siegel_weil_constant)
 from .errors import (ConfigError, DegeisError, IndeterminateZeroRegionError,
                      MathematicalLimitError)
-from .forms import AffineForm, parse_affine, parse_rational
+from .forms import AffineForm, _per_object, parse_affine, parse_rational
 from .localint import ShellFunction, tate_integral
 from .rootdata import RootSystem, build_system
 from .zetas import ZetaAtom
@@ -160,16 +160,23 @@ def cmd_poles(args) -> int:
     point = _parse(parse_rational, args.point)
     ct = constant_term(system, levi, line)
     rep = pole_report(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
+    # the report shares one Fraction per distinct exponent value: each is rendered once
+    value_text = _per_object(str)
     groups = [{
-        "exponent": "(" + ",".join(str(x) for x in g.exponent_at_point) + ")",
+        "exponent": "(" + ",".join(map(value_text, g.exponent_at_point)) + ")",
         "words": [str(w) for w in g.words],
         "order": g.order,
         "log_term": g.log_term,
-        "leading": str(g.leading) if g.leading is not None else None,
     } for g in rep.groups]
     payload = {"command": "poles", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "order": rep.order,
                "square_integrable": rep.square_integrable, "groups": groups}
+    if args.format == "json":
+        # only JSON prints the leading terms; their atoms are shared, each rendered once
+        factor_text = _per_object(ZetaAtom.factor_text)
+        payload["groups"] = [d | {"leading": None if g.leading is None
+                                  else g.leading.text(factor_text)}
+                             for d, g in zip(groups, rep.groups)]
 
     def markdown():
         lines = [f"pole order at {point}: {rep.order}",

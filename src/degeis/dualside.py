@@ -9,7 +9,7 @@ L-function factorizations and their pole orders at s = 2.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import UnmodeledPointError, UnsupportedGroupError
 from .forms import Q

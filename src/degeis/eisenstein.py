@@ -26,15 +26,15 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
 
 from .characters import (TorusCharacter, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
-from .forms import AffineForm, Q, Rat, _make, _q, _ratio, _ratio_str, _Terms
+from .forms import AffineForm, Q, Rat, _make, _per_object, _q, _ratio, _ratio_str, _Terms
 from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
@@ -329,11 +329,13 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
         order, leading, key = expansion.term(scalar, counts)
         grouped.setdefault(exp0, []).append((term, order, leading, key, counts))
 
+    # one Fraction per distinct numerator, shared by every exponent that holds it
+    values = {x: Q(x, den) for x in set().union(*grouped)}
     groups = []
     for exp0 in sorted(grouped):
         members = grouped[exp0]
         order, leading, log_term = _group_order(system, members, params[0], expansion)
-        groups.append(TermGroup(tuple(Q(x, den) for x in exp0),
+        groups.append(TermGroup(tuple([values[x] for x in exp0]),
                                 tuple(t.word for t, *_ in members), order, leading, log_term))
     overall = max(0, max(-g.order for g in groups))
     surviving = tuple(g.exponent_at_point for g in groups if -g.order == overall)
@@ -660,14 +662,14 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     # the rows read orders only: no packed monomials
     expansion = _Expansion(table.keys, None, _EPS, assignment, assume_no_real_zeros)
     den, exps = _exponents_at(ct, assignment)
-    # each distinct atom argument and exponent coordinate is rendered once
-    arg_text, form_text = cache(str), cache(str)
+    # each shared atom factor and each distinct exponent coordinate is rendered once
+    factor_text, form_text = _per_object(ZetaAtom.factor_text), cache(str)
     rows = []
     for term, (scalar, counts), exp_val in zip(ct.terms, table.terms, exps):
         order = expansion.term(scalar, counts)[0]
         rows.append({
             "word": str(term.word),
-            "j_factor": term.j_factor.text(arg_text),
+            "j_factor": term.j_factor.text(factor_text),
             "pole_order": pole_order_of(order),
             "exponent": term.exponent.text(form_text),
             "exponent_at_point": "(" + ",".join(_ratio_str(x, den) for x in exp_val) + ")",

@@ -15,13 +15,13 @@ engine ever touches a float.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
 
 Q = Fraction
-Rat = Union[Q, int]
+Rat = Q | int
 
 _Terms = tuple[tuple[str, int], ...]
 
@@ -42,6 +42,23 @@ def _ratio_str(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for den > 0."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _per_object(render: Callable[[object], str]) -> Callable[[object], str]:
+    """``render``, run once per object: an object met again gets its first text.
+
+    Keyed by ``id``, which costs less than hashing a ``Fraction`` or a
+    ``ZetaAtom``: for the values a result shares as one object each.  Every
+    entry holds its object, so no id is reused while the memo lives.
+    """
+    memo: dict[int, tuple[object, str]] = {}
+
+    def once(x: object) -> str:
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = (x, render(x))
+        return hit[1]
+    return once
 
 
 def _merge(x: _Terms, m: int, y: _Terms, k: int) -> _Terms:

@@ -11,7 +11,7 @@ Re z > 0), a single valuation shell gives X^k (a single term, for every z).
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import ConfigError
 from .forms import AffineForm, Q

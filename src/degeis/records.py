@@ -19,8 +19,8 @@ command writes its own ``__init__``, ``__eq__`` and ``__hash__``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import total_ordering
-from typing import Callable
 
 _set = object.__setattr__
 

@@ -39,7 +39,7 @@ import json
 import math
 import operator
 from collections import Counter
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import (ConfigError, EnumerationTooLargeError, LabelInconsistencyError,
                      NotFiniteTypeError, UnknownRootError,

@@ -28,8 +28,8 @@ calls ``expand_in``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import HyperplaneDegeneracyError, IndeterminateZeroRegionError
 from .forms import AffineForm, Q, Rat, _make, _q, _ratio, _Terms
@@ -101,6 +101,11 @@ class ZetaAtom(OrderedRecord):
     def __str__(self) -> str:
         base = f"xi_{self.label}({self.arg})"
         return base if self.exp == 1 else f"{base}^{self.exp}"
+
+    def factor_text(self) -> str:
+        """The atom as a factor of ``ZetaExpr.text``: xi_L(arg), to the power |exp| unless 1."""
+        base = f"xi_{self.label}({self.arg})"
+        return base if abs(self.exp) == 1 else f"{base}^{abs(self.exp)}"
 
     def to_json(self) -> dict:
         return {"label": self.label, "arg": self.arg.to_json(), "exp": self.exp}
@@ -231,8 +236,8 @@ class ZetaExpr(Record):
     def __str__(self) -> str:
         return self.text()
 
-    def text(self, arg_text: Callable[[AffineForm], str] = str) -> str:
-        """The text form, each atom's argument rendered by ``arg_text``."""
+    def text(self, factor_text: Callable[[ZetaAtom], str] = ZetaAtom.factor_text) -> str:
+        """The text form, each atom's factor rendered by ``factor_text``."""
         if self.is_zero():
             return "0"
         top: list[str] = []
@@ -245,8 +250,7 @@ class ZetaExpr(Record):
         for f in self.den:
             bot.append(f"({f})")
         for a in self.atoms:
-            s = f"xi_{a.label}({arg_text(a.arg)})"
-            (top if a.exp > 0 else bot).append(s if abs(a.exp) == 1 else f"{s}^{abs(a.exp)}")
+            (top if a.exp > 0 else bot).append(factor_text(a))
         if self.scalar != 1 or not top:
             top.insert(0, str(self.scalar))
         expr = "*".join(top)
@@ -388,6 +392,8 @@ class _Expansion:
         self.keyed: list[tuple[int, object, int, object]] = []
         self.leads: list[tuple[int, object]] = []
         self.ranks: list[int | None] | None = None
+        # one ZetaAtom per (rank, count), shared by every leading monomial that holds it
+        self.atoms: dict[tuple[int, int], ZetaAtom] = {}
         for i, key in enumerate(keys):
             order, factor, lead, kind = 0, None, key, 0
             if isinstance(key, AffineForm):
@@ -457,6 +463,7 @@ class _Expansion:
             if r is not None:
                 summed[r] = summed.get(r, 0) + c
         residues, atoms, num, den = [], [], [], []
+        shared = self.atoms
         for r, c in sorted(summed.items()):
             kind, lead = leads[r]
             if not c:
@@ -464,7 +471,10 @@ class _Expansion:
             if kind == 0:
                 residues.append((lead, c))
             elif kind == 1:
-                atoms.append(ZetaAtom(*lead, c))
+                atom = shared.get((r, c))
+                if atom is None:
+                    atom = shared[r, c] = ZetaAtom(*lead, c)
+                atoms.append(atom)
             else:
                 (num if c > 0 else den).extend([lead] * abs(c))
         return ZetaExpr(scalar, tuple(num), tuple(den), tuple(atoms), tuple(residues))

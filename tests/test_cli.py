@@ -9,6 +9,7 @@ import pytest
 
 from degeis import cli
 from degeis.cli import main
+from degeis.zetas import ZetaExpr
 
 
 def run(capsys, *argv):
@@ -47,6 +48,25 @@ def test_poles_split_P(capsys):
     data = json.loads(out)
     assert data["schema"] == "degeis/1"
     assert data["order"] == 2
+
+
+def test_markdown_poles_renders_no_leading_term(capsys, monkeypatch):
+    """Markdown prints no leading term, so it renders none; JSON renders one per group."""
+    rendered = []
+    text = ZetaExpr.text
+
+    def counted(self, *args):
+        rendered.append(self)
+        return text(self, *args)
+
+    monkeypatch.setattr(ZetaExpr, "text", counted)
+    argv = ("poles", "--group", "D4", "--parabolic", "borel", "--point", "1/2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "exponent (" in out and rendered == []
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    groups = json.loads(out)["groups"]
+    assert code == 0 and len(rendered) == len(groups) == 192
+    assert [g["leading"] for g in groups] == [text(e) for e in rendered]
 
 
 def test_sw_output(capsys):

@@ -362,6 +362,27 @@ def test_d4_borel_makes_one_zeta_atom_per_id_and_count(monkeypatch):
         assert ZetaExpr.build(atoms=term.j_factor.atoms) == term.j_factor
 
 
+def test_d4_borel_report_shares_its_leading_atoms_and_exponent_values():
+    """D4 Borel at 1/2: the 556 leading-atom occurrences over the 192 groups are 18
+    ZetaAtoms, one per (rank, count), and the 768 exponent coordinates 10 Fractions,
+    one per distinct value; the surviving exponents are groups' own tuples.  The same
+    terms built by hand give an equal report, shared the same way."""
+    ct = _d4_borel()
+    hand = ConstantTerm(ct.system, ct.levi, ct.line, ct.terms)
+    assert hand.table is None
+    reports = [pole_report(c, Q(1, 2)) for c in (ct, hand)]
+    assert reports[0] == reports[1]
+    for rep in reports:
+        atoms = [a for g in rep.groups for a in g.leading.atoms]
+        values = [x for g in rep.groups for x in g.exponent_at_point]
+        assert len(rep.groups) == 192
+        assert (len(atoms), len({id(a) for a in atoms}), len(set(atoms))) == (556, 18, 18)
+        assert (len(values), len({id(x) for x in values}), len(set(values))) == (768, 10, 10)
+        own = {id(g.exponent_at_point) for g in rep.groups}
+        assert rep.surviving_exponents
+        assert all(id(e) in own for e in rep.surviving_exponents)
+
+
 def _rows_match_str(ct, point):
     rows = render_table_rows(ct, point, assume_no_real_zeros=True)
     assert [r["j_factor"] for r in rows] == [str(t.j_factor) for t in ct.terms]

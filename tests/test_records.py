@@ -188,7 +188,7 @@ def test_constant_term_compares_without_its_table(made):
 
 def test_cli_import_loads_no_dataclasses():
     """``import degeis.cli`` in a fresh interpreter (without site) loads none of these."""
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
     src = Path(__file__).resolve().parent.parent / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import degeis.cli; "
             f"print(*[m for m in {heavy!r} if m in sys.modules])")
