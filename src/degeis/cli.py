@@ -143,9 +143,9 @@ def cmd_table(args) -> int:
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "line": str(line), "rows": rows}
     if args.format == "json":
-        # one dict per distinct atom and exponent coordinate, shared by the rows
-        atom_json = functools.cache(ZetaAtom.to_json)
-        form_json = functools.cache(AffineForm.to_json)
+        # one dict per shared atom and exponent coordinate, found by identity
+        atom_json = _per_object(ZetaAtom.to_json)
+        form_json = _per_object(AffineForm.to_json)
         payload["rows"] = [r | {"j_factor_json": t.j_factor.to_json(atom_json),
                                 "exponent_json": t.exponent.to_json(form_json)}
                            for r, t in zip(rows, ct.terms)]

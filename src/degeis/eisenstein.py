@@ -26,8 +26,8 @@ next order whenever the log-t coefficient survives.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cache
 from math import lcm
 from operator import mul
 
@@ -77,6 +77,8 @@ class _AtomTable:
     and ``roots[k]`` holds the (plain, shifted) ids of the positive root at
     position k.  A constant term's table also keeps the coset walk's
     ``steps``, term k being its parent's times one simple reflection.
+    ``bound`` is at least the total |count| of every term, which bounds any
+    merged count.
     """
 
     def __init__(self):
@@ -86,6 +88,7 @@ class _AtomTable:
         self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
         self.steps: list[tuple[int, int, int]] | None = None
+        self.bound = 0
         # one ZetaAtom per (id, count), shared by every J that holds it
         self.atoms: dict[tuple[int, int], ZetaAtom] = {}
 
@@ -119,6 +122,7 @@ class _AtomTable:
         table = _AtomTable()
         table.terms = [(t.j_factor.scalar, _intern(table.ids, _factors(t.j_factor))) for t in terms]
         table.keys = list(table.ids)
+        table.bound = max((sum(abs(c) for _, c in counts) for _, counts in table.terms), default=0)
         return table
 
     def counts(self, inversions: Iterable[int]) -> _Counts:
@@ -133,14 +137,11 @@ class _AtomTable:
     def expr(self, counts: _Counts) -> ZetaExpr:
         """The canonical ZetaExpr of a line's counts, already in atom order: no build."""
         atoms = self.atoms
-        for ic in counts:
-            if ic not in atoms:
-                atoms[ic] = ZetaAtom(*self.keys[ic[0]], ic[1])
-        return ZetaExpr(atoms=tuple([atoms[ic] for ic in counts]))
-
-    def bound(self) -> int:
-        """The largest total |count| of a term, which bounds any merged count."""
-        return max((sum(abs(c) for _, c in counts) for _, counts in self.terms), default=0)
+        if not all(map(atoms.__contains__, counts)):
+            for i, c in counts:
+                if (i, c) not in atoms:
+                    atoms[i, c] = ZetaAtom(*self.keys[i], c)
+        return ZetaExpr(atoms=tuple(map(atoms.__getitem__, counts)))
 
 
 class ConstantTerm(Record):
@@ -169,29 +170,72 @@ def gk_factor(system: RootSystem, word: WeylWord, line: TorusCharacter) -> ZetaE
     return table.expr(table.counts(system._inversions(word)))
 
 
+def _bump(counts: list[tuple[int, int]], i: int, c: int) -> None:
+    """Add c to id i's count in the id-sorted counts, dropping a zero."""
+    k = bisect_left(counts, (i,))
+    if k < len(counts) and counts[k][0] == i:
+        c += counts.pop(k)[1]
+    if c:
+        counts.insert(k, (i, c))
+
+
 def constant_term(system: RootSystem, levi: Iterable[int],
                   line: TorusCharacter) -> ConstantTerm:
-    """One GK term per coset representative, each built from its parent's.
+    """One GK term per coset representative, each its parent's plus one step.
 
-    The walk lists every w = u s_i after its prefix u, so the inversion set
-    extends u's by one root and the exponent is
-    (u s_i)^{-1} lambda = s_i (u^{-1} lambda): one ``weyl_act`` of the
-    step's letter on the parent's exponent.  Each J(w) is read off the
-    line's atom table, which keeps the walk's steps for the exponents at a
-    point (``_exponents_at``).
+    The walk lists every w = u s_i after its prefix u, with the position of
+    the root u(alpha_i) that w adds to N(u).  So J(w) is J(u) with one more
+    plain and one fewer shifted atom of that root, and the exponent
+    (u s_i)^{-1} lambda = s_i (u^{-1} lambda) is u's minus its i-th
+    coordinate times pairing[i - 1].  The exponents are integer rows over
+    the line's one denominator, a (constant, coefficients) tuple per
+    coordinate; each distinct tuple becomes one ``AffineForm``, shared by
+    every term that holds it, and a coordinate the step leaves alone keeps
+    its form.  The term of length 1 is checked against ``weyl_act`` and the
+    inversion set of its word.  The table keeps the walk's steps for the
+    exponents at a point (``_exponents_at``).
     """
     levi_set = tuple(levi)
     table = _AtomTable.of_line(system, line)
-    table.steps = system.weyl_elements(levi_set).steps
-    exponents = [line]
-    for parent, i, _ in table.steps:
-        exponents.append(weyl_act(system, WeylWord.of(i), exponents[parent]))
+    steps = table.steps = system.weyl_elements(levi_set).steps
+    words = coset_reps(system, levi_set)
+    den, names, cols = _line_columns(line)
+    rows = [tuple(zip(*cols))]
+    # seeded with the line's coordinates, one form per distinct value
+    forms: dict[tuple[int, ...], AffineForm] = {}
+    first = TorusCharacter(tuple([forms.setdefault(x, f) for x, f in zip(rows[0], line.coords)]))
     one = Q(1)
-    terms = []
-    for word, exponent in zip(coset_reps(system, levi_set), exponents):
-        counts = table.counts(system._inversions(word))
+    table.terms = [(one, ())]
+    terms = [GKTerm(words[0], table.expr(()), first)]
+    # the coordinates s_i moves: (j, pairing[i - 1][j]) with a nonzero entry
+    moved = [[(j, r) for j, r in enumerate(row) if r] for row in system.pairing]
+    roots = table.roots
+    for word, (parent, i, root) in zip(words[1:], steps):
+        row, exponent = rows[parent], terms[parent].exponent
+        x_i = row[i - 1]
+        if any(x_i):
+            row, coords = list(row), list(exponent.coords)
+            for j, r in moved[i - 1]:
+                x = tuple([a - r * b for a, b in zip(row[j], x_i)])
+                f = forms.get(x)
+                if f is None:
+                    f = forms[x] = _make(den, x[0], tuple(
+                        [(n, a) for n, a in zip(names, x[1:]) if a]))
+                row[j], coords[j] = x, f
+            row, exponent = tuple(row), TorusCharacter(tuple(coords))
+        rows.append(row)
+        counts = list(table.terms[parent][1])
+        plain, shifted = roots[root]
+        _bump(counts, plain, 1)
+        _bump(counts, shifted, -1)
+        counts = tuple(counts)
         table.terms.append((one, counts))
         terms.append(GKTerm(word, table.expr(counts), exponent))
+    if len(words) > 1 and (terms[1].exponent != weyl_act(system, words[1], line) or
+                           table.terms[1][1] != table.counts(system._inversions(words[1]))):
+        raise RuntimeError(f"the coset walk disagrees with {words[1]} at its first step")
+    # a term's total |count| is at most twice its length; the last word is the longest
+    table.bound = 2 * len(words[-1])
     return ConstantTerm(system, levi_set, line, tuple(terms), table)
 
 
@@ -321,7 +365,7 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     if len(params) != 1:
         raise ValueError(f"pole_report needs a one-parameter line, got {params}")
     assignment = {params[0]: pt}
-    expansion = _Expansion(table.keys, _Multisets(table.bound()), _EPS, assignment,
+    expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, assignment,
                            assume_no_real_zeros)
     den, exps = _exponents_at(ct, assignment)
     grouped: dict[tuple[int, ...], list[_Member]] = {}
@@ -361,17 +405,26 @@ def intertwiner_residue(system: RootSystem, word: WeylWord, line: TorusCharacter
 
 # -- normalized (sharp) series ------------------------------------------------
 
+def _line_columns(lam: TorusCharacter) -> tuple[int, list[str], list[tuple[int, ...]]]:
+    """(den, names, columns): lam over the lcm of its coordinates' denominators.
+
+    ``names`` are lam's parameters, sorted; the columns are the coordinates'
+    numerators over den, the constants first, then one column per name.
+    """
+    coords = lam.coords
+    den = lcm(*(f.den for f in coords))
+    names = sorted({n for f in coords for n, _ in f.coeff_nums})
+    cols = [tuple(f.const_num * (den // f.den) for f in coords)]
+    cols += [tuple(dict(f.coeff_nums).get(n, 0) * (den // f.den) for f in coords)
+             for n in names]
+    return den, names, cols
+
+
 def _pairing_nums(system: RootSystem, lam: TorusCharacter) -> tuple[int, list[tuple[int, _Terms]]]:
     """<lam, alpha^vee> = (const + coefficients) / den, (const, coefficients) = nums[k],
     for the positive root at position k: integer combinations of the coordinates'
     numerators over their lcm.  Coefficients name-sorted, zeros dropped, unreduced."""
-    coords = lam.coords
-    den = lcm(*(f.den for f in coords))
-    names = sorted({n for f in coords for n, _ in f.coeff_nums})
-    # one column per component, the constants first: its numerators over den
-    cols = [tuple(f.const_num * (den // f.den) for f in coords)]
-    cols += [tuple(dict(f.coeff_nums).get(n, 0) * (den // f.den) for f in coords)
-             for n in names]
+    den, names, cols = _line_columns(lam)
     nums = []
     for vec in system._cvec:
         const, *coeffs = [sum(map(mul, vec, col)) for col in cols]
@@ -663,7 +716,7 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     expansion = _Expansion(table.keys, None, _EPS, assignment, assume_no_real_zeros)
     den, exps = _exponents_at(ct, assignment)
     # each shared atom factor and each distinct exponent coordinate is rendered once
-    factor_text, form_text = _per_object(ZetaAtom.factor_text), cache(str)
+    factor_text, form_text = _per_object(ZetaAtom.factor_text), _per_object(str)
     rows = []
     for term, (scalar, counts), exp_val in zip(ct.terms, table.terms, exps):
         order = expansion.term(scalar, counts)[0]

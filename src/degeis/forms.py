@@ -44,16 +44,17 @@ def _ratio_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _per_object(render: Callable[[object], str]) -> Callable[[object], str]:
-    """``render``, run once per object: an object met again gets its first text.
+def _per_object(render: Callable[[object], object]) -> Callable[[object], object]:
+    """``render``, run once per object: an object met again gets its first result.
 
-    Keyed by ``id``, which costs less than hashing a ``Fraction`` or a
-    ``ZetaAtom``: for the values a result shares as one object each.  Every
-    entry holds its object, so no id is reused while the memo lives.
+    Keyed by ``id``, which costs less than hashing a ``Fraction``, a
+    ``ZetaAtom`` or an ``AffineForm``: for the values a result shares as one
+    object each.  Every entry holds its object, so no id is reused while the
+    memo lives.
     """
-    memo: dict[int, tuple[object, str]] = {}
+    memo: dict[int, tuple[object, object]] = {}
 
-    def once(x: object) -> str:
+    def once(x: object) -> object:
         hit = memo.get(id(x))
         if hit is None:
             hit = memo[id(x)] = (x, render(x))
@@ -99,6 +100,10 @@ class AffineForm:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"AffineForm is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        """Copy and pickle by the integers, as the attributes cannot be set."""
+        return _make, (self.den, self.const_num, self.coeff_nums)
 
     @staticmethod
     def of(const: Rat = 0, **coeffs: Rat) -> "AffineForm":

@@ -205,7 +205,6 @@ class RootSystem:
         self._simple_labels = {i: labels[i] for i in range(1, self.rank + 1)}
         self._generate()
         self._weyl_cache: dict[tuple[int, ...], WeylWalk] = {}
-        self._inversion_cache: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
 
     # -- construction -----------------------------------------------------
 
@@ -417,30 +416,20 @@ class RootSystem:
     def _inversions(self, word: WeylWord) -> tuple[int, ...]:
         """The positions of ``inversion_set(word)``, ascending.
 
-        Extends the longest cached prefix u one letter at a time:
-        N(u s_i) = N(u) + {u(alpha_i)} when u(alpha_i) > 0, and
-        N(u) - {-u(alpha_i)} otherwise.  This holds for any word, reduced or
-        not, and every prefix is cached, so the GK terms along the coset walk
-        cost one root image each.
+        Reads the word one letter at a time: N(u s_i) = N(u) + {u(alpha_i)}
+        when u(alpha_i) > 0, and N(u) - {-u(alpha_i)} otherwise.  This holds
+        for any word, reduced or not.
         """
         letters = word.letters
-        cache = self._inversion_cache
-        k = len(letters)
-        while letters[:k] not in cache:
-            k -= 1
-        result = cache[letters[:k]]
         n = len(self.positive_roots)
-        for j in range(k, len(letters)):
-            image = self._index[self.word_on_root(WeylWord(letters[:j]),
-                                                  self.simple_root(letters[j]))]
-            current = list(result)
+        current: list[int] = []
+        for j, i in enumerate(letters):
+            image = self._index[self.word_on_root(WeylWord(letters[:j]), self.simple_root(i))]
             if image < n:
                 bisect.insort(current, image)
             else:
                 current.remove(image - n)
-            result = tuple(current)
-            cache[letters[:j + 1]] = result
-        return result
+        return tuple(current)
 
     def reduce(self, word: WeylWord) -> WeylWord:
         """A reduced word for the same element (deterministic)."""

@@ -28,6 +28,7 @@ calls ``expand_in``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from math import gcd
 
@@ -422,9 +423,14 @@ class _Expansion:
         """(order, leading scalar, packed leading monomial) of one term."""
         if scalar == 0:
             raise ValueError("Laurent expansion of the zero expression")
-        if self.failing and any(i in self.failing for i, _ in counts):
-            label, arg, c = min((*self.failing[i], c) for i, c in counts if i in self.failing)
-            atom_limit(label, arg, self.var, exp=c, assume_no_real_zeros=self.assume)   # raises
+        failing = self.failing
+        if failing:
+            # each failing id looked up in the id-sorted counts
+            hits = [(*failing[i], counts[k][1]) for i in failing
+                    if (k := bisect_left(counts, (i,))) < len(counts) and counts[k][0] == i]
+            if hits:
+                label, arg, c = min(hits)
+                atom_limit(label, arg, self.var, exp=c, assume_no_real_zeros=self.assume)   # raises
         order = key = 0
         num = den = 1
         data = self.data

@@ -52,7 +52,7 @@ def reference_leading(table, point, assume, scalar, counts):
 
 
 def expansion_at(table, point, assume):
-    return _Expansion(table.keys, _Multisets(table.bound()), _EPS, {"s": point}, assume)
+    return _Expansion(table.keys, _Multisets(table.bound), _EPS, {"s": point}, assume)
 
 
 def mismatches(table, point, assume, counts_list, scalar=Q(1)):

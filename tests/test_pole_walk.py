@@ -54,7 +54,7 @@ def compare(ct, point, assume):
     """The terms whose order or leading coefficient from the table differ from
     laurent_at of their J, and what laurent_at raises at the first term that raises."""
     table = ct.table if ct.table is not None else _AtomTable.of_terms(ct.terms)
-    expansion = _Expansion(table.keys, _Multisets(table.bound()), _EPS, {"s": point}, assume)
+    expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, {"s": point}, assume)
 
     def from_table(scalar, counts):
         order, leading, _ = expansion.term(scalar, counts)
@@ -116,7 +116,7 @@ def test_constant_pairings_cancel_without_raising(coords):
     _check(ct, [Q(0), Q(1), Q(-1), Q(1, 2), Q(3, 10), Q(2)])
     # a term whose only constant pairings are 0 has Laurent data at a generic point
     table = ct.table
-    expansion = _Expansion(table.keys, _Multisets(table.bound()), _EPS, {"s": Q(2)}, True)
+    expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, {"s": Q(2)}, True)
     cancelled = 0
     for term, (scalar, counts) in zip(ct.terms, table.terms):
         pairings = [line.pair(system.coroot(r)) for r in system.inversion_set(term.word)]

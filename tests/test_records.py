@@ -152,10 +152,28 @@ def test_keyword_construction_copy_and_immutability(made, name):
     assert not hasattr(x, "__dict__")
 
 
+def _by_value(x):
+    """x, or a record's compared fields with a RootSystem (equal only to
+    itself, so never to its copy) as its name and Cartan matrix."""
+    if not isinstance(x, Record):
+        return x
+    return tuple((v.name, v.cartan) if isinstance(v, rootdata.RootSystem) else v
+                 for v in x._key())
+
+
 def test_pickle_round_trip():
     for x in (Root((1, 0, 1)), FieldLabel("K", 2), ShellFunction("shell", 3),
               lfactor_standard("V_tau"), rootdata.WeylWord((1, 2))):
         assert pickle.loads(pickle.dumps(x)) == x
+    # an AffineForm and every record that holds one: copied and pickled by their integers
+    system = build_system("split_D4")
+    ct = constant_term(system, parabolic_levi(system, "P"), chi_line_for(system, "P"))
+    rep = pole_report(ct, Q(1, 2))
+    for x in (AffineForm.of(Q(-3, 4), s=Q(5, 2), t=-1), ct.line, ct.terms[-1].j_factor,
+              ct.terms[-1].exponent, ct, rep):
+        assert copy.copy(x) == x
+        for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and _by_value(y) == _by_value(x)
 
 
 def test_defaults_match_the_dataclass():

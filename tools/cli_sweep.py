@@ -33,7 +33,9 @@ The ``laurent`` family calls ``intertwiner_residue`` for every coset word of
 the 15 preset lines at every fifth of the 81 points, and ``expand_in`` in eps
 on the L polynomial of every eps character (each simple index, offsets 1, -1
 and 0) of the five presets; it hashes each order and leading term, or the
-error's code.
+error's code.  The ``walk`` family calls ``constant_term`` on custom E7
+without node 7 and custom E8 without node 1 along their chi lines and
+hashes the word, J and exponent text of every term.
 """
 
 from __future__ import annotations
@@ -125,6 +127,15 @@ def tate_commands(divergent: bool):
 F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 E6_CARTAN = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
              [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+# E_rank in Bourbaki numbering: the chain 1-3-4-...-rank, with node 2 on node 4
+E_EDGES = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
+
+
+def e_cartan(rank: int) -> list[list[int]]:
+    edges = {(i, j) for i, j in E_EDGES if j <= rank}
+    return [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0
+             for j in range(1, rank + 1)] for i in range(1, rank + 1)]
+
 # (name, Cartan matrix, the simple root removed from the Levi)
 MAXIMAL = [("F4", F4_CARTAN, 1), ("F4", F4_CARTAN, 2), ("F4", F4_CARTAN, 3),
            ("F4", F4_CARTAN, 4), ("E6", E6_CARTAN, 1)]
@@ -221,6 +232,18 @@ def laurent_calls():
                                lambda: expand_in(poly, "eps"))
 
 
+def walk_calls():
+    """Every term of constant_term on E7 without node 7 and E8 without node 1,
+    as library_calls yields them: word, J and exponent text."""
+    for group, rank, node in (("E7", 7, 7), ("E8", 8, 1)):
+        system = build_system("custom", cartan=e_cartan(rank))
+        levi = tuple(i for i in range(1, rank + 1) if i != node)
+        ct = constant_term(system, levi, _delta_line(system, levi, Fraction(1, 2)))
+        for term in ct.terms:
+            yield (["constant_term", group, str(node), str(term.word)], "ok",
+                   json.dumps([str(term.j_factor), str(term.exponent)]), "")
+
+
 USAGE = [
     [], ["--help"], ["--version"], ["nonsense"], ["table"], ["table", "--help"],
     ["table", "--group", "D4"], ["table", "--group", "E9", "--point", "1"],
@@ -261,6 +284,7 @@ FAMILIES = {
     "appendix": appendix_calls,
     "library_table": lambda: library_calls("render_table_rows", render_table_rows, json.dumps),
     "laurent": laurent_calls,
+    "walk": walk_calls,
 }
 
 
