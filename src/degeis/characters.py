@@ -24,14 +24,6 @@ class TorusCharacter(Record):
     def __init__(self, coords: tuple[AffineForm, ...]):
         _set_coords(self, coords)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
     @staticmethod
     def of(*coords: AffineForm | Rat) -> "TorusCharacter":
         return TorusCharacter(tuple(
@@ -119,6 +111,7 @@ def weyl_act(system: RootSystem, word: WeylWord, char: TorusCharacter) -> TorusC
     Each simple reflection is lambda -> lambda - <lambda, alpha_i^vee> alpha_i
     with alpha_i taken as the norm character of the i-th simple root.
     """
+    system._check_rank(len(char.coords))
     coords = list(char.coords)
     for i in reversed(word.letters):
         system._check_index(i)
@@ -140,6 +133,7 @@ def root_basis_coords(system: RootSystem, values: Sequence[Rat]) -> tuple[Q, ...
     scaled by the last pivot d, where every division is exact): one
     Fraction per coordinate at the end.
     """
+    system._check_rank(len(values))
     n = system.rank
     ratios = [_ratio(v) for v in values]
     den = lcm(*(q for _, q in ratios))
@@ -173,6 +167,8 @@ def modular_character(system: RootSystem, levi: Iterable[int], *,
     """
     levi_set = set(levi)
     amb = set(ambient) if ambient is not None else set(range(1, system.rank + 1))
+    for i in levi_set | amb:
+        system._check_index(i)
     if not levi_set <= amb:
         raise ValueError("levi must be contained in the ambient subset")
     total = [0] * system.rank

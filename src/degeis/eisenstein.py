@@ -52,15 +52,6 @@ class GKTerm(Record):
         _set_j_factor(self, j_factor)
         _set_exponent(self, exponent)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return ((self.word, self.j_factor, self.exponent)
-                    == (other.word, other.j_factor, other.exponent))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.j_factor, self.exponent))
-
 
 _set_word, _set_j_factor, _set_exponent = setters(GKTerm)
 
@@ -254,17 +245,6 @@ class TermGroup(Record):
         _set_leading(self, leading)
         _set_log_term(self, log_term)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return ((self.exponent_at_point, self.words, self.order, self.leading, self.log_term)
-                    == (other.exponent_at_point, other.words, other.order, other.leading,
-                        other.log_term))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.exponent_at_point, self.words, self.order, self.leading,
-                     self.log_term))
-
 
 _set_exponent_at_point, _set_words, _set_order, _set_leading, _set_log_term = setters(TermGroup)
 
@@ -424,6 +404,7 @@ def _pairing_nums(system: RootSystem, lam: TorusCharacter) -> tuple[int, list[tu
     """<lam, alpha^vee> = (const + coefficients) / den, (const, coefficients) = nums[k],
     for the positive root at position k: integer combinations of the coordinates'
     numerators over their lcm.  Coefficients name-sorted, zeros dropped, unreduced."""
+    system._check_rank(len(lam.coords))
     den, names, cols = _line_columns(lam)
     nums = []
     for vec in system._cvec:

@@ -13,14 +13,17 @@ nothing at import:
 * setting or deleting an attribute raises ``AttributeError``;
 * an ``OrderedRecord`` orders as the tuple of its compared fields.
 
-These are the cold-path methods; a class built thousands of times per
-command writes its own ``__init__``, ``__eq__`` and ``__hash__``.
+Equality, hash and order read one key per class: an ``operator.attrgetter``
+over the compared fields, built once when the class is defined, so a
+comparison gathers its fields in C.  A class built thousands of times per
+command writes out only its ``__init__``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from functools import total_ordering
+from operator import attrgetter
 
 _set = object.__setattr__
 
@@ -29,6 +32,7 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...]        # the class's __slots__, which a subclass inherits
     _compared: tuple[str, ...]
+    _get: Callable[[Record], tuple]     # the compared fields of a record, as a tuple
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -36,21 +40,26 @@ class Record:
             cls._fields = cls.__slots__
             if "_compared" not in cls.__dict__:
                 cls._compared = cls.__slots__
+            get = attrgetter(*cls._compared)
+            # attrgetter of one name returns the bare value; the key is still a 1-tuple
+            cls._get = get if len(cls._compared) > 1 else staticmethod(lambda r: (get(r),))
 
     def _fill(self, *values: object) -> None:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
+        return self._get(self)
 
     def __eq__(self, other: object):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._get(self) == self._get(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._get(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
@@ -73,7 +82,7 @@ class OrderedRecord(Record):
 
     def __lt__(self, other: object):
         if other.__class__ is self.__class__:
-            return self._key() < other._key()
+            return self._get(self) < self._get(other)
         return NotImplemented
 
 

@@ -64,16 +64,6 @@ class FieldLabel(OrderedRecord):
             raise ValueError("label F must have degree 1")
         self._fill(symbol, degree)
 
-    # each build compares every root's label with its images under the simple
-    # reflections, thousands of times per command
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.symbol, self.degree) == (other.symbol, other.degree)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.symbol, self.degree))
-
 
 LABEL_F = FieldLabel("F", 1)
 LABEL_K = FieldLabel("K", 2)
@@ -89,14 +79,6 @@ class Root(OrderedRecord):
         if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
             raise ValueError(f"mixed-sign coordinates: {coords}")
         _set_root_coords(self, coords)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     @property
     def positive(self) -> bool:
@@ -120,14 +102,6 @@ class WeylWord(Record):
 
     def __init__(self, letters: tuple[int, ...] = ()):
         _set_letters(self, letters)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     @staticmethod
     def of(*letters: int) -> "WeylWord":
@@ -297,6 +271,12 @@ class RootSystem:
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise UnknownRootError(f"simple index {i} out of range 1..{self.rank}")
+
+    def _check_rank(self, count: int) -> None:
+        """Refuse a character or coordinate vector whose length is not the rank."""
+        if count != self.rank:
+            raise ConfigError(f"{self.name} has rank {self.rank}: a character needs "
+                              f"{self.rank} coordinates, got {count}")
 
     def _position(self, root: Root) -> int:
         """The signed-root position of a root of the system."""

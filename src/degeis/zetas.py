@@ -86,19 +86,6 @@ class ZetaAtom(OrderedRecord):
         _set_arg(self, arg)
         _set_exp(self, exp)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.label, self.arg, self.exp) == (other.label, other.arg, other.exp)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.arg, self.exp))
-
-    def __lt__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.label, self.arg, self.exp) < (other.label, other.arg, other.exp)
-        return NotImplemented
-
     def __str__(self) -> str:
         base = f"xi_{self.label}({self.arg})"
         return base if self.exp == 1 else f"{base}^{self.exp}"
@@ -126,15 +113,6 @@ class ZetaExpr(Record):
         _set_den(self, den)
         _set_atoms(self, atoms)
         _set_residues(self, residues)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return ((self.scalar, self.num, self.den, self.atoms, self.residues)
-                    == (other.scalar, other.num, other.den, other.atoms, other.residues))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.scalar, self.num, self.den, self.atoms, self.residues))
 
     @staticmethod
     def build(scalar: Rat = 1,

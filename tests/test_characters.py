@@ -10,7 +10,9 @@ from degeis.characters import (TorusCharacter, iota_check, line_chi_P,
                                line_chi_Q, line_kappa, line_mu_P, line_mu_Q,
                                modular_character, parabolic_levi,
                                root_basis_coords, weyl_act)
-from degeis.errors import UnsupportedGroupError
+from degeis.eisenstein import (constant_term, gk_factor, intertwiner_residue,
+                               sharp_normalizer)
+from degeis.errors import ConfigError, UnknownRootError, UnsupportedGroupError
 from degeis.forms import AffineForm
 from degeis.rootdata import WeylWord, build_system
 
@@ -183,3 +185,30 @@ def test_parabolic_levi_names(quasi, split, tri):
 def test_render_with_field_subscripts(quasi):
     text = line_chi_Q(quasi).render(quasi)
     assert "|t3|_K" in text and "|t1|_F" in text
+
+
+# each call takes a character (s, ..., s) of the given length on split_D4 (rank 4)
+_BY_CHARACTER = {
+    "gk_factor": lambda system, line: gk_factor(system, WeylWord.of(2), line),
+    "weyl_act": lambda system, line: weyl_act(system, WeylWord.of(2), line),
+    "intertwiner_residue": lambda system, line: intertwiner_residue(
+        system, WeylWord.of(2), line, Q(1, 2)),
+    "sharp_normalizer": sharp_normalizer,
+    "constant_term": lambda system, line: constant_term(system, (), line),
+    "root_basis_coords": lambda system, line: root_basis_coords(system, [1] * len(line.coords)),
+}
+
+
+@pytest.mark.parametrize("count", [3, 5])
+@pytest.mark.parametrize("call", sorted(_BY_CHARACTER))
+def test_a_character_of_the_wrong_length_is_refused(split, call, count):
+    line = TorusCharacter.of(*[af(1)] * count)
+    with pytest.raises(ConfigError, match=f"rank 4: a character needs 4 coordinates, got {count}"):
+        _BY_CHARACTER[call](split, line)
+
+
+@pytest.mark.parametrize("levi, ambient", [((0,), None), ((5,), None), ((), (1, 9)),
+                                           ((), (0, 1)), ((), (7,))])
+def test_modular_character_refuses_an_unknown_index(split, levi, ambient):
+    with pytest.raises(UnknownRootError, match="out of range 1..4"):
+        modular_character(split, levi, ambient=ambient)

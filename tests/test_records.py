@@ -106,6 +106,13 @@ def test_every_record_has_its_reference_and_real_instances(made):
         assert len(made[name]) >= 2, name
 
 
+def test_no_record_class_defines_its_own_equality():
+    # records.Record and OrderedRecord hold the only definitions
+    own = {name: sorted({"__eq__", "__hash__", "__lt__"} & set(vars(cls)))
+           for name, cls in RECORDS.items()}
+    assert {name: methods for name, methods in own.items() if methods} == {}
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equality_hash_and_repr_match_the_dataclass(made, name):
     xs = sample(made[name])
