@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import lcm
 
-from .errors import IotaMismatchError, UnsupportedGroupError
+from .errors import ConfigError, IotaMismatchError, UnsupportedGroupError
 from .forms import AffineForm, Q, Rat, _q, _ratio
 from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
@@ -33,11 +33,18 @@ class TorusCharacter(Record):
     def constant(values: Iterable[Rat]) -> "TorusCharacter":
         return TorusCharacter.of(*values)
 
+    def _zip(self, other: Sequence) -> zip:
+        """Each coordinate beside other's; a different length is refused, not truncated."""
+        if len(other) != len(self.coords):
+            raise ConfigError(f"a character with {len(self.coords)} coordinates cannot "
+                              f"combine with {len(other)} coordinates")
+        return zip(self.coords, other)
+
     def __add__(self, other: "TorusCharacter") -> "TorusCharacter":
-        return TorusCharacter(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return TorusCharacter(tuple(a + b for a, b in self._zip(other.coords)))
 
     def __sub__(self, other: "TorusCharacter") -> "TorusCharacter":
-        return TorusCharacter(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return TorusCharacter(tuple(a - b for a, b in self._zip(other.coords)))
 
     def __mul__(self, scalar: Rat | AffineForm) -> "TorusCharacter":
         return TorusCharacter(tuple(_scale(c, scalar) for c in self.coords))
@@ -47,7 +54,7 @@ class TorusCharacter(Record):
     def pair(self, cvec: Sequence[Rat]) -> AffineForm:
         """Pairing with a coroot vector: sum cvec[j] * coords[j]."""
         out = AffineForm()
-        for c, f in zip(cvec, self.coords):
+        for f, c in self._zip(cvec):
             if c:
                 out = out + f * c
         return out

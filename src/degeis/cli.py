@@ -174,8 +174,8 @@ def cmd_poles(args) -> int:
     if args.format == "json":
         # only JSON prints the leading terms; their atoms are shared, each rendered once
         factor_text = _per_object(ZetaAtom.factor_text)
-        payload["groups"] = [d | {"leading": None if g.leading is None
-                                  else g.leading.text(factor_text)}
+        payload["groups"] = [d | {"leading": None if (lead := g.leading) is None
+                                  else lead.text(factor_text)}
                              for d, g in zip(groups, rep.groups)]
 
     def markdown():

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
+from functools import partial
 from math import lcm
 from operator import mul
 
@@ -232,12 +233,26 @@ def constant_term(system: RootSystem, levi: Iterable[int],
 
 # -- pole reports -----------------------------------------------------------
 
+class _Pending(partial):
+    """A leading term not yet built: ``_Expansion.leading`` bound to a scalar and counts."""
+    __slots__ = ()
+
+
 class TermGroup(Record):
+    """The terms of a pole report that share one exponent at the point.
+
+    ``leading`` is built on its first read, and kept: ``pole_report`` stores
+    a ``_Pending`` call in its place, so a caller that reads only orders
+    builds no leading ``ZetaExpr``.  Equality, hash, repr, copy and pickle
+    read the field by name and see the built value.
+    """
     __slots__ = ("exponent_at_point", "words", "order", "leading", "log_term")
 
     def __init__(self, exponent_at_point: tuple[Q, ...], words: tuple[WeylWord, ...],
                  order: int,                # order of vanishing of the group sum
-                 leading: ZetaExpr | None,  # None when the leading survives only as log-t
+                 # a pending build until first read; None when the leading
+                 # survives only as log-t or as a formal sum
+                 leading: ZetaExpr | _Pending | None,
                  log_term: bool):
         _set_exponent_at_point(self, exponent_at_point)
         _set_words(self, words)
@@ -247,6 +262,18 @@ class TermGroup(Record):
 
 
 _set_exponent_at_point, _set_words, _set_order, _set_leading, _set_log_term = setters(TermGroup)
+_get_leading = vars(TermGroup)["leading"].__get__
+
+
+def _leading(group: TermGroup) -> ZetaExpr | None:
+    value = _get_leading(group)
+    if value.__class__ is _Pending:
+        value = value()
+        _set_leading(group, value)
+    return value
+
+
+TermGroup.leading = property(_leading)   # the slot is read and set through the saved descriptor
 
 
 class PoleReport(Record):
@@ -302,11 +329,12 @@ _Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, k
 
 
 def _group_order(system: RootSystem, members: list[_Member], param: str,
-                 expansion: _Expansion) -> tuple[int, ZetaExpr | None, bool]:
-    """Order of the sum of a group of terms sharing one limit exponent."""
+                 expansion: _Expansion) -> tuple[int, _Pending | None, bool]:
+    """Order of the sum of a group of terms sharing one limit exponent, and its leading term
+    as a pending call (None where it survives only as log-t or as a formal sum)."""
     if len(members) == 1:
         _, order, scalar, _, counts = members[0]
-        return order, expansion.leading(scalar, counts), False
+        return order, _Pending(expansion.leading, scalar, counts), False
     m = min(order for _, order, _, _, _ in members)
     lowest = [member for member in members if member[1] == m]
     # add up the leading scalars of each monomial
@@ -316,7 +344,7 @@ def _group_order(system: RootSystem, members: list[_Member], param: str,
     nonzero = [key for key, total in buckets.items() if total != 0]
     if len(nonzero) == 1:
         counts = next(c for _, _, _, key, c in lowest if key == nonzero[0])
-        return m, expansion.leading(buckets[nonzero[0]], counts), False
+        return m, _Pending(expansion.leading, buckets[nonzero[0]], counts), False
     if nonzero:
         # distinct monomials cannot cancel; the sum survives as a formal sum
         return m, None, False
@@ -338,7 +366,12 @@ def _group_order(system: RootSystem, members: list[_Member], param: str,
 
 def pole_report(ct: ConstantTerm, point: Rat, *,
                 assume_no_real_zeros: bool = False) -> PoleReport:
-    """Pole order of the constant term at the point, with exponent grouping."""
+    """Pole order of the constant term at the point, with exponent grouping.
+
+    Each group's order comes from the scalars and packed monomials of its
+    terms; its leading ``ZetaExpr`` is built only when ``TermGroup.leading``
+    is first read.
+    """
     system = ct.system
     pt = _q(point)
     table, params = _table_and_params(ct)

@@ -212,3 +212,22 @@ def test_a_character_of_the_wrong_length_is_refused(split, call, count):
 def test_modular_character_refuses_an_unknown_index(split, levi, ambient):
     with pytest.raises(UnknownRootError, match="out of range 1..4"):
         modular_character(split, levi, ambient=ambient)
+
+
+@pytest.mark.parametrize("combine, lengths", [
+    (lambda: TorusCharacter.of(1, 2) + TorusCharacter.of(1, 2, 3), (2, 3)),
+    (lambda: TorusCharacter.of(1, 2, 3) - TorusCharacter.of(1, 2), (3, 2)),
+    (lambda: TorusCharacter.of(1, 2, 3).pair([1]), (3, 1)),
+    (lambda: TorusCharacter.of(1).pair([1, 0]), (1, 2))],
+    ids=["add", "sub", "pair-short", "pair-long"])
+def test_characters_of_different_lengths_do_not_combine(combine, lengths):
+    with pytest.raises(ConfigError, match="a character with {} coordinates cannot combine "
+                                          "with {} coordinates".format(*lengths)):
+        combine()
+
+
+def test_characters_of_one_length_combine_coordinatewise():
+    a, b = TorusCharacter.of(1, af(1)), TorusCharacter.of(3, 4)
+    assert (a + b).coords == TorusCharacter.of(4, af(1, 4)).coords
+    assert (a - b).coords == TorusCharacter.of(-2, af(1, -4)).coords
+    assert a.pair([2, 1]) == af(1, 2)

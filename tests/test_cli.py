@@ -9,7 +9,7 @@ import pytest
 
 from degeis import cli
 from degeis.cli import main
-from degeis.zetas import ZetaExpr
+from degeis.zetas import ZetaExpr, _Expansion
 
 
 def run(capsys, *argv):
@@ -51,21 +51,27 @@ def test_poles_split_P(capsys):
 
 
 def test_markdown_poles_renders_no_leading_term(capsys, monkeypatch):
-    """Markdown prints no leading term, so it renders none; JSON renders one per group."""
-    rendered = []
-    text = ZetaExpr.text
+    """Markdown prints no leading term, so it builds and renders none; JSON
+    builds and renders one per group."""
+    rendered, built = [], []
+    text, leading = ZetaExpr.text, _Expansion.leading
 
     def counted(self, *args):
         rendered.append(self)
         return text(self, *args)
 
+    def counted_build(self, *args):
+        built.append(args)
+        return leading(self, *args)
+
     monkeypatch.setattr(ZetaExpr, "text", counted)
+    monkeypatch.setattr(_Expansion, "leading", counted_build)
     argv = ("poles", "--group", "D4", "--parabolic", "borel", "--point", "1/2")
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and "exponent (" in out and rendered == []
+    assert code == 0 and "exponent (" in out and rendered == [] and built == []
     code, out, _ = run(capsys, *argv, "--format", "json")
     groups = json.loads(out)["groups"]
-    assert code == 0 and len(rendered) == len(groups) == 192
+    assert code == 0 and len(rendered) == len(built) == len(groups) == 192
     assert [g["leading"] for g in groups] == [text(e) for e in rendered]
 
 
