@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import lcm
 
 from .errors import ConfigError, IotaMismatchError, UnsupportedGroupError
-from .forms import AffineForm, Q, Rat, _q, _ratio
+from .forms import AffineForm, Q, Rat, _ratio
 from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
 
@@ -90,11 +90,7 @@ class TorusCharacter(Record):
         return "*".join(parts)
 
     def __str__(self) -> str:
-        return self.text()
-
-    def text(self, form_text: Callable[[AffineForm], str] = str) -> str:
-        """The text form, each coordinate rendered by ``form_text``."""
-        return "(" + ",".join([form_text(c) for c in self.coords]) + ")"
+        return "(" + ",".join([str(c) for c in self.coords]) + ")"
 
     def to_json(self, form_json: Callable[[AffineForm], dict] = AffineForm.to_json) -> dict:
         """The JSON layout, each coordinate encoded by ``form_json``."""

@@ -13,9 +13,9 @@ where J(w, s) is the Gindikin-Karpelevich factor
 
 Pole analysis groups the terms by the value of their exponent at the point;
 distinct limit exponents are linearly independent characters and never
-cancel.  The values are integer numerators over one denominator, carried
-along the coset walk like the generic exponents: lambda(s0) once, then one
-integer simple reflection per term.  Within a group the Laurent expansion is
+cancel.  The coset walk numbers each distinct exponent coordinate once, each
+is evaluated once at the point to an integer over one denominator, and a
+term reads its values through its row of numbers.  Within a group the Laurent expansion is
 carried to the first two orders with the log-t correction
 
     t^{exp_w(s)} = t^{exp_w(s0)} (1 + (s - s0) <exp_w'(s0), log t> + ...),
@@ -32,10 +32,10 @@ from functools import partial
 from math import lcm
 from operator import mul
 
-from .characters import (TorusCharacter, parabolic_levi,
+from .characters import (TorusCharacter, line_chi_P, line_mu_P, line_mu_Q, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
-from .forms import AffineForm, Q, Rat, _make, _per_object, _q, _ratio, _ratio_str, _Terms
+from .forms import AffineForm, Q, Rat, _make, _per_object, _q, _ratio_str, _Terms
 from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
@@ -67,10 +67,11 @@ class _AtomTable:
     so the Laurent data of every term follows from one expansion per id
     (``_Expansion``).  A line's table keeps the pairings it was built from,
     and ``roots[k]`` holds the (plain, shifted) ids of the positive root at
-    position k.  A constant term's table also keeps the coset walk's
-    ``steps``, term k being its parent's times one simple reflection.
-    ``bound`` is at least the total |count| of every term, which bounds any
-    merged count.
+    position k.  ``coords[c]`` is the exponent coordinate id c stands for,
+    each distinct ``AffineForm`` once, and ``exps[t]`` is term t's exponent
+    as a tuple of coordinate ids, so each coordinate is evaluated once per
+    point (``_exponents_at``).  ``bound`` is at least the total |count| of
+    every term, which bounds any merged count.
     """
 
     def __init__(self):
@@ -79,7 +80,8 @@ class _AtomTable:
         self.roots: list[tuple[int, int]] = []
         self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
-        self.steps: list[tuple[int, int, int]] | None = None
+        self.coords: list[AffineForm] = []
+        self.exps: list[tuple[int, ...]] = []
         self.bound = 0
         # one ZetaAtom per (id, count), shared by every J that holds it
         self.atoms: dict[tuple[int, int], ZetaAtom] = {}
@@ -110,10 +112,13 @@ class _AtomTable:
 
     @staticmethod
     def of_terms(terms: Iterable[GKTerm]) -> "_AtomTable":
-        """The table of terms built by hand: every factor of every J interned."""
+        """The table of terms built by hand: J factors interned, exponent coordinates numbered."""
         table = _AtomTable()
-        table.terms = [(t.j_factor.scalar, _intern(table.ids, _factors(t.j_factor))) for t in terms]
-        table.keys = list(table.ids)
+        coords: dict[AffineForm, int] = {}
+        for t in terms:
+            table.terms.append((t.j_factor.scalar, _intern(table.ids, _factors(t.j_factor))))
+            table.exps.append(tuple([coords.setdefault(f, len(coords)) for f in t.exponent.coords]))
+        table.keys, table.coords = list(table.ids), list(coords)
         table.bound = max((sum(abs(c) for _, c in counts) for _, counts in table.terms), default=0)
         return table
 
@@ -142,7 +147,7 @@ class ConstantTerm(Record):
 
     def __init__(self, system: RootSystem, levi: tuple[int, ...], line: TorusCharacter,
                  terms: tuple[GKTerm, ...],
-                 # the terms' J as id counts; None for terms built by hand, interned on use
+                 # J as id counts, exponents as coordinate ids; None when built by hand
                  table: _AtomTable | None = None):
         self._fill(system, levi, line, terms, table)
 
@@ -179,43 +184,46 @@ def constant_term(system: RootSystem, levi: Iterable[int],
     the root u(alpha_i) that w adds to N(u).  So J(w) is J(u) with one more
     plain and one fewer shifted atom of that root, and the exponent
     (u s_i)^{-1} lambda = s_i (u^{-1} lambda) is u's minus its i-th
-    coordinate times pairing[i - 1].  The exponents are integer rows over
-    the line's one denominator, a (constant, coefficients) tuple per
-    coordinate; each distinct tuple becomes one ``AffineForm``, shared by
-    every term that holds it, and a coordinate the step leaves alone keeps
-    its form.  The term of length 1 is checked against ``weyl_act`` and the
-    inversion set of its word.  The table keeps the walk's steps for the
-    exponents at a point (``_exponents_at``).
+    coordinate times pairing[i - 1].  Each distinct exponent coordinate, a
+    (constant, coefficients) tuple over the line's one denominator, is
+    numbered once and becomes one ``AffineForm`` (``table.coords``), shared
+    by every term that holds it; a term's exponent is a row of these numbers
+    (``table.exps``).  The term of length 1 is checked against ``weyl_act``
+    and the inversion set of its word.
     """
     levi_set = tuple(levi)
     table = _AtomTable.of_line(system, line)
-    steps = table.steps = system.weyl_elements(levi_set).steps
+    steps = system.weyl_elements(levi_set).steps
     words = coset_reps(system, levi_set)
     den, names, cols = _line_columns(line)
-    rows = [tuple(zip(*cols))]
-    # seeded with the line's coordinates, one form per distinct value
-    forms: dict[tuple[int, ...], AffineForm] = {}
-    first = TorusCharacter(tuple([forms.setdefault(x, f) for x, f in zip(rows[0], line.coords)]))
+    # one id per distinct integer tuple, the line's coordinates first, with their forms
+    line_forms = dict(zip(zip(*cols), line.coords))
+    ids = {x: k for k, x in enumerate(line_forms)}
+    vecs = list(line_forms)
+    coords = table.coords = list(line_forms.values())
+    exps = table.exps = [tuple([ids[x] for x in zip(*cols)])]
     one = Q(1)
     table.terms = [(one, ())]
-    terms = [GKTerm(words[0], table.expr(()), first)]
+    terms = [GKTerm(words[0], table.expr(()), TorusCharacter(tuple([coords[k] for k in exps[0]])))]
     # the coordinates s_i moves: (j, pairing[i - 1][j]) with a nonzero entry
     moved = [[(j, r) for j, r in enumerate(row) if r] for row in system.pairing]
     roots = table.roots
     for word, (parent, i, root) in zip(words[1:], steps):
-        row, exponent = rows[parent], terms[parent].exponent
-        x_i = row[i - 1]
+        row, exponent = exps[parent], terms[parent].exponent
+        x_i = vecs[row[i - 1]]
         if any(x_i):
-            row, coords = list(row), list(exponent.coords)
+            row, forms = list(row), list(exponent.coords)
             for j, r in moved[i - 1]:
-                x = tuple([a - r * b for a, b in zip(row[j], x_i)])
-                f = forms.get(x)
-                if f is None:
-                    f = forms[x] = _make(den, x[0], tuple(
-                        [(n, a) for n, a in zip(names, x[1:]) if a]))
-                row[j], coords[j] = x, f
-            row, exponent = tuple(row), TorusCharacter(tuple(coords))
-        rows.append(row)
+                x = tuple([a - r * b for a, b in zip(vecs[row[j]], x_i)])
+                k = ids.get(x)
+                if k is None:
+                    k = ids[x] = len(vecs)
+                    vecs.append(x)
+                    coords.append(_make(den, x[0], tuple(
+                        [(n, a) for n, a in zip(names, x[1:]) if a])))
+                row[j], forms[j] = k, coords[k]
+            row, exponent = tuple(row), TorusCharacter(tuple(forms))
+        exps.append(row)
         counts = list(table.terms[parent][1])
         plain, shifted = roots[root]
         _bump(counts, plain, 1)
@@ -299,30 +307,20 @@ def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
     return _AtomTable.of_terms(ct.terms), sorted(params)
 
 
-def _exponents_at(ct: ConstantTerm,
-                  assignment: Mapping[str, Q]) -> tuple[int, list[tuple[int, ...]]]:
-    """(den, numerators): term k's exponent at the point is numerators[k] / den.
+def _exponents_at(table: _AtomTable, assignment: Mapping[str, Q]) -> tuple[int, list[int]]:
+    """(den, numerators): coordinate c is numerators[c] / den at the point.
 
-    On a walk-built table the line is evaluated once and put over the lcm of
-    its denominators; each step's reflection x -> x - x_i * pairing[i] keeps
-    the numerators integers over that denominator.  Terms built by hand are
-    not walk-ordered, and each exponent is evaluated.  One positive
-    denominator for all terms makes the integer tuples sort as the
-    ``Fraction`` tuples do.
+    Each coordinate is evaluated once (an unassigned parameter raises
+    ``ValueError``); term t's exponent maps ``table.exps[t]`` through the
+    numerators.  One positive denominator makes the integer tuples sort as
+    the ``Fraction`` tuples do.
     """
-    if ct.table is None:
-        values = [t.exponent.evaluate(assignment) for t in ct.terms]
-        den = lcm(*(x.denominator for v in values for x in v))
-        return den, [tuple(x.numerator * (den // x.denominator) for x in v) for v in values]
-    ratios = [_ratio(x) for x in ct.line.evaluate(assignment)]
-    den = lcm(*(q for _, q in ratios))
-    out = [tuple(p * (den // q) for p, q in ratios)]
-    pairing = ct.system.pairing
-    for parent, i, _ in ct.table.steps:
-        x = out[parent]
-        x_i = x[i - 1]
-        out.append(tuple(c - x_i * r for c, r in zip(x, pairing[i - 1])) if x_i else x)
-    return den, out
+    values = [f.subs(assignment) for f in table.coords]
+    for v in values:
+        if v.coeff_nums:
+            raise ValueError(f"unassigned parameters: {', '.join(v.params)}")
+    den = lcm(*(v.den for v in values))
+    return den, [v.const_num * (den // v.den) for v in values]
 
 
 _Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, key, counts
@@ -380,11 +378,12 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     assignment = {params[0]: pt}
     expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, assignment,
                            assume_no_real_zeros)
-    den, exps = _exponents_at(ct, assignment)
+    den, nums = _exponents_at(table, assignment)
     grouped: dict[tuple[int, ...], list[_Member]] = {}
-    for term, (scalar, counts), exp0 in zip(ct.terms, table.terms, exps):
+    for term, (scalar, counts), exp in zip(ct.terms, table.terms, table.exps):
         order, leading, key = expansion.term(scalar, counts)
-        grouped.setdefault(exp0, []).append((term, order, leading, key, counts))
+        grouped.setdefault(tuple([nums[c] for c in exp]), []).append(
+            (term, order, leading, key, counts))
 
     # one Fraction per distinct numerator, shared by every exponent that holds it
     values = {x: Q(x, den) for x in set().union(*grouped)}
@@ -534,8 +533,6 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
     D4 presets).  Dividing by the residue of the intertwining operator
     attached to w[2342] gives the section-level constant.
     """
-    from .characters import line_chi_P, line_mu_P, line_mu_Q
-
     if system.name not in ("split_D4", "quasi_D4"):
         raise UnsupportedGroupError("Siegel-Weil constants need the F x K forms")
     p_levi = parabolic_levi(system, "P")
@@ -728,18 +725,19 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     assignment = {params[0] if params else "s": pt}
     # the rows read orders only: no packed monomials
     expansion = _Expansion(table.keys, None, _EPS, assignment, assume_no_real_zeros)
-    den, exps = _exponents_at(ct, assignment)
-    # each shared atom factor and each distinct exponent coordinate is rendered once
-    factor_text, form_text = _per_object(ZetaAtom.factor_text), _per_object(str)
+    den, nums = _exponents_at(table, assignment)
+    # each shared atom factor is rendered once, each exponent coordinate once by its id
+    factor_text = _per_object(ZetaAtom.factor_text)
+    generic, at_point = [str(f) for f in table.coords], [_ratio_str(x, den) for x in nums]
     rows = []
-    for term, (scalar, counts), exp_val in zip(ct.terms, table.terms, exps):
+    for term, (scalar, counts), exp in zip(ct.terms, table.terms, table.exps):
         order = expansion.term(scalar, counts)[0]
         rows.append({
             "word": str(term.word),
             "j_factor": term.j_factor.text(factor_text),
             "pole_order": pole_order_of(order),
-            "exponent": term.exponent.text(form_text),
-            "exponent_at_point": "(" + ",".join(_ratio_str(x, den) for x in exp_val) + ")",
+            "exponent": "(" + ",".join([generic[c] for c in exp]) + ")",
+            "exponent_at_point": "(" + ",".join([at_point[c] for c in exp]) + ")",
         })
     return rows
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
 
+from .errors import ConfigError
+
 Q = Fraction
 Rat = Q | int
 
@@ -27,15 +29,18 @@ _Terms = tuple[tuple[str, int], ...]
 
 
 def _q(x: Rat) -> Q:
-    return x if isinstance(x, Q) else Q(x)
+    if isinstance(x, Q):
+        return x
+    if isinstance(x, float):    # its binary value is not the rational meant: 0.3 != 3/10
+        raise ConfigError(f"{x!r} is a float, not an exact rational: pass an int, Fraction or str")
+    return Q(x)
 
 
 def _ratio(x: Rat) -> tuple[int, int]:
     """(numerator, denominator) of a rational, the denominator positive."""
     if isinstance(x, int):
         return x, 1
-    q = _q(x)
-    return q.numerator, q.denominator
+    return _q(x).as_integer_ratio()
 
 
 def _ratio_str(num: int, den: int) -> str:

@@ -130,3 +130,60 @@ def test_forms_are_immutable_and_compare_only_with_forms():
     assert AffineForm(Q(1, 2), (("s", Q(2, 3)),)) == AffineForm.of(Q(1, 2), s=Q(2, 3))
     # the constructor merges repeated names and drops zero coefficients
     assert AffineForm(1, (("s", 1), ("t", 0), ("s", Q(1, 2)))) == AffineForm.of(1, s=Q(3, 2))
+
+
+# -- floats are refused, not read as binary rationals ------------------------------
+
+def _d4_p():
+    from degeis.characters import chi_line_for, parabolic_levi
+    from degeis.rootdata import build_system
+    system = build_system("split_D4")
+    return system, parabolic_levi(system, "P"), chi_line_for(system, "P")
+
+
+def _float_calls():
+    from degeis.characters import line_chi_P, line_mu_P
+    from degeis.eisenstein import (constant_term, intertwiner_residue, pole_report,
+                                   render_table_rows, sharp_limit)
+    from degeis.zetas import ZetaExpr, laurent_at
+    system, levi, line = _d4_p()
+    ct = constant_term(system, levi, line)
+    s = AffineForm.var("s")
+    return {
+        "pole_report": lambda x: pole_report(ct, x, assume_no_real_zeros=True),
+        "render_table_rows": lambda x: render_table_rows(ct, x, assume_no_real_zeros=True),
+        "sharp_limit": lambda x: sharp_limit(system, levi, line_mu_P(system), x),
+        "intertwiner_residue": lambda x: intertwiner_residue(
+            system, system.parse_word("2342"), line_chi_P(system), x),
+        "laurent_at": lambda x: laurent_at(ZetaExpr.build(num=[s]), {"s": x}),
+        "AffineForm": lambda x: AffineForm(x),
+        "AffineForm coefficient": lambda x: AffineForm(0, [("s", x)]),
+        "AffineForm.var": lambda x: AffineForm.var("s", x),
+        "form plus": lambda x: s + x,
+        "subs": lambda x: s.subs({"s": x}),
+        "ZetaExpr.build": lambda x: ZetaExpr.build(x),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float_calls()))
+def test_a_float_is_refused_with_its_value(name):
+    """0.3 is 5404319552844595/18014398509481984 in binary: every entry point that
+    takes a point or a coefficient refuses it, naming it, and takes 3/10 exactly."""
+    from degeis.errors import ConfigError
+    call = _float_calls()[name]
+    with pytest.raises(ConfigError, match=r"0\.3 is a float"):
+        call(0.3)
+    exact = call(Q(3, 10))
+    assert call("3/10") == exact
+    assert call(1) == call(Q(1))
+
+
+def test_d4_p_pole_order_at_3_10_is_not_read_off_a_float():
+    """The float 0.3 answered order 0 at 5404319552844595/18014398509481984; 3/10 has order 2."""
+    from degeis.errors import ConfigError
+    from degeis.eisenstein import constant_term, pole_report
+    system, levi, line = _d4_p()
+    ct = constant_term(system, levi, line)
+    assert pole_report(ct, Q(3, 10), assume_no_real_zeros=True).order == 2
+    with pytest.raises(ConfigError, match=r"0\.3 is a float"):
+        pole_report(ct, 0.3, assume_no_real_zeros=True)

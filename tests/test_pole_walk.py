@@ -5,8 +5,9 @@ J(w) is a list of (id, count) pairs over them.  ``pole_report`` and
 ``render_table_rows`` expand each id once per point and sum over the counts.
 These tests hold that path against ``laurent_at`` of each term's J and
 against a from-scratch ``ZetaExpr.build``, and gate its build counts.  The
-exponents at the point are carried along the coset walk as integers over
-one denominator; they are held against ``TorusCharacter.evaluate`` of each
+coset walk numbers each distinct exponent coordinate once, and the
+exponents at the point are read through those numbers as integers over one
+denominator; they are held against ``TorusCharacter.evaluate`` of each
 term, and the reports against the same terms built by hand.
 """
 
@@ -247,6 +248,12 @@ def chi_cases():
 CARRY_POINTS = POOL[::5]
 
 
+def term_exponents(table, assignment):
+    """(den, numerators): term t's exponent at the point is numerators[t] / den."""
+    den, nums = _exponents_at(table, assignment)
+    return den, [tuple(nums[c] for c in exp) for exp in table.exps]
+
+
 def reference_groups(ct, point):
     """(exponent at the point, words) per distinct exponent, from evaluate and Fractions."""
     grouped = {}
@@ -282,13 +289,13 @@ def test_carried_exponents_match_evaluate(case):
     hand = ConstantTerm(system, ct.levi, line, ct.terms)
     for point in CARRY_POINTS:
         assignment = {"s": point}
-        den, exps = _exponents_at(ct, assignment)
+        den, exps = term_exponents(ct.table, assignment)
         values = [t.exponent.evaluate(assignment) for t in ct.terms]
         assert den > 0
         assert [tuple(Q(x, den) for x in e) for e in exps] == values
         assert [tuple(Q(x, den) for x in e) for e in sorted(set(exps))] == sorted(set(values))
         # the line is term 0 and every reflection is integral: the same denominator
-        assert _exponents_at(hand, assignment) == (den, exps)
+        assert term_exponents(_AtomTable.of_terms(hand.terms), assignment) == (den, exps)
         _check_reports(ct, hand, point)
 
 
@@ -297,7 +304,7 @@ def test_terms_built_by_hand_group_as_before(quasi):
     ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, Q(1, 2)), af(Q(1, 3), 2)))
     ct = ConstantTerm(quasi, (), ct.line, ct.terms[::-1])
     for point in (Q(0), Q(1), Q(-2), Q(1, 2), Q(1, 3), Q(-1, 4)):
-        den, exps = _exponents_at(ct, {"s": point})
+        den, exps = term_exponents(_AtomTable.of_terms(ct.terms), {"s": point})
         assert [tuple(Q(x, den) for x in e) for e in exps] == [
             t.exponent.evaluate({"s": point}) for t in ct.terms]
         rep = _outcome(lambda: pole_report(ct, point, assume_no_real_zeros=True))
@@ -313,14 +320,17 @@ def test_hand_built_exponents_go_over_the_lcm_of_their_denominators(a1):
     terms = (GKTerm(WeylWord(), xi("F", 2), TorusCharacter.of(af(1, Q(1, 2)))),
              GKTerm(WeylWord.of(1), xi("F", 1), TorusCharacter.of(af(1, Q(1, 3)))))
     ct = ConstantTerm(a1, (), TorusCharacter.of(af(1)), terms)
-    assert _exponents_at(ct, {"s": Q(0)}) == (6, [(3,), (2,)])
+    assert term_exponents(_AtomTable.of_terms(ct.terms), {"s": Q(0)}) == (6, [(3,), (2,)])
     rep = pole_report(ct, Q(1, 4), assume_no_real_zeros=True)
     assert [(g.exponent_at_point, g.words) for g in rep.groups] == reference_groups(ct, Q(1, 4))
 
 
-def test_a_walk_built_report_evaluates_the_line_once(monkeypatch):
-    """D4 Borel at 1/2: each report makes one evaluate call, of the line, and rank subs."""
+def test_a_report_evaluates_each_exponent_coordinate_once(monkeypatch):
+    """D4 Borel at 1/2: each report makes one subs call per distinct exponent
+    coordinate, 10 for the 768 coordinates of its 192 terms, and evaluates no
+    character; the same terms built by hand number the same 10 coordinates."""
     ct = _d4_borel()
+    hand = ConstantTerm(ct.system, ct.levi, ct.line, ct.terms)
     calls = Counter()
     evaluate, subs = TorusCharacter.evaluate, AffineForm.subs
 
@@ -332,13 +342,34 @@ def test_a_walk_built_report_evaluates_the_line_once(monkeypatch):
         calls["subs"] += 1
         return subs(self, assignment)
 
+    assert len(ct.table.coords) == 10
+    assert len(ct.table.exps) == 192
     monkeypatch.setattr(TorusCharacter, "evaluate", counted_evaluate)
     monkeypatch.setattr(AffineForm, "subs", counted_subs)
-    for report in (pole_report, render_table_rows):
-        calls.clear()
-        report(ct, Q(1, 2))
-        assert calls == {"evaluate": 1, "subs": ct.system.rank}, report.__name__
+    for c in (ct, hand):
+        for report in (pole_report, render_table_rows):
+            calls.clear()
+            report(c, Q(1, 2))
+            assert calls == {"subs": 10}, report.__name__
 
+
+def test_an_unassigned_coordinate_raises_as_evaluate_does():
+    """A coordinate left with a parameter refuses, as evaluate does, with its name."""
+    terms = (GKTerm(WeylWord(), xi("F", 2), TorusCharacter.of(af(1, 0), AffineForm.var("t"))),)
+    table = _AtomTable.of_terms(terms)
+    with pytest.raises(ValueError, match="unassigned parameters: t"):
+        _exponents_at(table, {"s": Q(1)})
+
+
+def test_equal_line_coordinates_share_one_id():
+    """A line with two equal coordinates numbers them once: term 0's row repeats the id."""
+    system = build_system("G2")
+    ct = constant_term(system, (), TorusCharacter.of(af(1, 0), af(1, 0)))
+    assert ct.table.exps[0] == (0, 0)
+    assert ct.table.coords[0] == ct.line.coords[0]
+    assert len(set(ct.table.coords)) == len(ct.table.coords)
+    for t, exp in zip(ct.terms, ct.table.exps):
+        assert t.exponent.coords == tuple(ct.table.coords[c] for c in exp)
 
 
 # -- one ZetaAtom per (id, count), and the rows' text --------------------------------

@@ -10,8 +10,9 @@ host's speed does not favour one side.  For every end-to-end metric of that
 file it prints the median of each side, their relative difference against
 the metric's ``bound`` (marked ``!`` where the change is worse by more), the
 interquartile range of the base's runs and how many pairs the change won.
-If any run fails, or reports ``correct`` false or a failed operation, it
-prints that run's output and reports nothing.
+It exits with status 1 if any metric is marked ``!``.  If any run fails,
+or reports ``correct`` false or a failed operation, it prints that run's
+output and reports nothing.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{seconds:g} s per run")
     print(f"{'metric':<14}{'base':>12}{'change':>12}{'delta':>9}{'bound':>8}"
           f"{'base IQR':>12}  won")
+    status = 0
     for metric in bench["end_to_end"]:
         name = metric["name"]
         base = [r[name] for r in runs["base"]]
@@ -80,10 +82,12 @@ def main(argv: list[str] | None = None) -> int:
         q1, _, q3 = statistics.quantiles(base, n=4) if n > 1 else (mid,) * 3
         rel = (med - mid) / mid if mid else 0.0
         worse = " !" if sign * rel > metric["bound"] else ""
+        if worse:
+            status = 1
         delta = f"{rel:+.1%}" if mid else "n/a"
         print(f"{name:<14}{mid:>12.6g}{med:>12.6g}{delta:>9}{metric['bound']:>8.0%}"
               f"{q3 - q1:>12.3g}  {won}/{n}{worse}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
