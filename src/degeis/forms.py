@@ -31,14 +31,16 @@ _Terms = tuple[tuple[str, int], ...]
 def _q(x: Rat) -> Q:
     if isinstance(x, Q):
         return x
-    if isinstance(x, float):    # its binary value is not the rational meant: 0.3 != 3/10
-        raise ConfigError(f"{x!r} is a float, not an exact rational: pass an int, Fraction or str")
+    # a float's binary value is not the rational meant (0.3 != 3/10), nor is True 1
+    if isinstance(x, (float, bool, complex)):
+        raise ConfigError(f"{x!r} is a {type(x).__name__}, not an exact rational: "
+                          "pass an int, Fraction or str")
     return Q(x)
 
 
 def _ratio(x: Rat) -> tuple[int, int]:
     """(numerator, denominator) of a rational, the denominator positive."""
-    if isinstance(x, int):
+    if x.__class__ is int:
         return x, 1
     return _q(x).as_integer_ratio()
 

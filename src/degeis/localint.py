@@ -47,6 +47,8 @@ class ShellFunction(Record):
     def __init__(self, kind: str, k: int):
         if kind not in ("lattice", "shell"):
             raise ValueError("kind must be 'lattice' or 'shell'")
+        if k.__class__ is not int:
+            raise ValueError(f"k must be an int, got {k!r}")
         self._fill(kind, k)
 
     @staticmethod

@@ -21,8 +21,8 @@ Two expressions are equal as functions iff their canonical forms coincide.
 Laurent data come from one expansion, ``_Expansion``: each factor of a
 table of terms (``_intern``) is taken to its limit once, and a term's data
 are sums over its factor counts.  ``expand_in`` expands an expression as
-the one term of its own table; ``laurent_at`` shifts it to the point, then
-calls ``expand_in``.
+the one term of its own table, its factors first shifted to a point if one
+is given; ``laurent_at`` is ``expand_in`` at the point.
 """
 
 from __future__ import annotations
@@ -349,19 +349,20 @@ class _Multisets:
 class _Expansion:
     """Every factor key of a table (``_intern``) expanded once as var -> 0.
 
-    The pole reports shift each factor to point + var first; ``expand_in``
-    and the appendix checks expand in var as the factors stand.  Per key:
+    Given a point, each factor is shifted to point + var first (the pole
+    reports, ``laurent_at``); else it is expanded in var as it stands.  Per key:
     the order of vanishing, the leading scalar and the key of the leading
     monomial: (label, arg) of an atom at var = 0, canonical so that atoms
     meeting there merge, the label of a polar atom's or a residue symbol's
     R_L, or the primitive form of an affine factor left generic by other
     parameters.  The shared ``_Multisets``, if given, packs these keys, and
     a term's Laurent data are sums over its counts.  A key whose expansion
-    raises is kept aside, and raises again only for a term that contains it.
+    raises is kept aside as (label, arg) at the point, where distinct atoms
+    can meet; it raises again only for a term whose counts there add to nonzero.
     """
 
     def __init__(self, keys: Iterable[object], sets: _Multisets | None, var: str,
-                 point: Mapping[str, Q] | None = None, assume_no_real_zeros: bool = False):
+                 point: Mapping[str, Rat] | None = None, assume_no_real_zeros: bool = False):
         self.var = var
         self.assume = assume_no_real_zeros
         # per key: order, leading scalar as (num, den) or None for 1, packed leading monomial
@@ -403,9 +404,12 @@ class _Expansion:
             raise ValueError("Laurent expansion of the zero expression")
         failing = self.failing
         if failing:
-            # each failing id looked up in the id-sorted counts
-            hits = [(*failing[i], counts[k][1]) for i in failing
-                    if (k := bisect_left(counts, (i,))) < len(counts) and counts[k][0] == i]
+            # each failing id looked up in the id-sorted counts, the counts of atoms met added
+            met: dict[tuple[str, AffineForm], int] = {}
+            for i, atom in failing.items():
+                if (k := bisect_left(counts, (i,))) < len(counts) and counts[k][0] == i:
+                    met[atom] = met.get(atom, 0) + counts[k][1]
+            hits = [(*atom, c) for atom, c in met.items() if c]
             if hits:
                 label, arg, c = min(hits)
                 atom_limit(label, arg, self.var, exp=c, assume_no_real_zeros=self.assume)   # raises
@@ -464,7 +468,7 @@ class _Expansion:
         return ZetaExpr(scalar, tuple(num), tuple(den), tuple(atoms), tuple(residues))
 
 
-def expand_in(expr: ZetaExpr, var: str, *,
+def expand_in(expr: ZetaExpr, var: str, *, point: Mapping[str, Rat] | None = None,
               assume_no_real_zeros: bool = False) -> LaurentData:
     """Laurent order and leading coefficient of expr as var -> 0.
 
@@ -474,11 +478,12 @@ def expand_in(expr: ZetaExpr, var: str, *,
     raises hyperplane-degeneracy; a constant argument strictly inside (0,1)
     raises indeterminate-zero-region unless assume_no_real_zeros is set
     (completed zetas may vanish there).  expr is expanded as the one term of
-    its own factor table.
+    its own factor table.  Given a point, which must assign every parameter,
+    each factor is first shifted to point + var, as ``shift_form`` does.
     """
     ids: dict[object, int] = {}
     counts = _intern(ids, _factors(expr))
-    expansion = _Expansion(list(ids), None, var, assume_no_real_zeros=assume_no_real_zeros)
+    expansion = _Expansion(list(ids), None, var, point, assume_no_real_zeros)
     order, scalar, _ = expansion.term(expr.scalar, counts)
     return LaurentData(order, expansion.leading(scalar, counts))
 
@@ -496,19 +501,6 @@ def shift_form(f: AffineForm, point: Mapping[str, Rat], var: str) -> AffineForm:
     return _make(f.den * den, num, ((var, slope),) if slope else ())
 
 
-def _shift_to_point(expr: ZetaExpr, point: Mapping[str, Rat], var: str) -> ZetaExpr:
-    """expr with point + var put in for every parameter, in canonical form.
-
-    The result still goes through build: with several parameters, atoms that
-    differ generically can coincide after the shift and cancel.
-    """
-    return ZetaExpr.build(expr.scalar, [shift_form(f, point, var) for f in expr.num],
-                          [shift_form(f, point, var) for f in expr.den],
-                          [ZetaAtom(a.label, shift_form(a.arg, point, var), a.exp)
-                           for a in expr.atoms],
-                          expr.residues)
-
-
 _EPS = "_eps"
 
 
@@ -523,6 +515,5 @@ def laurent_at(expr: ZetaExpr, point: Mapping[str, Rat], *,
     free = set(expr.params) - set(point)
     if free:
         raise ValueError(f"point does not assign parameters: {sorted(free)}")
-    shifted = _shift_to_point(expr, point, _EPS)
-    return expand_in(shifted, _EPS, assume_no_real_zeros=assume_no_real_zeros)
+    return expand_in(expr, _EPS, point=point, assume_no_real_zeros=assume_no_real_zeros)
 

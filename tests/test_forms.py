@@ -1,5 +1,6 @@
 """The integer-backed AffineForm against the Fraction-backed reference form."""
 
+import re
 from fractions import Fraction as Q
 from math import gcd
 
@@ -159,6 +160,7 @@ def _float_calls():
         "AffineForm": lambda x: AffineForm(x),
         "AffineForm coefficient": lambda x: AffineForm(0, [("s", x)]),
         "AffineForm.var": lambda x: AffineForm.var("s", x),
+        "AffineForm.const_form": lambda x: AffineForm.const_form(x),
         "form plus": lambda x: s + x,
         "subs": lambda x: s.subs({"s": x}),
         "ZetaExpr.build": lambda x: ZetaExpr.build(x),
@@ -187,3 +189,17 @@ def test_d4_p_pole_order_at_3_10_is_not_read_off_a_float():
     assert pole_report(ct, Q(3, 10), assume_no_real_zeros=True).order == 2
     with pytest.raises(ConfigError, match=r"0\.3 is a float"):
         pole_report(ct, 0.3, assume_no_real_zeros=True)
+
+
+# -- bools and complex numbers are refused too --------------------------------------
+
+@pytest.mark.parametrize("value", [True, False, 1 + 2j], ids=["True", "False", "complex"])
+@pytest.mark.parametrize("name", ["AffineForm", "AffineForm.var", "AffineForm.const_form",
+                                  "ZetaExpr.build", "pole_report", "laurent_at"])
+def test_a_bool_or_a_complex_is_refused_with_its_value(name, value):
+    """True was read as 1 (pole_report(ct, True) answered at 1, AffineForm.var("s", True)
+    kept True as its coefficient) and a complex raised an untyped TypeError."""
+    from degeis.errors import ConfigError
+    message = f"{value!r} is a {type(value).__name__}, not an exact rational"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _float_calls()[name](value)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -88,3 +89,11 @@ def test_constant_z_outside_the_convergence_region_is_refused(z):
         local_zeta(AffineForm.of(z))
     # a z that is not constant is left alone: its region is stated, not checked
     assert tate_integral(ShellFunction.lattice(0), AffineForm.of(z, s=1)).is_local_zeta()
+
+
+@pytest.mark.parametrize("k", [1.5, True, False, "2", Q(2)])
+def test_an_index_that_is_not_an_int_is_refused(k):
+    """shell(1.5) printed q^(-1.5(s)), True was read as 1 and "2" raised an untyped TypeError."""
+    for kind in ("lattice", "shell"):
+        with pytest.raises(ValueError, match=rf"k must be an int, got {re.escape(repr(k))}"):
+            ShellFunction(kind, k)

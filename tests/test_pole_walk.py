@@ -236,6 +236,23 @@ def test_pole_report_builds_nothing(monkeypatch):
     assert (counter.builds, counter.laurents) == (0, 0)
 
 
+def test_laurent_at_and_intertwiner_residue_build_nothing(monkeypatch):
+    """Each expands its expression as the one term of its own table at the point:
+    on D4 Borel, every coset word's residue and each J over the next one's."""
+    ct = _d4_borel()
+    words = [t.word for t in ct.terms]
+    ratios = [a.j_factor / b.j_factor for a, b in zip(ct.terms, ct.terms[1:])]
+    counter = _Counter(monkeypatch)
+    for point in (Q(1, 2), Q(1)):
+        for word in words:
+            eisenstein.intertwiner_residue(ct.system, word, ct.line, point,
+                                           assume_no_real_zeros=True)
+        for ratio in ratios:
+            zetas.laurent_at(ratio, {"s": point}, assume_no_real_zeros=True)
+    assert counter.laurents == 2 * (len(words) + len(ratios)) == 766
+    assert counter.builds == 0
+
+
 # -- the exponents at the point, carried along the walk ----------------------------
 
 def chi_cases():

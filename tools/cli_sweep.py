@@ -33,9 +33,14 @@ The ``laurent`` family calls ``intertwiner_residue`` for every coset word of
 the 15 preset lines at every fifth of the 81 points, and ``expand_in`` in eps
 on the L polynomial of every eps character (each simple index, offsets 1, -1
 and 0) of the five presets; it hashes each order and leading term, or the
-error's code.  The ``walk`` family calls ``constant_term`` on custom E7
-without node 7 and custom E8 without node 1 along their chi lines and
-hashes the word, J and exponent text of every term.
+error's code.  The ``laurent2`` family calls ``laurent_at`` on J(u)/J(v)
+for every pair u < v of the first 24 coset words of D4 Borel along the
+mirrored line (s, t, s, t), at points on and off s = t (where atoms that
+differ generically meet), with and without ``assume_no_real_zeros``; it
+hashes each order and leading term, or the error's code and message.  The
+``walk`` family calls ``constant_term`` on custom E7 without node 7 and
+custom E8 without node 1 along their chi lines and hashes the word, J and
+exponent text of every term.
 """
 
 from __future__ import annotations
@@ -53,13 +58,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degeis import build_system, cli, constant_term, pole_report  # noqa: E402
 from degeis.eisenstein import (_eps_character, _l_poly, _pairings,  # noqa: E402
-                               coset_reps, entireness_report, h0_cancellation_check,
+                               coset_reps, entireness_report, gk_factor, h0_cancellation_check,
                                intertwiner_residue, render_table_rows, sharp_invariance_check)
-from degeis.characters import (_delta_line, chi_line_for, parabolic_levi,  # noqa: E402
-                               standard_line)
+from degeis.characters import (TorusCharacter, _delta_line, chi_line_for,  # noqa: E402
+                               parabolic_levi, standard_line)
 from degeis.errors import DegeisError  # noqa: E402
+from degeis.forms import AffineForm  # noqa: E402
 from degeis.rootdata import WeylWord  # noqa: E402
-from degeis.zetas import expand_in  # noqa: E402
+from degeis.zetas import expand_in, laurent_at  # noqa: E402
 
 GROUPS = ("D4", "2D4", "3D4", "G2", "A1")
 
@@ -232,6 +238,29 @@ def laurent_calls():
                                lambda: expand_in(poly, "eps"))
 
 
+# (s, t): three on s = t, three off it
+LAURENT2_POINTS = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)),
+                   (Fraction(1), Fraction(1)), (Fraction(1), Fraction(1, 2)),
+                   (Fraction(1, 2), Fraction(3, 2)), (Fraction(-1, 3), Fraction(2))]
+
+
+def laurent2_calls():
+    """laurent_at of J(u)/J(v) in two parameters, u < v among the first 24
+    coset words of D4 Borel on the line (s, t, s, t)."""
+    system = cli._system("D4")
+    s, t = AffineForm.var("s"), AffineForm.var("t")
+    line = TorusCharacter((s, t, s, t))
+    js = [(word, gk_factor(system, word, line)) for word in coset_reps(system, ())[:24]]
+    for k, (u, ju) in enumerate(js):
+        for v, jv in js[k + 1:]:
+            ratio = ju / jv
+            for p, q in LAURENT2_POINTS:
+                for assume in (False, True):
+                    yield _laurent(["laurent_at", str(u), str(v), str(p), str(q), str(assume)],
+                                   lambda: laurent_at(ratio, {"s": p, "t": q},
+                                                      assume_no_real_zeros=assume))
+
+
 def walk_calls():
     """Every term of constant_term on E7 without node 7 and E8 without node 1,
     as library_calls yields them: word, J and exponent text."""
@@ -284,6 +313,7 @@ FAMILIES = {
     "appendix": appendix_calls,
     "library_table": lambda: library_calls("render_table_rows", render_table_rows, json.dumps),
     "laurent": laurent_calls,
+    "laurent2": laurent2_calls,
     "walk": walk_calls,
 }
 
