@@ -21,12 +21,12 @@ from . import __version__
 from .characters import (STANDARD_LINES, TorusCharacter, chi_line_for, iota_check,
                          parabolic_levi, standard_line)
 from .dualside import lfactor_standard, order_at_2, restrict_via_r
-from .eisenstein import (constant_term, entireness_report, pole_report,
+from .eisenstein import (ConstantTerm, constant_term, entireness_report, pole_report,
                          render_markdown_table, render_table_rows,
                          sharp_invariance_check, siegel_weil_constant)
 from .errors import (ConfigError, DegeisError, IndeterminateZeroRegionError,
                      MathematicalLimitError)
-from .forms import AffineForm, _per_object, parse_affine, parse_rational
+from .forms import AffineForm, Q, _per_object, parse_affine, parse_rational
 from .localint import ShellFunction, tate_integral
 from .rootdata import RootSystem, build_system
 from .zetas import ZetaAtom
@@ -133,15 +133,21 @@ def _emit(args, payload: dict, markdown) -> None:
     print(_json({"schema": SCHEMA, **payload}) if args.format == "json" else markdown())
 
 
-def cmd_table(args) -> int:
+def _constant_term(args) -> tuple[ConstantTerm, Q]:
+    """The constant term and point of ``table`` and ``poles``, read in the order
+    group, parabolic, line, point, so that the first bad value is the one reported."""
     system = _system(args.group)
     levi = parabolic_levi(system, args.parabolic)
     line = _line(system, args.line, args.parabolic)
     point = _parse(parse_rational, args.point)
-    ct = constant_term(system, levi, line)
+    return constant_term(system, levi, line), point
+
+
+def cmd_table(args) -> int:
+    ct, point = _constant_term(args)
     rows = render_table_rows(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
-               "point": str(point), "line": str(line), "rows": rows}
+               "point": str(point), "line": str(ct.line), "rows": rows}
     if args.format == "json":
         # one dict per shared atom and exponent coordinate, found by identity
         atom_json = _per_object(ZetaAtom.to_json)
@@ -154,11 +160,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    system = _system(args.group)
-    levi = parabolic_levi(system, args.parabolic)
-    line = _line(system, args.line, args.parabolic)
-    point = _parse(parse_rational, args.point)
-    ct = constant_term(system, levi, line)
+    ct, point = _constant_term(args)
     rep = pole_report(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
     # the report shares one Fraction per distinct exponent value: each is rendered once
     value_text = _per_object(str)

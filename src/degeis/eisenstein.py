@@ -65,8 +65,8 @@ class _AtomTable:
     its label.  ``terms[t]`` is (scalar, counts): term t's J is the scalar
     times each id's factor to its count.  Counts add where factors multiply,
     so the Laurent data of every term follows from one expansion per id
-    (``_Expansion``).  A line's table keeps the pairings it was built from,
-    and ``roots[k]`` holds the (plain, shifted) ids of the positive root at
+    (``_Expansion``).  ``params`` are the terms' parameters, sorted, and a
+    line's ``roots[k]`` holds the (plain, shifted) ids of its positive root at
     position k.  ``coords[c]`` is the exponent coordinate id c stands for,
     each distinct ``AffineForm`` once, and ``exps[t]`` is term t's exponent
     as a tuple of coordinate ids, so each coordinate is evaluated once per
@@ -75,10 +75,9 @@ class _AtomTable:
     """
 
     def __init__(self):
-        self.ids: dict[object, int] = {}
+        self.params: list[str] = []
         self.keys: list[object] = []
         self.roots: list[tuple[int, int]] = []
-        self.pairs: list[tuple[str, AffineForm]] = []
         self.terms: list[tuple[Q, _Counts]] = []
         self.coords: list[AffineForm] = []
         self.exps: list[tuple[int, ...]] = []
@@ -97,9 +96,9 @@ class _AtomTable:
         denominator, (label, const, coefficients) sort as (label, form) do.
         """
         table = _AtomTable()
+        table.params = list(line.params)
         den, nums = _pairing_nums(system, line)
         labels = [label.symbol for label in system._labels]
-        table.pairs = [(label, _make(den, c, t)) for label, (c, t) in zip(labels, nums)]
 
         def canonical(c, t):
             return (c, t) if _kept(den, c, t) else (den - c, tuple([(n, -x) for n, x in t]))
@@ -112,13 +111,17 @@ class _AtomTable:
 
     @staticmethod
     def of_terms(terms: Iterable[GKTerm]) -> "_AtomTable":
-        """The table of terms built by hand: J factors interned, exponent coordinates numbered."""
-        table = _AtomTable()
+        """The table of terms built by hand: J factors interned, exponent coordinates
+        numbered, and the parameters of every factor and exponent."""
+        ids: dict[object, int] = {}
         coords: dict[AffineForm, int] = {}
+        params: set[str] = set()
+        table = _AtomTable()
         for t in terms:
-            table.terms.append((t.j_factor.scalar, _intern(table.ids, _factors(t.j_factor))))
+            table.terms.append((t.j_factor.scalar, _intern(ids, _factors(t.j_factor))))
             table.exps.append(tuple([coords.setdefault(f, len(coords)) for f in t.exponent.coords]))
-        table.keys, table.coords = list(table.ids), list(coords)
+            params.update(t.j_factor.params, t.exponent.params)
+        table.keys, table.coords, table.params = list(ids), list(coords), sorted(params)
         table.bound = max((sum(abs(c) for _, c in counts) for _, counts in table.terms), default=0)
         return table
 
@@ -147,9 +150,10 @@ class ConstantTerm(Record):
 
     def __init__(self, system: RootSystem, levi: tuple[int, ...], line: TorusCharacter,
                  terms: tuple[GKTerm, ...],
-                 # J as id counts, exponents as coordinate ids; None when built by hand
+                 # J as id counts, exponents as coordinate ids; interned here when not given
                  table: _AtomTable | None = None):
-        self._fill(system, levi, line, terms, table)
+        self._fill(system, levi, line, terms,
+                   _AtomTable.of_terms(terms) if table is None else table)
 
 
 def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
@@ -295,18 +299,6 @@ class PoleReport(Record):
         self._fill(system, point, order, groups, surviving_exponents, square_integrable)
 
 
-def _table_and_params(ct: ConstantTerm) -> tuple[_AtomTable, list[str]]:
-    """The atom table of ct (interned here for terms built by hand) and ct's parameters.
-
-    Every factor and exponent of a walk-built term is linear in the line's
-    coordinates, and the first exponent is the line: its parameters are ct's.
-    """
-    if ct.table is not None:
-        return ct.table, list(ct.line.params)
-    params = {p for t in ct.terms for p in (*t.j_factor.params, *t.exponent.params)}
-    return _AtomTable.of_terms(ct.terms), sorted(params)
-
-
 def _exponents_at(table: _AtomTable, assignment: Mapping[str, Q]) -> tuple[int, list[int]]:
     """(den, numerators): coordinate c is numerators[c] / den at the point.
 
@@ -323,10 +315,20 @@ def _exponents_at(table: _AtomTable, assignment: Mapping[str, Q]) -> tuple[int, 
     return den, [v.const_num * (den // v.den) for v in values]
 
 
+def _at_point(table: _AtomTable, param: str, point: Q, *, packed: bool,
+              assume_no_real_zeros: bool) -> tuple[_Expansion, int, list[int]]:
+    """The table's ``_Expansion`` at param = point, packing leading monomials only when
+    asked, and its exponent coordinates there as ``_exponents_at``'s (den, numerators)."""
+    assignment = {param: point}
+    expansion = _Expansion(table.keys, _Multisets(table.bound) if packed else None, _EPS,
+                           assignment, assume_no_real_zeros)
+    return expansion, *_exponents_at(table, assignment)
+
+
 _Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, key, counts
 
 
-def _group_order(system: RootSystem, members: list[_Member], param: str,
+def _group_order(members: list[_Member], param: str,
                  expansion: _Expansion) -> tuple[int, _Pending | None, bool]:
     """Order of the sum of a group of terms sharing one limit exponent, and its leading term
     as a pending call (None where it survives only as log-t or as a formal sum)."""
@@ -348,14 +350,9 @@ def _group_order(system: RootSystem, members: list[_Member], param: str,
         return m, None, False
     # full cancellation at order m: look at the log-t part of order m+1
     for key in buckets:
-        vec = [Q(0)] * system.rank
-        for term, _, scalar, k, _ in lowest:
-            if k != key:
-                continue
-            der = term.exponent.derivative(param)
-            for j in range(system.rank):
-                vec[j] += scalar * der[j]
-        if any(v != 0 for v in vec):
+        ders = [[scalar * d for d in term.exponent.derivative(param)]
+                for term, _, scalar, k, _ in lowest if k == key]
+        if any(sum(col) != 0 for col in zip(*ders)):
             return m + 1, None, True
     raise NeedsHigherLogOrderError(
         "leading coefficients and first-order log terms both cancel; "
@@ -370,15 +367,12 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     terms; its leading ``ZetaExpr`` is built only when ``TermGroup.leading``
     is first read.
     """
-    system = ct.system
-    pt = _q(point)
-    table, params = _table_and_params(ct)
+    system, table, pt = ct.system, ct.table, _q(point)
+    params = table.params
     if len(params) != 1:
         raise ValueError(f"pole_report needs a one-parameter line, got {params}")
-    assignment = {params[0]: pt}
-    expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, assignment,
-                           assume_no_real_zeros)
-    den, nums = _exponents_at(table, assignment)
+    expansion, den, nums = _at_point(table, params[0], pt, packed=True,
+                                     assume_no_real_zeros=assume_no_real_zeros)
     grouped: dict[tuple[int, ...], list[_Member]] = {}
     for term, (scalar, counts), exp in zip(ct.terms, table.terms, table.exps):
         order, leading, key = expansion.term(scalar, counts)
@@ -390,7 +384,7 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     groups = []
     for exp0 in sorted(grouped):
         members = grouped[exp0]
-        order, leading, log_term = _group_order(system, members, params[0], expansion)
+        order, leading, log_term = _group_order(members, params[0], expansion)
         groups.append(TermGroup(tuple([values[x] for x in exp0]),
                                 tuple(t.word for t, *_ in members), order, leading, log_term))
     overall = max(0, max(-g.order for g in groups))
@@ -687,8 +681,9 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     boundary_ok = True
     for i in range(1, system.rank + 1):
         for offset in (1, -1):
-            table = _AtomTable.of_line(system, _eps_character(system, i, offset))
-            l_order = expand_in(_l_poly(table.pairs), "eps").order
+            char = _eps_character(system, i, offset)
+            table = _AtomTable.of_line(system, char)
+            l_order = expand_in(_l_poly(_pairings(system, char)), "eps").order
             # the least order of any L * F_w; orders are additive
             if l_order + sum(min(p[0], s[0]) for p, s in _root_atoms(table)) < 0:
                 boundary_ok = False
@@ -711,31 +706,25 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
 
 # -- rendering ----------------------------------------------------------------
 
-def pole_order_of(ld_order: int) -> int:
-    return max(0, -ld_order)
-
-
 def render_table_rows(ct: ConstantTerm, point: Rat, *,
                       assume_no_real_zeros: bool = False) -> list[dict]:
     """One row per coset representative: word, J factor, order, exponents."""
-    pt = _q(point)
-    table, params = _table_and_params(ct)
+    table, pt = ct.table, _q(point)
+    params = table.params
     if len(params) > 1:
         raise ValueError(f"render_table_rows needs a one-parameter line, got {params}")
-    assignment = {params[0] if params else "s": pt}
     # the rows read orders only: no packed monomials
-    expansion = _Expansion(table.keys, None, _EPS, assignment, assume_no_real_zeros)
-    den, nums = _exponents_at(table, assignment)
+    expansion, den, nums = _at_point(table, params[0] if params else "s", pt, packed=False,
+                                     assume_no_real_zeros=assume_no_real_zeros)
     # each shared atom factor is rendered once, each exponent coordinate once by its id
     factor_text = _per_object(ZetaAtom.factor_text)
     generic, at_point = [str(f) for f in table.coords], [_ratio_str(x, den) for x in nums]
     rows = []
     for term, (scalar, counts), exp in zip(ct.terms, table.terms, table.exps):
-        order = expansion.term(scalar, counts)[0]
         rows.append({
             "word": str(term.word),
             "j_factor": term.j_factor.text(factor_text),
-            "pole_order": pole_order_of(order),
+            "pole_order": max(0, -expansion.term(scalar, counts)[0]),
             "exponent": "(" + ",".join([generic[c] for c in exp]) + ")",
             "exponent_at_point": "(" + ",".join([at_point[c] for c in exp]) + ")",
         })

@@ -32,10 +32,13 @@ def _q(x: Rat) -> Q:
     if isinstance(x, Q):
         return x
     # a float's binary value is not the rational meant (0.3 != 3/10), nor is True 1
-    if isinstance(x, (float, bool, complex)):
-        raise ConfigError(f"{x!r} is a {type(x).__name__}, not an exact rational: "
-                          "pass an int, Fraction or str")
-    return Q(x)
+    if not isinstance(x, (float, bool)):
+        try:
+            return Q(x)
+        except TypeError:       # a complex, None, a list: no rational at all
+            pass
+    raise ConfigError(f"{x!r} is a {type(x).__name__}, not an exact rational: "
+                      "pass an int, Fraction or str")
 
 
 def _ratio(x: Rat) -> tuple[int, int]:

@@ -478,9 +478,12 @@ def expand_in(expr: ZetaExpr, var: str, *, point: Mapping[str, Rat] | None = Non
     raises hyperplane-degeneracy; a constant argument strictly inside (0,1)
     raises indeterminate-zero-region unless assume_no_real_zeros is set
     (completed zetas may vanish there).  expr is expanded as the one term of
-    its own factor table.  Given a point, which must assign every parameter,
-    each factor is first shifted to point + var, as ``shift_form`` does.
+    its own factor table.  Given a point, which must assign every parameter
+    (else ``ValueError``), each factor is first shifted to point + var, as
+    ``shift_form`` does.
     """
+    if point is not None and (free := set(expr.params) - set(point)):
+        raise ValueError(f"point does not assign parameters: {sorted(free)}")
     ids: dict[object, int] = {}
     counts = _intern(ids, _factors(expr))
     expansion = _Expansion(list(ids), None, var, point, assume_no_real_zeros)
@@ -512,8 +515,5 @@ def laurent_at(expr: ZetaExpr, point: Mapping[str, Rat], *,
     substituted for every parameter; for single-parameter expressions (every
     use in the calculator) this is the ordinary expansion in s - s0.
     """
-    free = set(expr.params) - set(point)
-    if free:
-        raise ValueError(f"point does not assign parameters: {sorted(free)}")
     return expand_in(expr, _EPS, point=point, assume_no_real_zeros=assume_no_real_zeros)
 

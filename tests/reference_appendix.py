@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 
 from degeis.characters import TorusCharacter, weyl_act
-from degeis.eisenstein import _AtomTable, _eps_character, _l_poly
+from degeis.eisenstein import _AtomTable, _eps_character, _l_poly, _pairings
 from degeis.forms import AffineForm, Q
 from degeis.rootdata import RootSystem, WeylWalk, WeylWord
 from degeis.zetas import _Expansion, _Multisets, expand_in
@@ -95,9 +95,9 @@ def ref_sharp_invariance_check(system: RootSystem,
     """
     system._check_index(simple_index)
     lam = generic_character(system)
-    table = _AtomTable.of_line(system, lam)
-    table_i = _AtomTable.of_line(system, weyl_act(system, WeylWord.of(simple_index), lam))
-    if _l_poly(table.pairs) != _l_poly(table_i.pairs):
+    lam_i = weyl_act(system, WeylWord.of(simple_index), lam)
+    table, table_i = _AtomTable.of_line(system, lam), _AtomTable.of_line(system, lam_i)
+    if _l_poly(_pairings(system, lam)) != _l_poly(_pairings(system, lam_i)):
         return False, WeylWord()
     walk = system.weyl_elements()
     sets = _Multisets(len(system.positive_roots))
@@ -116,8 +116,9 @@ def ref_boundary(system: RootSystem) -> bool:
     ok = True
     for i in range(1, system.rank + 1):
         for offset in (1, -1):
-            table = _AtomTable.of_line(system, _eps_character(system, i, offset))
-            l_order = expand_in(_l_poly(table.pairs), "eps").order
+            lam = _eps_character(system, i, offset)
+            table = _AtomTable.of_line(system, lam)
+            l_order = expand_in(_l_poly(_pairings(system, lam)), "eps").order
             f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
             ok = ok and all(l_order + order >= 0 for order, _, _ in f)
     return ok

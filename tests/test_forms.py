@@ -191,14 +191,15 @@ def test_d4_p_pole_order_at_3_10_is_not_read_off_a_float():
         pole_report(ct, 0.3, assume_no_real_zeros=True)
 
 
-# -- bools and complex numbers are refused too --------------------------------------
+# -- bools, complex numbers and non-numbers are refused too ------------------------
 
-@pytest.mark.parametrize("value", [True, False, 1 + 2j], ids=["True", "False", "complex"])
+@pytest.mark.parametrize("value", [True, False, 1 + 2j, None, [1]],
+                         ids=["True", "False", "complex", "None", "list"])
 @pytest.mark.parametrize("name", ["AffineForm", "AffineForm.var", "AffineForm.const_form",
                                   "ZetaExpr.build", "pole_report", "laurent_at"])
 def test_a_bool_or_a_complex_is_refused_with_its_value(name, value):
     """True was read as 1 (pole_report(ct, True) answered at 1, AffineForm.var("s", True)
-    kept True as its coefficient) and a complex raised an untyped TypeError."""
+    kept True as its coefficient) and a complex, None or a list raised an untyped TypeError."""
     from degeis.errors import ConfigError
     message = f"{value!r} is a {type(value).__name__}, not an exact rational"
     with pytest.raises(ConfigError, match=re.escape(message)):

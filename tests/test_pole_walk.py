@@ -54,7 +54,7 @@ def _raised(outcome):
 def compare(ct, point, assume):
     """The terms whose order or leading coefficient from the table differ from
     laurent_at of their J, and what laurent_at raises at the first term that raises."""
-    table = ct.table if ct.table is not None else _AtomTable.of_terms(ct.terms)
+    table = ct.table
     expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, {"s": point}, assume)
 
     def from_table(scalar, counts):
@@ -174,7 +174,6 @@ def test_a_swapped_rank_is_detected(monkeypatch):
     def swapped(system, line):
         table = of_line(system, line)
         table.keys[i], table.keys[j] = table.keys[j], table.keys[i]
-        table.ids = {key: k for k, key in enumerate(table.keys)}
         table.roots = [tuple({i: j, j: i}.get(k, k) for k in ids) for ids in table.roots]
         return table
 
@@ -417,7 +416,7 @@ def test_d4_borel_report_shares_its_leading_atoms_and_exponent_values():
     terms built by hand give an equal report, shared the same way."""
     ct = _d4_borel()
     hand = ConstantTerm(ct.system, ct.levi, ct.line, ct.terms)
-    assert hand.table is None
+    assert hand.table is not ct.table and hand.table.params == ct.table.params == ["s"]
     reports = [pole_report(c, Q(1, 2)) for c in (ct, hand)]
     assert reports[0] == reports[1]
     for rep in reports:
@@ -450,8 +449,28 @@ def test_row_text_is_str_of_each_term(case):
 def test_row_text_of_terms_built_by_hand(quasi):
     """Affine factors, residue symbols and scalars: the rows still read as ``str``."""
     ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2)))
-    assert ct.table is None
+    assert ct.table.params == ["s"] and len(ct.table.terms) == len(ct.terms)
     _rows_match_str(ct, Q(2))
+
+
+def test_terms_built_by_hand_are_interned_once(monkeypatch):
+    """D4 Borel built by hand: the ConstantTerm interns its terms when it is made, and two
+    reports and a table read that one table (three interns before it held one)."""
+    ct = _d4_borel()
+    calls = []
+    of_terms = _AtomTable.of_terms
+
+    def counted(terms):
+        calls.append(1)
+        return of_terms(terms)
+
+    monkeypatch.setattr(_AtomTable, "of_terms", staticmethod(counted))
+    hand = ConstantTerm(ct.system, ct.levi, ct.line, ct.terms)
+    reports = [pole_report(hand, point) for point in (Q(1, 2), Q(2))]
+    rows = render_table_rows(hand, Q(1, 2))
+    assert len(calls) == 1
+    assert reports == [pole_report(ct, point) for point in (Q(1, 2), Q(2))]
+    assert rows == render_table_rows(ct, Q(1, 2))
 
 
 # -- the atom table's pairings and order in integers ----------------------------------
@@ -473,7 +492,8 @@ def test_of_line_matches_the_form_construction(name, coords):
     args = [(label, canonical_arg(p)[0], canonical_arg(p + 1)[0]) for label, p in pairs]
     keys = sorted({(label, arg) for label, *both in args for arg in both})
     table = _AtomTable.of_line(system, line)
-    assert table.pairs == pairs == _pairings(system, line)
+    assert pairs == _pairings(system, line)
+    assert table.params == list(line.params)
     assert table.keys == keys
     assert table.roots == [(keys.index((label, plain)), keys.index((label, shifted)))
                            for label, plain, shifted in args]

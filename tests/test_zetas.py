@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -116,6 +117,20 @@ def test_expand_in_keeps_generic_atoms():
     assert ld.order == -1
     assert ld.leading == ZetaExpr.build(Q(-1, 3), residues=[("F", 1)]) * \
         ZetaExpr.atom("K", AffineForm.of(0, z=2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, point: expand_in(e, "_eps", point=point),
+    lambda e, point: laurent_at(e, point)], ids=["expand_in", "laurent_at"])
+def test_a_point_that_leaves_a_parameter_free_is_refused(call):
+    """expand_in with a point raised an untyped KeyError from the shift of the first
+    form that held the free parameter; both entry points now name what is free."""
+    e = ZetaExpr.atom("F", AffineForm.of(0, s=1, t=1)) / ZetaExpr.atom("K", AffineForm.of(1, u=2))
+    with pytest.raises(ValueError, match=re.escape("point does not assign parameters: ['t', 'u']")):
+        call(e, {"s": 1})
+    with pytest.raises(ValueError, match=re.escape("point does not assign parameters: ['t']")):
+        call(ZetaExpr.atom("F", AffineForm.of(0, s=1, t=1)), {"s": 1})
+    assert call(e, {"s": 1, "t": Q(1, 2), "u": 3}).order == 0
 
 
 def test_json_rendering():
