@@ -87,18 +87,25 @@ class _AtomTable:
 
     @staticmethod
     def of_line(system: RootSystem, line: TorusCharacter) -> "_AtomTable":
-        """The two atoms xi(<line,a^vee>) and xi(<line,a^vee>+1) of every positive root a.
+        """The two atoms xi(<line,a^vee>) and xi(<line,a^vee>+1) of every positive root a."""
+        den, nums = _pairing_nums(system, line)
+        table = _AtomTable.of_pairings([label.symbol for label in system._labels], den, nums)
+        table.params = list(line.params)
+        return table
 
-        Both are canonical under the functional equation, and the ids are
-        numbered in canonical atom order, so sorting a term's ids sorts its
-        atoms.  The arguments stay integers over the pairings' one
+    @staticmethod
+    def of_pairings(labels: Sequence[str], den: int,
+                    nums: Sequence[tuple[int, _Terms]]) -> "_AtomTable":
+        """The atoms xi_L(p) and xi_L(p+1) of every pairing p = (const + coefficients) / den,
+        L its label: ``roots[k]`` holds pairing k's (plain, shifted) ids.
+
+        Both are canonical under the functional equation, equal atoms share
+        one id, and the ids are numbered in canonical atom order, so sorting a
+        term's ids sorts its atoms.  The arguments stay integers over the one
         denominator until each distinct one becomes a form: over one
         denominator, (label, const, coefficients) sort as (label, form) do.
         """
         table = _AtomTable()
-        table.params = list(line.params)
-        den, nums = _pairing_nums(system, line)
-        labels = [label.symbol for label in system._labels]
 
         def canonical(c, t):
             return (c, t) if _kept(den, c, t) else (den - c, tuple([(n, -x) for n, x in t]))
@@ -441,7 +448,12 @@ def _pairing_nums(system: RootSystem, lam: TorusCharacter) -> tuple[int, list[tu
 
 def _pairings(system: RootSystem, lam: TorusCharacter) -> list[tuple[str, AffineForm]]:
     """(label of alpha, <lam, alpha^vee>) for every positive root alpha, in root order."""
-    den, nums = _pairing_nums(system, lam)
+    return _pairing_forms(system, *_pairing_nums(system, lam))
+
+
+def _pairing_forms(system: RootSystem, den: int,
+                   nums: list[tuple[int, _Terms]]) -> list[tuple[str, AffineForm]]:
+    """(label of alpha, pairing) of every positive root from ``_pairing_nums``' integers."""
     return [(label.symbol, _make(den, c, t)) for label, (c, t) in zip(system._labels, nums)]
 
 
@@ -545,7 +557,7 @@ def siegel_weil_constant(system: RootSystem) -> SiegelWeilReport:
 # F_w(lam) = prod_{a>0} xi_{F_a}(<lam,a^vee> + [a not in N(w)]) = F_1(lam) J(w, lam):
 # each positive root contributes its plain atom xi(<lam,a^vee>) when w inverts
 # it and its shifted atom xi(<lam,a^vee>+1) otherwise, N(w) = {a>0 : w^{-1}a<0}.
-# Both are the atoms of the root in lam's atom table.  What the entireness
+# Both are the atoms of the root in lam's eps table block.  What the entireness
 # checks compare -- the order and leading coefficient of the expansion in eps,
 # with its canonical multiset of atoms and residue symbols -- is additive over
 # the factors (the scalar multiplicative), so F_w's data are the sum of its
@@ -633,6 +645,37 @@ def _eps_character(system: RootSystem, simple_index: int, offset: int) -> TorusC
     return TorusCharacter(tuple(coords))
 
 
+def _eps_table(system: RootSystem, simple_index: int, offsets: Sequence[int]
+               ) -> tuple[_AtomTable, int, list[list[tuple[int, _Terms]]]]:
+    """One atom table for the eps characters of index i at the given offsets.
+
+    The characters differ only in coordinate i, so a root's pairing at
+    offset o is its pairing at eps plus o <varpi_i, a^vee>: the integers of
+    one ``_pairing_nums`` with o den cvec(a)_i added to the constant.  The
+    atoms of every offset are interned together, so an atom two offsets
+    share is one id, expanded once.  ``roots`` holds one block of positive
+    roots per offset, in the order given.  Returns the table, den and each
+    offset's pairing integers.
+    """
+    den, nums = _pairing_nums(system, _eps_character(system, simple_index, 0))
+    steps = [den * vec[simple_index - 1] for vec in system._cvec]
+    blocks = [[(c + o * step, t) for (c, t), step in zip(nums, steps)] for o in offsets]
+    labels = [label.symbol for label in system._labels]
+    table = _AtomTable.of_pairings(labels * len(offsets), den, [p for b in blocks for p in b])
+    return table, den, blocks
+
+
+def _h0_cancels(system: RootSystem, simple_index: int,
+                atoms: list[tuple[tuple[int, Q, int], tuple[int, Q, int]]]) -> bool:
+    """The H^0 per-root facts of the block comment above, on the roots' atom data at eps."""
+    gen, alpha = system._gens[simple_index - 1], system._simple_pos[simple_index - 1]
+    (o1, c1, m1), (o2, c2, m2) = atoms[alpha]
+    n = len(atoms)
+    return (o1 == o2 == -1 and m1 == m2 and c2 == -c1
+            and all(gen[b] < n and atoms[gen[b]] == pair and pair[0][0] == pair[1][0] == 0
+                    for b, pair in enumerate(atoms) if b != alpha))
+
+
 def h0_cancellation_check(system: RootSystem, simple_index: int,
                           word: WeylWord) -> bool:
     """Residue cancellation of F_w and F_{s_i w} along <lambda, alpha_i^vee> = 0.
@@ -643,14 +686,8 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
     """
     system._check_index(simple_index)
     system.perm_of_word(word)
-    table = _AtomTable.of_line(system, _eps_character(system, simple_index, 0))
-    atoms = _root_atoms(table)
-    gen, alpha = system._gens[simple_index - 1], system._simple_pos[simple_index - 1]
-    (o1, c1, m1), (o2, c2, m2) = atoms[alpha]
-    n = len(atoms)
-    return (o1 == o2 == -1 and m1 == m2 and c2 == -c1
-            and all(gen[b] < n and atoms[gen[b]] == pair and pair[0][0] == pair[1][0] == 0
-                    for b, pair in enumerate(atoms) if b != alpha))
+    table, _, _ = _eps_table(system, simple_index, (0,))
+    return _h0_cancels(system, simple_index, _root_atoms(table))
 
 
 class EntirenessReport(Record):
@@ -674,21 +711,23 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     Along H_alpha^{+-1} the simple xi-poles of every L * F_w are cancelled by
     the zeros of the polynomial normalizer; along H_alpha^0 the terms cancel
     pairwise (w against w_i w).  Both are decided from each root's two atoms
-    (block comment above), with no walk over W.  Non-simple hyperplanes reduce
-    to simple ones because each positive root is Weyl-conjugate to a simple
-    root.
+    (block comment above), with no walk over W: per simple index, one table
+    of the eps - 1, eps and eps + 1 characters, each atom expanded once.
+    Non-simple hyperplanes reduce to simple ones because each positive root
+    is Weyl-conjugate to a simple root.
     """
-    boundary_ok = True
+    boundary_ok = h0_ok = True
+    n = len(system.positive_roots)
     for i in range(1, system.rank + 1):
-        for offset in (1, -1):
-            char = _eps_character(system, i, offset)
-            table = _AtomTable.of_line(system, char)
-            l_order = expand_in(_l_poly(_pairings(system, char)), "eps").order
+        table, den, (below, _, above) = _eps_table(system, i, (-1, 0, 1))
+        atoms = _root_atoms(table)
+        for block, nums in ((0, below), (2, above)):
+            l_order = expand_in(_l_poly(_pairing_forms(system, den, nums)), "eps").order
             # the least order of any L * F_w; orders are additive
-            if l_order + sum(min(p[0], s[0]) for p, s in _root_atoms(table)) < 0:
+            if l_order + sum(min(p[0], s[0]) for p, s in atoms[block * n:(block + 1) * n]) < 0:
                 boundary_ok = False
-    # every word has the identity's verdict
-    h0_ok = all([h0_cancellation_check(system, i, WeylWord()) for i in range(1, system.rank + 1)])
+        # every word has the identity's verdict
+        h0_ok = _h0_cancels(system, i, atoms[n:2 * n]) and h0_ok
     checked = system.rank * system.weyl_order()
     # each positive root steps down its provenance chain, one simple reflection
     # per link, to a simple root, which it is therefore W-conjugate to

@@ -3,24 +3,28 @@
 No appendix check walks W.  ``sharp_invariance_check`` checks per root that
 s_i carries coroot pairings and labels to those of s_i a, and
 ``entireness_report`` and ``h0_cancellation_check`` read each root's plain
-and shifted atom off the character's atom table, expanded once in eps.  They
-must answer as the term-by-term walk over W (``reference_appendix``) does,
-on intact systems and on systems with one root's coroot perturbed.  The walk
-carries Laurent data and canonical atom multisets from each element's
-prefix; the tests below also check it against every F_w rebuilt as one
-``ZetaExpr`` (``conftest.sharp_f_w``).  The negative controls swap one
-root's atoms, or tamper with one root's provenance chain, and expect each
-check to report the failure.
+and shifted atom off one table per simple index that holds the eps - 1, eps
+and eps + 1 characters (``_eps_table``), each atom expanded once in eps; that
+table must give each character's per-root data as its own atom table does.
+The checks must answer as the term-by-term walk over W
+(``reference_appendix``) does, on intact systems and on systems with one
+root's coroot perturbed.  The walk carries Laurent data and canonical atom
+multisets from each element's prefix; the tests below also check it against
+every F_w rebuilt as one ``ZetaExpr`` (``conftest.sharp_f_w``).  The
+negative controls swap or replace one root's atoms in the H^0 character's
+tables, or tamper with one root's provenance chain, and expect each check to
+report the failure.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from degeis import eisenstein
+from degeis import eisenstein, zetas
 from degeis.characters import TorusCharacter, weyl_act
-from degeis.eisenstein import (_AtomTable, _eps_character, entireness_report,
-                               h0_cancellation_check, sharp_invariance_check)
+from degeis.eisenstein import (_AtomTable, _eps_character, _eps_table, _pairing_forms, _pairings,
+                               _root_atoms, entireness_report, h0_cancellation_check,
+                               sharp_invariance_check)
 from degeis.errors import HyperplaneDegeneracyError
 from degeis.forms import AffineForm
 from degeis.rootdata import LABEL_E, LABEL_K, RootSystem, WeylWord, _preset_labels, build_system
@@ -284,11 +288,46 @@ def test_carried_invariance_multisets_match_full_builds(name):
             assert f_i[left[k]] == (0, 1, pack(sets, sharp_f_w(system, lam_i, partner)))
 
 
+OFFSETS = (-1, 0, 1)
+
+
+def block_data(atoms):
+    """(order, scalar) of every root's plain and shifted atom, and the first of them
+    with the same packed leading multiset: packed keys of two tables compare only so."""
+    first = {}
+    return [(o, c, first.setdefault(m, k))
+            for k, (o, c, m) in enumerate(a for pair in atoms for a in pair)]
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F4", "E6"] + list(FOLDED))
+def test_eps_table_matches_one_table_per_character(name):
+    """Each offset's block of the shared table, against that character's own atom table.
+
+    Also the boundary pairings, against ``_pairings``, and the H^0 table alone
+    that ``h0_cancellation_check`` builds.
+    """
+    system = system_of(name)
+    n = len(system.positive_roots)
+    for i in range(1, system.rank + 1):
+        table, den, blocks = _eps_table(system, i, OFFSETS)
+        assert len(table.roots) == len(OFFSETS) * n
+        atoms = _root_atoms(table)
+        for b, offset in enumerate(OFFSETS):
+            lam = eps_character(system, i, offset)
+            expected = block_data(_root_atoms(_AtomTable.of_line(system, lam)))
+            assert block_data(atoms[b * n:(b + 1) * n]) == expected, (name, i, offset)
+            assert _pairing_forms(system, den, blocks[b]) == _pairings(system, lam), \
+                (name, i, offset)
+        alone, _, _ = _eps_table(system, i, (0,))
+        assert block_data(_root_atoms(alone)) == block_data(atoms[n:2 * n]), (name, i)
+
+
 def test_per_root_checks_raise_on_an_atom_that_cannot_be_expanded(monkeypatch):
     """No silent (0, 1, 0) data: a pairing identically 0 has no expansion in eps.
 
     The boundary and H^0 checks raise the typed error the walk and
-    ``expand_in`` raise.
+    ``expand_in`` raise.  A zero coroot vector pairs every eps character,
+    at every offset, to 0.
     """
     system = build_system("A1")
     zero = TorusCharacter.of(AffineForm.of(0))
@@ -299,7 +338,7 @@ def test_per_root_checks_raise_on_an_atom_that_cannot_be_expanded(monkeypatch):
         _carry(system.weyl_elements(), table,
                _Expansion(table.keys, _Multisets(len(system.positive_roots)), "eps"))
     assert walked.value.info == reference.value.info
-    monkeypatch.setattr(eisenstein, "_eps_character", lambda system, i, offset: zero)
+    monkeypatch.setattr(system, "_cvec", ((0,),))
     for check in (entireness_report, lambda system: h0_cancellation_check(system, 1, WeylWord())):
         with pytest.raises(HyperplaneDegeneracyError) as caught:
             check(system)
@@ -307,8 +346,10 @@ def test_per_root_checks_raise_on_an_atom_that_cannot_be_expanded(monkeypatch):
 
 
 def count_calls(monkeypatch):
-    counts = {"build": 0, "expand_in": 0, "weyl_elements": 0, "of_line": 0}
+    counts = dict.fromkeys(["build", "expand_in", "weyl_elements", "of_line", "_pairing_nums",
+                            "_Expansion"], 0)
     build, weyl_elements, of_line = ZetaExpr.build, RootSystem.weyl_elements, _AtomTable.of_line
+    pairing_nums = eisenstein._pairing_nums
 
     def counted_build(*args, **kwargs):
         counts["build"] += 1
@@ -326,10 +367,22 @@ def count_calls(monkeypatch):
         counts["of_line"] += 1
         return of_line(*args, **kwargs)
 
+    def counted_nums(*args, **kwargs):
+        counts["_pairing_nums"] += 1
+        return pairing_nums(*args, **kwargs)
+
+    class CountedExpansion(_Expansion):
+        def __init__(self, *args, **kwargs):
+            counts["_Expansion"] += 1
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(ZetaExpr, "build", staticmethod(counted_build))
     monkeypatch.setattr(eisenstein, "expand_in", counted_expand)
     monkeypatch.setattr(RootSystem, "weyl_elements", counted_walk)
     monkeypatch.setattr(_AtomTable, "of_line", staticmethod(counted_table))
+    monkeypatch.setattr(eisenstein, "_pairing_nums", counted_nums)
+    for module in (eisenstein, zetas):
+        monkeypatch.setattr(module, "_Expansion", CountedExpansion)
     return counts
 
 
@@ -338,32 +391,15 @@ def test_appendix_checks_build_per_root_not_per_word(monkeypatch, name):
     system = system_of(name)
     counts = count_calls(monkeypatch)
     assert all(sharp_invariance_check(system, i)[0] for i in range(1, system.rank + 1))
-    assert counts == {"build": 0, "expand_in": 0, "weyl_elements": 0, "of_line": 0}
+    assert set(counts.values()) == {0}
     assert entireness_report(system).entire
     rank = system.rank
-    # one atom table per eps character, three per simple root, and no walk;
-    # only the L polynomials of the two boundary characters per simple root
-    # are built, each of those also expanded in eps with no further build
-    assert counts["weyl_elements"] == 0
-    assert counts["of_line"] == 3 * rank
-    assert counts["expand_in"] <= 2 * rank
-    assert counts["build"] <= 2 * rank
-
-
-def swap_atoms(monkeypatch, position, calls):
-    """Exchange one root's plain and shifted id in the atom tables of the given calls."""
-    real = _AtomTable.of_line
-    seen = []
-
-    def swapped(system, line):
-        table = real(system, line)
-        seen.append(line)
-        if len(seen) in calls:
-            plain, shifted = table.roots[position]
-            table.roots[position] = shifted, plain
-        return table
-
-    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(swapped))
+    # per simple root: one pairing of the eps character and one expansion of
+    # the atoms of its three offsets, and the L polynomials of the two
+    # boundary characters, each built once and expanded in eps; no walk and
+    # no atom table per character
+    assert counts == {"build": 2 * rank, "expand_in": 2 * rank, "weyl_elements": 0,
+                      "of_line": 0, "_pairing_nums": rank, "_Expansion": 3 * rank}
 
 
 @pytest.mark.parametrize("name", ["G2", "quasi_D4"])
@@ -403,24 +439,40 @@ def test_h0_reports_a_swapped_atom(monkeypatch, name):
     system = build_system(name)
     # alpha_2 is not fixed by w_1, so the swap breaks the pairing of w with w_1 w
     alpha_2 = system.positive_roots.index(system.simple_root(2))
-    boundary_calls = 2 * system.rank
-    swap_atoms(monkeypatch, alpha_2, calls={boundary_calls + 1})     # the H^0 character of alpha_1
+    tamper_h0_table(monkeypatch, system, alpha_2, swapped)     # alpha_1's H^0 character only
     rep = entireness_report(system)
     assert rep.boundary_ok and not rep.h0_ok and not rep.entire
+    assert not h0_cancellation_check(system, 1, WeylWord())
+    assert all(h0_cancellation_check(system, i, WeylWord()) for i in range(2, system.rank + 1))
 
 
-def tamper_h0_table(monkeypatch, system, change):
-    """Apply change(table, position of alpha_1) to every atom table of alpha_1's H^0 character."""
-    real = _AtomTable.of_line
-    line, alpha = _eps_character(system, 1, 0), system._simple_pos[0]
+def tamper_h0_table(monkeypatch, system, root, change):
+    """Apply change(table, position of root) to every atom table of alpha_1's H^0
+    character: its own, which the walk reads, and its block of each eps table of
+    alpha_1, which the per-root checks read."""
+    real_line, real_eps = _AtomTable.of_line, eisenstein._eps_table
+    line = _eps_character(system, 1, 0)
 
-    def tampered(system, lam):
-        table = real(system, lam)
+    def tampered_line(system, lam):
+        table = real_line(system, lam)
         if lam == line:
-            change(table, alpha)
+            change(table, root)
         return table
 
-    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(tampered))
+    def tampered_eps(system, simple_index, offsets):
+        table, den, blocks = real_eps(system, simple_index, offsets)
+        if simple_index == 1:
+            change(table, offsets.index(0) * len(system.positive_roots) + root)
+        return table, den, blocks
+
+    monkeypatch.setattr(_AtomTable, "of_line", staticmethod(tampered_line))
+    monkeypatch.setattr(eisenstein, "_eps_table", tampered_eps)
+
+
+def swapped(table, position):
+    """The root's plain and shifted id exchanged."""
+    plain, shifted = table.roots[position]
+    table.roots[position] = shifted, plain
 
 
 def fixed_root_made_polar(system):
@@ -454,7 +506,7 @@ def test_h0_reports_each_broken_per_root_fact(monkeypatch, name, broken):
         monkeypatch.setattr(system, "_cvec", fixed_root_made_polar(system))
     else:
         change = same_atom_twice if broken == "same atom twice" else relabelled_shift
-        tamper_h0_table(monkeypatch, system, change)
+        tamper_h0_table(monkeypatch, system, system._simple_pos[0], change)
     _, h0 = per_root_verdicts(system)
     assert h0 == walk_verdicts(system)[1]
     assert not h0[0]

@@ -12,7 +12,9 @@ the metric's ``bound`` (marked ``!`` where the change is worse by more), the
 interquartile range of the base's runs and how many pairs the change won.
 It exits with status 1 if any metric is marked ``!``.  If any run fails,
 or reports ``correct`` false or a failed operation, it prints that run's
-output and reports nothing.
+output and reports nothing.  It runs nothing, and names the files, when the
+two checkouts' ``BENCHMARK.json`` or ``perfbench/*.py`` differ: the two
+sides would not run the same benchmark.
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ def seeds(text: str) -> list[int]:
         first, last = map(int, text.split("-"))
         return list(range(first, last + 1))
     return [int(s) for s in text.split(",")]
+
+
+def differing_bench_files(base: Path, change: Path) -> list[str]:
+    """The benchmark files, relative to the checkout, that are not byte-equal in both
+    (a file missing on one side differs)."""
+    def files(checkout: Path) -> set[str]:
+        found = {p.relative_to(checkout).as_posix() for p in checkout.glob("perfbench/*.py")}
+        return found | {"BENCHMARK.json"}
+
+    def content(path: Path) -> bytes | None:
+        return path.read_bytes() if path.is_file() else None
+
+    return [name for name in sorted(files(base) | files(change))
+            if content(base / name) != content(change / name)]
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -57,6 +73,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds, default=seeds("41-50"))
     args = parser.parse_args(argv)
+    differ = differing_bench_files(args.base, args.change)
+    if differ:
+        sys.exit(f"bench_pairs: the checkouts' benchmarks differ in {', '.join(differ)}; "
+                 "no report")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
 
