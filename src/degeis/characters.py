@@ -9,7 +9,7 @@ attached to its simple root).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from math import lcm
 
 from .errors import ConfigError, IotaMismatchError, UnsupportedGroupError
@@ -92,9 +92,8 @@ class TorusCharacter(Record):
     def __str__(self) -> str:
         return "(" + ",".join([str(c) for c in self.coords]) + ")"
 
-    def to_json(self, form_json: Callable[[AffineForm], dict] = AffineForm.to_json) -> dict:
-        """The JSON layout, each coordinate encoded by ``form_json``."""
-        return {"coords": [form_json(c) for c in self.coords]}
+    def to_json(self) -> dict:
+        return {"coords": [c.to_json() for c in self.coords]}
 
 
 (_set_coords,) = setters(TorusCharacter)

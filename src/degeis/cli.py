@@ -21,12 +21,12 @@ from . import __version__
 from .characters import (STANDARD_LINES, TorusCharacter, chi_line_for, iota_check,
                          parabolic_levi, standard_line)
 from .dualside import lfactor_standard, order_at_2, restrict_via_r
-from .eisenstein import (ConstantTerm, constant_term, entireness_report, pole_report,
-                         render_markdown_table, render_table_rows,
+from .eisenstein import (ConstantTerm, _table_json, constant_term, entireness_report,
+                         pole_report, render_markdown_table, render_table_rows,
                          sharp_invariance_check, siegel_weil_constant)
 from .errors import (ConfigError, DegeisError, IndeterminateZeroRegionError,
                      MathematicalLimitError)
-from .forms import AffineForm, Q, _per_object, parse_affine, parse_rational
+from .forms import Q, _per_object, parse_affine, parse_rational
 from .localint import ShellFunction, tate_integral
 from .rootdata import RootSystem, build_system
 from .zetas import ZetaAtom
@@ -149,12 +149,7 @@ def cmd_table(args) -> int:
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "line": str(ct.line), "rows": rows}
     if args.format == "json":
-        # one dict per shared atom and exponent coordinate, found by identity
-        atom_json = _per_object(ZetaAtom.to_json)
-        form_json = _per_object(AffineForm.to_json)
-        payload["rows"] = [r | {"j_factor_json": t.j_factor.to_json(atom_json),
-                                "exponent_json": t.exponent.to_json(form_json)}
-                           for r, t in zip(rows, ct.terms)]
+        payload["rows"] = [r | j for r, j in zip(rows, _table_json(ct))]
     _emit(args, payload, lambda: render_markdown_table(rows, point))
     return 0
 

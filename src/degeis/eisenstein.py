@@ -27,7 +27,7 @@ next order whenever the log-t coefficient survives.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
 from math import lcm
 from operator import mul
@@ -35,11 +35,12 @@ from operator import mul
 from .characters import (TorusCharacter, line_chi_P, line_mu_P, line_mu_Q, parabolic_levi,
                          root_basis_coords, weyl_act)
 from .errors import NeedsHigherLogOrderError, UnsupportedGroupError
-from .forms import AffineForm, Q, Rat, _make, _per_object, _q, _ratio_str, _Terms
+from .forms import AffineForm, Q, Rat, _make, _q, _ratio_str, _Terms
 from .records import Record, setters
 from .rootdata import RootSystem, WeylWord
 from .zetas import (_EPS, LaurentData, ZetaAtom, ZetaExpr, _Counts, _Expansion, _factors,
-                    _intern, _kept, _Multisets, expand_in, laurent_at)
+                    _intern, _kept, _Multisets, _primitive_order, _quotient_text, _residue_text,
+                    expand_in, laurent_at)
 
 
 # -- constant terms ---------------------------------------------------------
@@ -57,13 +58,53 @@ class GKTerm(Record):
 _set_word, _set_j_factor, _set_exponent = setters(GKTerm)
 
 
+class _Pending(partial):
+    """A field value not yet built: the call its first read makes (``_built_on_first_read``)."""
+    __slots__ = ()
+
+
+def _built_on_first_read(cls: type, name: str) -> Callable[[object], object]:
+    """Make slot ``name`` of cls a property that calls a ``_Pending`` value on its first
+    read and keeps the result; returns the slot's own getter.
+
+    Equality, hash, repr, copy and pickle read the field by name, so they see
+    the built value.  The class's setters must be taken before: the property
+    has none.
+    """
+    slot = vars(cls)[name]
+    get, put = slot.__get__, slot.__set__
+
+    def read(obj):
+        value = get(obj)
+        if value.__class__ is _Pending:
+            value = value()
+            put(obj, value)
+        return value
+
+    setattr(cls, name, property(read))
+    return get
+
+
+def _factor_order(key: object) -> tuple:
+    """Where a factor key stands in a canonical ``ZetaExpr``: residue symbols by label,
+    then affine factors as ``ZetaExpr.build`` sorts them, then atoms by (label, arg)."""
+    if isinstance(key, str):
+        return 0, key
+    if isinstance(key, AffineForm):
+        return 1, _primitive_order(key)
+    return 2, key
+
+
 class _AtomTable:
     """The factors of a constant term interned to ids, and its terms as id counts.
 
     ``keys[k]`` is the canonical factor id k stands for: an atom xi_L(arg)
     as (label, arg), an affine factor as the form, or a residue symbol R_L as
-    its label.  ``terms[t]`` is (scalar, counts): term t's J is the scalar
-    times each id's factor to its count.  Counts add where factors multiply,
+    its label.  The ids are numbered in canonical factor order
+    (``_factor_order``), so a term's counts, sorted by id, list its factors
+    as its canonical ``ZetaExpr`` does.  ``terms[t]`` is (scalar, counts):
+    term t's J is the scalar times each id's factor to its count, and
+    ``words[t]`` is its Weyl word.  Counts add where factors multiply,
     so the Laurent data of every term follows from one expansion per id
     (``_Expansion``).  ``params`` are the terms' parameters, sorted, and a
     line's ``roots[k]`` holds the (plain, shifted) ids of its positive root at
@@ -78,6 +119,7 @@ class _AtomTable:
         self.params: list[str] = []
         self.keys: list[object] = []
         self.roots: list[tuple[int, int]] = []
+        self.words: list[WeylWord] = []
         self.terms: list[tuple[Q, _Counts]] = []
         self.coords: list[AffineForm] = []
         self.exps: list[tuple[int, ...]] = []
@@ -118,17 +160,24 @@ class _AtomTable:
 
     @staticmethod
     def of_terms(terms: Iterable[GKTerm]) -> "_AtomTable":
-        """The table of terms built by hand: J factors interned, exponent coordinates
-        numbered, and the parameters of every factor and exponent."""
+        """The table of terms built by hand: words, J factors interned and renumbered in
+        canonical factor order, exponent coordinates numbered, and the parameters of
+        every factor and exponent."""
         ids: dict[object, int] = {}
         coords: dict[AffineForm, int] = {}
         params: set[str] = set()
         table = _AtomTable()
+        interned = []
         for t in terms:
-            table.terms.append((t.j_factor.scalar, _intern(ids, _factors(t.j_factor))))
+            table.words.append(t.word)
+            interned.append((t.j_factor.scalar, _intern(ids, _factors(t.j_factor))))
             table.exps.append(tuple([coords.setdefault(f, len(coords)) for f in t.exponent.coords]))
             params.update(t.j_factor.params, t.exponent.params)
-        table.keys, table.coords, table.params = list(ids), list(coords), sorted(params)
+        table.keys = sorted(ids, key=_factor_order)
+        new = {ids[key]: k for k, key in enumerate(table.keys)}
+        table.terms = [(scalar, tuple(sorted([(new[i], c) for i, c in counts])))
+                       for scalar, counts in interned]
+        table.coords, table.params = list(coords), sorted(params)
         table.bound = max((sum(abs(c) for _, c in counts) for _, counts in table.terms), default=0)
         return table
 
@@ -152,15 +201,36 @@ class _AtomTable:
 
 
 class ConstantTerm(Record):
+    """The terms of a constant term and their table.
+
+    ``constant_term`` fills only the table and stores a ``_Pending`` build
+    in ``terms``: the first read of ``ConstantTerm.terms`` builds the
+    ``GKTerm`` tuple from the table (``_walk_terms``) and keeps it.  Terms
+    built by hand are stored as given and interned into a table here.
+    """
     __slots__ = ("system", "levi", "line", "terms", "table")
     _compared = __slots__[:4]
 
     def __init__(self, system: RootSystem, levi: tuple[int, ...], line: TorusCharacter,
-                 terms: tuple[GKTerm, ...],
+                 # a pending build from the table until first read
+                 terms: tuple[GKTerm, ...] | _Pending,
                  # J as id counts, exponents as coordinate ids; interned here when not given
                  table: _AtomTable | None = None):
-        self._fill(system, levi, line, terms,
-                   _AtomTable.of_terms(terms) if table is None else table)
+        self._fill(system, levi, line)
+        _set_terms(self, terms)
+        _set_table(self, _AtomTable.of_terms(terms) if table is None else table)
+
+
+_set_terms, _set_table = setters(ConstantTerm)[3:]
+_get_terms = _built_on_first_read(ConstantTerm, "terms")
+
+
+def _walk_terms(table: _AtomTable) -> tuple[GKTerm, ...]:
+    """The terms of a walk's table: each J from its counts, each exponent from its
+    row of coordinate ids."""
+    coords, expr = table.coords, table.expr
+    return tuple([GKTerm(word, expr(counts), TorusCharacter(tuple([coords[c] for c in exp])))
+                  for word, (_, counts), exp in zip(table.words, table.terms, table.exps)])
 
 
 def coset_reps(system: RootSystem, levi: Iterable[int]) -> list[WeylWord]:
@@ -199,13 +269,15 @@ def constant_term(system: RootSystem, levi: Iterable[int],
     (constant, coefficients) tuple over the line's one denominator, is
     numbered once and becomes one ``AffineForm`` (``table.coords``), shared
     by every term that holds it; a term's exponent is a row of these numbers
-    (``table.exps``).  The term of length 1 is checked against ``weyl_act``
-    and the inversion set of its word.
+    (``table.exps``).  The walk fills only the table: the words, J as id
+    counts and the exponent rows.  No term is built until
+    ``ConstantTerm.terms`` is first read.  The term of length 1 is checked
+    against ``weyl_act`` and the inversion set of its word.
     """
     levi_set = tuple(levi)
     table = _AtomTable.of_line(system, line)
     steps = system.weyl_elements(levi_set).steps
-    words = coset_reps(system, levi_set)
+    words = table.words = coset_reps(system, levi_set)
     den, names, cols = _line_columns(line)
     # one id per distinct integer tuple, the line's coordinates first, with their forms
     line_forms = dict(zip(zip(*cols), line.coords))
@@ -214,16 +286,15 @@ def constant_term(system: RootSystem, levi: Iterable[int],
     coords = table.coords = list(line_forms.values())
     exps = table.exps = [tuple([ids[x] for x in zip(*cols)])]
     one = Q(1)
-    table.terms = [(one, ())]
-    terms = [GKTerm(words[0], table.expr(()), TorusCharacter(tuple([coords[k] for k in exps[0]])))]
+    terms = table.terms = [(one, ())]
     # the coordinates s_i moves: (j, pairing[i - 1][j]) with a nonzero entry
     moved = [[(j, r) for j, r in enumerate(row) if r] for row in system.pairing]
     roots = table.roots
-    for word, (parent, i, root) in zip(words[1:], steps):
-        row, exponent = exps[parent], terms[parent].exponent
+    for parent, i, root in steps:
+        row = exps[parent]
         x_i = vecs[row[i - 1]]
         if any(x_i):
-            row, forms = list(row), list(exponent.coords)
+            row = list(row)
             for j, r in moved[i - 1]:
                 x = tuple([a - r * b for a, b in zip(vecs[row[j]], x_i)])
                 k = ids.get(x)
@@ -232,30 +303,24 @@ def constant_term(system: RootSystem, levi: Iterable[int],
                     vecs.append(x)
                     coords.append(_make(den, x[0], tuple(
                         [(n, a) for n, a in zip(names, x[1:]) if a])))
-                row[j], forms[j] = k, coords[k]
-            row, exponent = tuple(row), TorusCharacter(tuple(forms))
+                row[j] = k
+            row = tuple(row)
         exps.append(row)
-        counts = list(table.terms[parent][1])
+        counts = list(terms[parent][1])
         plain, shifted = roots[root]
         _bump(counts, plain, 1)
         _bump(counts, shifted, -1)
-        counts = tuple(counts)
-        table.terms.append((one, counts))
-        terms.append(GKTerm(word, table.expr(counts), exponent))
-    if len(words) > 1 and (terms[1].exponent != weyl_act(system, words[1], line) or
-                           table.terms[1][1] != table.counts(system._inversions(words[1]))):
+        terms.append((one, tuple(counts)))
+    if len(words) > 1 and (
+            TorusCharacter(tuple([coords[k] for k in exps[1]])) != weyl_act(system, words[1], line)
+            or terms[1][1] != table.counts(system._inversions(words[1]))):
         raise RuntimeError(f"the coset walk disagrees with {words[1]} at its first step")
     # a term's total |count| is at most twice its length; the last word is the longest
     table.bound = 2 * len(words[-1])
-    return ConstantTerm(system, levi_set, line, tuple(terms), table)
+    return ConstantTerm(system, levi_set, line, _Pending(_walk_terms, table), table)
 
 
 # -- pole reports -----------------------------------------------------------
-
-class _Pending(partial):
-    """A leading term not yet built: ``_Expansion.leading`` bound to a scalar and counts."""
-    __slots__ = ()
-
 
 class TermGroup(Record):
     """The terms of a pole report that share one exponent at the point.
@@ -281,18 +346,7 @@ class TermGroup(Record):
 
 
 _set_exponent_at_point, _set_words, _set_order, _set_leading, _set_log_term = setters(TermGroup)
-_get_leading = vars(TermGroup)["leading"].__get__
-
-
-def _leading(group: TermGroup) -> ZetaExpr | None:
-    value = _get_leading(group)
-    if value.__class__ is _Pending:
-        value = value()
-        _set_leading(group, value)
-    return value
-
-
-TermGroup.leading = property(_leading)   # the slot is read and set through the saved descriptor
+_get_leading = _built_on_first_read(TermGroup, "leading")
 
 
 class PoleReport(Record):
@@ -332,33 +386,35 @@ def _at_point(table: _AtomTable, param: str, point: Q, *, packed: bool,
     return expansion, *_exponents_at(table, assignment)
 
 
-_Member = tuple[GKTerm, int, Q, int, _Counts]   # term, order, leading scalar, key, counts
+# word, order, leading scalar, packed leading monomial, counts, exponent row
+_Member = tuple[WeylWord, int, Q, int, _Counts, tuple[int, ...]]
 
 
-def _group_order(members: list[_Member], param: str,
-                 expansion: _Expansion) -> tuple[int, _Pending | None, bool]:
+def _group_order(members: list[_Member], param: str, expansion: _Expansion,
+                 coords: list[AffineForm]) -> tuple[int, _Pending | None, bool]:
     """Order of the sum of a group of terms sharing one limit exponent, and its leading term
-    as a pending call (None where it survives only as log-t or as a formal sum)."""
+    as a pending call (None where it survives only as log-t or as a formal sum).
+    ``coords`` are the exponent coordinates the members' rows number."""
     if len(members) == 1:
-        _, order, scalar, _, counts = members[0]
+        _, order, scalar, _, counts, _ = members[0]
         return order, _Pending(expansion.leading, scalar, counts), False
-    m = min(order for _, order, _, _, _ in members)
+    m = min(member[1] for member in members)
     lowest = [member for member in members if member[1] == m]
     # add up the leading scalars of each monomial
     buckets: dict[int, Q] = {}
-    for _, _, scalar, key, _ in lowest:
+    for _, _, scalar, key, _, _ in lowest:
         buckets[key] = buckets.get(key, Q(0)) + scalar
     nonzero = [key for key, total in buckets.items() if total != 0]
     if len(nonzero) == 1:
-        counts = next(c for _, _, _, key, c in lowest if key == nonzero[0])
+        counts = next(c for _, _, _, key, c, _ in lowest if key == nonzero[0])
         return m, _Pending(expansion.leading, buckets[nonzero[0]], counts), False
     if nonzero:
         # distinct monomials cannot cancel; the sum survives as a formal sum
         return m, None, False
     # full cancellation at order m: look at the log-t part of order m+1
     for key in buckets:
-        ders = [[scalar * d for d in term.exponent.derivative(param)]
-                for term, _, scalar, k, _ in lowest if k == key]
+        ders = [[scalar * coords[c].coeff(param) for c in exp]
+                for _, _, scalar, k, _, exp in lowest if k == key]
         if any(sum(col) != 0 for col in zip(*ders)):
             return m + 1, None, True
     raise NeedsHigherLogOrderError(
@@ -370,9 +426,9 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
                 assume_no_real_zeros: bool = False) -> PoleReport:
     """Pole order of the constant term at the point, with exponent grouping.
 
-    Each group's order comes from the scalars and packed monomials of its
-    terms; its leading ``ZetaExpr`` is built only when ``TermGroup.leading``
-    is first read.
+    Read off the table: no term is built.  Each group's order comes from the
+    scalars and packed monomials of its terms; its leading ``ZetaExpr`` is
+    built only when ``TermGroup.leading`` is first read.
     """
     system, table, pt = ct.system, ct.table, _q(point)
     params = table.params
@@ -381,19 +437,19 @@ def pole_report(ct: ConstantTerm, point: Rat, *,
     expansion, den, nums = _at_point(table, params[0], pt, packed=True,
                                      assume_no_real_zeros=assume_no_real_zeros)
     grouped: dict[tuple[int, ...], list[_Member]] = {}
-    for term, (scalar, counts), exp in zip(ct.terms, table.terms, table.exps):
+    for word, (scalar, counts), exp in zip(table.words, table.terms, table.exps):
         order, leading, key = expansion.term(scalar, counts)
         grouped.setdefault(tuple([nums[c] for c in exp]), []).append(
-            (term, order, leading, key, counts))
+            (word, order, leading, key, counts, exp))
 
     # one Fraction per distinct numerator, shared by every exponent that holds it
     values = {x: Q(x, den) for x in set().union(*grouped)}
     groups = []
     for exp0 in sorted(grouped):
         members = grouped[exp0]
-        order, leading, log_term = _group_order(members, params[0], expansion)
+        order, leading, log_term = _group_order(members, params[0], expansion, table.coords)
         groups.append(TermGroup(tuple([values[x] for x in exp0]),
-                                tuple(t.word for t, *_ in members), order, leading, log_term))
+                                tuple([member[0] for member in members]), order, leading, log_term))
     overall = max(0, max(-g.order for g in groups))
     surviving = tuple(g.exponent_at_point for g in groups if -g.order == overall)
     sq = all(all(x < 0 for x in root_basis_coords(system, exp)) for exp in surviving)
@@ -690,6 +746,22 @@ def h0_cancellation_check(system: RootSystem, simple_index: int,
     return _h0_cancels(system, simple_index, _root_atoms(table))
 
 
+def _index_verdicts(system: RootSystem, simple_index: int) -> tuple[dict[int, bool], bool]:
+    """Index i's boundary verdict at each offset, -1 and +1, and its H^0 verdict, from
+    one table of the eps - 1, eps and eps + 1 characters (block comment above)."""
+    n = len(system.positive_roots)
+    table, den, (below, _, above) = _eps_table(system, simple_index, (-1, 0, 1))
+    atoms = _root_atoms(table)
+    boundary = {}
+    for offset, block, nums in ((-1, 0, below), (1, 2, above)):
+        l_order = expand_in(_l_poly(_pairing_forms(system, den, nums)), "eps").order
+        # the least order of any L * F_w; orders are additive
+        least = l_order + sum(min(p[0], s[0]) for p, s in atoms[block * n:(block + 1) * n])
+        boundary[offset] = least >= 0
+    # every word has the identity's verdict
+    return boundary, _h0_cancels(system, simple_index, atoms[n:2 * n])
+
+
 class EntirenessReport(Record):
     __slots__ = ("boundary_ok", "h0_ok", "orbit_ok", "checked_words")
 
@@ -717,17 +789,10 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
     is Weyl-conjugate to a simple root.
     """
     boundary_ok = h0_ok = True
-    n = len(system.positive_roots)
     for i in range(1, system.rank + 1):
-        table, den, (below, _, above) = _eps_table(system, i, (-1, 0, 1))
-        atoms = _root_atoms(table)
-        for block, nums in ((0, below), (2, above)):
-            l_order = expand_in(_l_poly(_pairing_forms(system, den, nums)), "eps").order
-            # the least order of any L * F_w; orders are additive
-            if l_order + sum(min(p[0], s[0]) for p, s in atoms[block * n:(block + 1) * n]) < 0:
-                boundary_ok = False
-        # every word has the identity's verdict
-        h0_ok = _h0_cancels(system, i, atoms[n:2 * n]) and h0_ok
+        boundary, h0 = _index_verdicts(system, i)
+        boundary_ok = all(boundary.values()) and boundary_ok
+        h0_ok = h0 and h0_ok
     checked = system.rank * system.weyl_order()
     # each positive root steps down its provenance chain, one simple reflection
     # per link, to a simple root, which it is therefore W-conjugate to
@@ -745,9 +810,47 @@ def entireness_report(system: RootSystem) -> EntirenessReport:
 
 # -- rendering ----------------------------------------------------------------
 
+def _factor_text(key: object, count: int) -> list[str]:
+    """The factors of ``ZetaExpr.text`` that a table's factor key to a nonzero count is."""
+    if isinstance(key, tuple):
+        return [ZetaAtom(*key, count).factor_text()]
+    if isinstance(key, AffineForm):
+        return [f"({key})"] * abs(count)
+    return [_residue_text(key, count)]
+
+
+def _factor_json(key: object, count: int) -> tuple[str, list]:
+    """The field of ``ZetaExpr.to_json`` and its entries that a table's factor key to a
+    nonzero count is."""
+    if isinstance(key, tuple):
+        return "atoms", [ZetaAtom(*key, count).to_json()]
+    if isinstance(key, AffineForm):
+        return ("num" if count > 0 else "den"), [str(key)] * abs(count)
+    return "residues", [{"label": key, "power": count}]
+
+
+class _PerCount(dict):
+    """``render`` of a table's factor key and count, made on the first lookup of each
+    (id, count) pair and kept for one command."""
+
+    def __init__(self, keys: list[object], render: Callable[[object, int], object]):
+        super().__init__()
+        self.keys, self.render = keys, render
+
+    def __missing__(self, pair: tuple[int, int]) -> object:
+        value = self[pair] = self.render(self.keys[pair[0]], pair[1])
+        return value
+
+
 def render_table_rows(ct: ConstantTerm, point: Rat, *,
                       assume_no_real_zeros: bool = False) -> list[dict]:
-    """One row per coset representative: word, J factor, order, exponents."""
+    """One row per coset representative: word, J factor, order, exponents.
+
+    Read off the table, no term built: the ids are in canonical factor
+    order, so J's text is its counts' factor texts in id order, each
+    rendered once per (id, count), and each exponent coordinate is rendered
+    once by its id.
+    """
     table, pt = ct.table, _q(point)
     params = table.params
     if len(params) > 1:
@@ -755,18 +858,41 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     # the rows read orders only: no packed monomials
     expansion, den, nums = _at_point(table, params[0] if params else "s", pt, packed=False,
                                      assume_no_real_zeros=assume_no_real_zeros)
-    # each shared atom factor is rendered once, each exponent coordinate once by its id
-    factor_text = _per_object(ZetaAtom.factor_text)
+    factor_text = _PerCount(table.keys, _factor_text)
     generic, at_point = [str(f) for f in table.coords], [_ratio_str(x, den) for x in nums]
     rows = []
-    for term, (scalar, counts), exp in zip(ct.terms, table.terms, table.exps):
+    for word, (scalar, counts), exp in zip(table.words, table.terms, table.exps):
+        top: list[str] = []
+        bot: list[str] = []
+        for pair in counts:
+            (top if pair[1] > 0 else bot).extend(factor_text[pair])
         rows.append({
-            "word": str(term.word),
-            "j_factor": term.j_factor.text(factor_text),
+            "word": str(word),
+            "j_factor": _quotient_text(scalar, top, bot),
             "pole_order": max(0, -expansion.term(scalar, counts)[0]),
             "exponent": "(" + ",".join([generic[c] for c in exp]) + ")",
             "exponent_at_point": "(" + ",".join([at_point[c] for c in exp]) + ")",
         })
+    return rows
+
+
+def _table_json(ct: ConstantTerm) -> list[dict]:
+    """Each term's ``j_factor_json`` and ``exponent_json``, as ``ZetaExpr.to_json`` and
+    ``TorusCharacter.to_json`` lay them out, read off the table.
+
+    The entries of each (id, count) are made once, and each exponent
+    coordinate's dict once, so the JSON encoder meets each again as one object.
+    """
+    table = ct.table
+    entries = _PerCount(table.keys, _factor_json)
+    forms = [f.to_json() for f in table.coords]
+    rows = []
+    for (scalar, counts), exp in zip(table.terms, table.exps):
+        j = {"scalar": str(scalar), "num": [], "den": [], "atoms": [], "residues": []}
+        for pair in counts:
+            field, items = entries[pair]
+            j[field].extend(items)
+        rows.append({"j_factor_json": j, "exponent_json": {"coords": [forms[c] for c in exp]}})
     return rows
 
 

@@ -217,38 +217,48 @@ class ZetaExpr(Record):
 
     def text(self, factor_text: Callable[[ZetaAtom], str] = ZetaAtom.factor_text) -> str:
         """The text form, each atom's factor rendered by ``factor_text``."""
-        if self.is_zero():
-            return "0"
         top: list[str] = []
         bot: list[str] = []
         for l, m in self.residues:
-            name = "R" if l == "F" else f"R_{l}"
-            (top if m > 0 else bot).append(name if abs(m) == 1 else f"{name}^{abs(m)}")
+            (top if m > 0 else bot).append(_residue_text(l, m))
         for f in self.num:
             top.append(f"({f})")
         for f in self.den:
             bot.append(f"({f})")
         for a in self.atoms:
             (top if a.exp > 0 else bot).append(factor_text(a))
-        if self.scalar != 1 or not top:
-            top.insert(0, str(self.scalar))
-        expr = "*".join(top)
-        if bot:
-            expr += "/" + ("*".join(bot) if len(bot) == 1 else "(" + "*".join(bot) + ")")
-        return expr
+        return _quotient_text(self.scalar, top, bot)
 
-    def to_json(self, atom_json: Callable[[ZetaAtom], dict] = ZetaAtom.to_json) -> dict:
-        """The JSON layout, each atom encoded by ``atom_json``."""
+    def to_json(self) -> dict:
         return {
             "scalar": str(self.scalar),
             "num": [str(f) for f in self.num],
             "den": [str(f) for f in self.den],
-            "atoms": [atom_json(a) for a in self.atoms],
+            "atoms": [a.to_json() for a in self.atoms],
             "residues": [{"label": l, "power": m} for l, m in self.residues],
         }
 
 
 _set_scalar, _set_num, _set_den, _set_atoms, _set_residues = setters(ZetaExpr)
+
+
+def _residue_text(label: str, power: int) -> str:
+    """R_L^m as a factor of ``ZetaExpr.text``: R for the base field F, to the power |m| unless 1."""
+    name = "R" if label == "F" else f"R_{label}"
+    return name if abs(power) == 1 else f"{name}^{abs(power)}"
+
+
+def _quotient_text(scalar: Q, top: list[str], bot: list[str]) -> str:
+    """``ZetaExpr.text`` from its scalar and the factor texts above and below the line;
+    the scalar is written where it is not 1 or nothing else is above."""
+    if scalar == 0:
+        return "0"
+    if scalar != 1 or not top:
+        top.insert(0, str(scalar))
+    expr = "*".join(top)
+    if bot:
+        expr += "/" + ("*".join(bot) if len(bot) == 1 else "(" + "*".join(bot) + ")")
+    return expr
 
 
 class LaurentData(Record):

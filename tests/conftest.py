@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from degeis.characters import TorusCharacter, chi_line_for, parabolic_levi, standard_line
+from degeis.characters import (TorusCharacter, chi_line_for, parabolic_levi, standard_line,
+                               weyl_act)
+from degeis.eisenstein import GKTerm, coset_reps
 from degeis.forms import AffineForm
 from degeis.rootdata import build_system
 from degeis.zetas import ZetaAtom, ZetaExpr
@@ -119,6 +121,13 @@ def gk_reference(system, line, word):
         label, p = system.label_of(root).symbol, line.pair(system.coroot(root))
         atoms += [ZetaAtom(label, p, 1), ZetaAtom(label, p + 1, -1)]
     return ZetaExpr.build(atoms=atoms)
+
+
+def reference_terms(system, levi, line):
+    """The GK terms of every coset word built from scratch, with no atom table: J by
+    ``gk_reference`` and the exponent w^{-1} . line by ``weyl_act``."""
+    return tuple(GKTerm(w, gk_reference(system, line, w), weyl_act(system, w.inverse(), line))
+                 for w in coset_reps(system, levi))
 
 
 # -- the appendix checks built in full: the reference for the carried path ------

@@ -9,7 +9,8 @@ with s_i w.  On them:
   and of s_i lambda, compares the two L polynomials and compares
   F_u(lambda) with F_{s_i u}(s_i lambda) for every u;
 * ``ref_boundary`` checks that no L * F_w has a pole along
-  <lambda, alpha_i^vee> = +-1, for every w;
+  <lambda, alpha_i^vee> = +-1, for every w (``ref_boundary_blocks`` per index
+  and sign);
 * ``ref_h0_cancellations`` pairs w with s_i w along
   <lambda, alpha_i^vee> = 0 and compares their residues;
   ``ref_inverse_columns`` carries the columns w^{-1} varpi_j that compare
@@ -109,19 +110,25 @@ def ref_sharp_invariance_check(system: RootSystem,
     return True, None
 
 
-def ref_boundary(system: RootSystem) -> bool:
-    """Whether no L * F_w has a pole in eps along <lambda, alpha_i^vee> = eps +- 1, for any i."""
+def ref_boundary_blocks(system: RootSystem) -> dict[tuple[int, int], bool]:
+    """For each simple index i and offset +-1, whether no L * F_w has a pole in eps
+    along <lambda, alpha_i^vee> = eps + offset."""
     walk = system.weyl_elements()
     sets = _Multisets(len(system.positive_roots))
-    ok = True
+    verdicts = {}
     for i in range(1, system.rank + 1):
         for offset in (1, -1):
             lam = _eps_character(system, i, offset)
             table = _AtomTable.of_line(system, lam)
             l_order = expand_in(_l_poly(_pairings(system, lam)), "eps").order
             f = _carry(walk, table, _Expansion(table.keys, sets, "eps"))
-            ok = ok and all(l_order + order >= 0 for order, _, _ in f)
-    return ok
+            verdicts[i, offset] = all(l_order + order >= 0 for order, _, _ in f)
+    return verdicts
+
+
+def ref_boundary(system: RootSystem) -> bool:
+    """Whether no L * F_w has a pole in eps along <lambda, alpha_i^vee> = eps +- 1, for any i."""
+    return all(ref_boundary_blocks(system).values())
 
 
 def ref_h0_cancellations(system: RootSystem, walk: WeylWalk, simple_index: int,

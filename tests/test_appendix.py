@@ -12,8 +12,8 @@ root's coroot perturbed.  The walk carries Laurent data and canonical atom
 multisets from each element's prefix; the tests below also check it against
 every F_w rebuilt as one ``ZetaExpr`` (``conftest.sharp_f_w``).  The
 negative controls swap or replace one root's atoms in the H^0 character's
-tables, or tamper with one root's provenance chain, and expect each check to
-report the failure.
+tables, drop the normalizer's zero on one side of one index, or tamper with
+one root's provenance chain, and expect each check to report the failure.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import pytest
 
 from degeis import eisenstein, zetas
 from degeis.characters import TorusCharacter, weyl_act
-from degeis.eisenstein import (_AtomTable, _eps_character, _eps_table, _pairing_forms, _pairings,
-                               _root_atoms, entireness_report, h0_cancellation_check,
-                               sharp_invariance_check)
+from degeis.eisenstein import (_AtomTable, _eps_character, _eps_table, _index_verdicts,
+                               _pairing_forms, _pairings, _root_atoms, entireness_report,
+                               h0_cancellation_check, sharp_invariance_check)
 from degeis.errors import HyperplaneDegeneracyError
 from degeis.forms import AffineForm
 from degeis.rootdata import LABEL_E, LABEL_K, RootSystem, WeylWord, _preset_labels, build_system
@@ -32,7 +32,7 @@ from degeis.zetas import ZetaExpr, _Expansion, _Multisets, expand_in
 
 from conftest import F4_CARTAN, e_type, sharp_f_w
 from reference_appendix import (_carry, _left, generic_character, ref_boundary,
-                                ref_h0_cancellations, ref_inverse_columns,
+                                ref_boundary_blocks, ref_h0_cancellations, ref_inverse_columns,
                                 ref_sharp_invariance_check)
 
 PRESETS = ["A1", "G2", "tri_D4", "quasi_D4", "split_D4"]
@@ -432,6 +432,35 @@ def test_boundary_reports_a_missing_normalizer(monkeypatch, name):
         rep = entireness_report(system)
         assert not rep.boundary_ok and rep.h0_ok and not rep.entire
         assert not ref_boundary(system)
+
+
+def lacking_one_factor(index, offset):
+    """``_l_factors`` without alpha_index's factor that vanishes at eps = 0 on that index's
+    character eps + offset only: p - 1 at p = eps + 1, or p + 1 at p = eps - 1.  Only
+    that index's characters pair no root to a form in z_index."""
+    eps, z = AffineForm.var("eps"), f"z{index}"
+
+    def factors(pairs):
+        own = all(z not in p.params for _, p in pairs)
+        return [f for _, p in pairs for f in (p + 1, p - 1)
+                if not (own and p == eps + offset and f == eps)]
+    return factors
+
+
+@pytest.mark.parametrize("name", ["G2", "quasi_D4"])
+@pytest.mark.parametrize("offset", [1, -1])
+def test_boundary_pairs_each_offset_with_its_own_normalizer(monkeypatch, name, offset):
+    """One side of one index lacks its normalizer's zero: that block alone fails, per
+    offset as the walk over W finds, so L at one offset added to the other offset's atoms
+    is seen."""
+    system = build_system(name)
+    monkeypatch.setattr(eisenstein, "_l_factors", lacking_one_factor(2, offset))
+    want = ref_boundary_blocks(system)
+    assert [key for key, ok in want.items() if not ok] == [(2, offset)]
+    for i in range(1, system.rank + 1):
+        assert _index_verdicts(system, i)[0] == {o: want[i, o] for o in (-1, 1)}, i
+    rep = entireness_report(system)
+    assert not rep.boundary_ok and rep.h0_ok
 
 
 @pytest.mark.parametrize("name", ["G2", "quasi_D4"])

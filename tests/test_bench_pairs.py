@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py`` on stubbed runs: its seed lists, its marks, its exit status
-and its refusal to compare checkouts whose benchmark files differ.
+"""``tools/bench_pairs.py`` on stubbed runs: its seed lists, its marks, its exit status,
+its per-pair lines and its refusal to compare checkouts whose benchmark files differ.
 
 ``run`` is replaced by a table of metric values per checkout, and
 ``subprocess.run`` by a stub that fails the test, so no benchmark starts.
@@ -11,6 +11,7 @@ import importlib.util
 import json
 import pathlib
 import shutil
+import statistics
 
 import pytest
 
@@ -39,9 +40,10 @@ def _checkouts(tmp_path):
     return sides
 
 
-def _pairs(monkeypatch, tmp_path, change_values):
+def _pairs(monkeypatch, tmp_path, change_values, wall_by_seed=None):
     """main() over seeds 41-50 where every base run reads 1.0 on every metric and every
-    change run reads change_values (1.0 where not named): (exit status, calls)."""
+    change run reads change_values (1.0 where not named), or wall_by_seed(seed) on
+    wall_s if given: (exit status, calls)."""
     base, change = _checkouts(tmp_path)
     values = {base: dict.fromkeys(METRICS, 1.0),
               change: dict.fromkeys(METRICS, 1.0) | change_values}
@@ -49,6 +51,8 @@ def _pairs(monkeypatch, tmp_path, change_values):
 
     def run(checkout, workload, seed, seconds):
         calls.append((checkout, workload, seed, seconds))
+        if checkout == change and wall_by_seed is not None:
+            return values[checkout] | {"wall_s": wall_by_seed(seed)}
         return dict(values[checkout])
 
     def no_subprocess(*args, **kwargs):
@@ -84,6 +88,28 @@ def test_a_wall_time_half_worse_is_marked_and_exits_1(monkeypatch, tmp_path, cap
 def test_a_change_within_the_bound_or_better_exits_0(monkeypatch, tmp_path, capsys, better):
     status, _, _, _ = _pairs(monkeypatch, tmp_path, {"wall_s": better})
     assert status == 0 and "!" not in capsys.readouterr().out
+
+
+def test_every_pair_and_the_change_quartiles_are_printed(monkeypatch, tmp_path, capsys):
+    """The change's wall_s reads seed / 50 (0.82 to 1.0): each pair's line gives its seed,
+    the side that ran first and both values, and the summary the change's quartiles."""
+    status, _, _, _ = _pairs(monkeypatch, tmp_path, {}, wall_by_seed=lambda seed: seed / 50)
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert all(f"pairs of {name}:" in lines for name in METRICS)
+    k = lines.index("pairs of wall_s:")
+    assert lines[k + 1].split() == ["seed", "first", "base", "change", "delta"]
+    rows = [line.split() for line in lines[k + 2:k + 12]]
+    assert [row[0] for row in rows] == [str(seed) for seed in range(41, 51)]
+    assert [row[1] for row in rows] == ["base", "change"] * 5
+    assert [(float(row[2]), float(row[3])) for row in rows] == [
+        (1.0, seed / 50) for seed in range(41, 51)]
+    assert rows[0][4] == "-18.0%" and rows[-1][4] == "+0.0%"
+    [wall] = [line for line in lines if line.startswith("wall_s")]
+    fields = wall.split()
+    q1, _, q3 = statistics.quantiles([seed / 50 for seed in range(41, 51)], n=4)
+    assert (float(fields[6]), float(fields[7])) == pytest.approx((q1, q3), rel=1e-5)
+    assert fields[5] == "0" and fields[-1] == "9/10"
 
 
 def _edit_benchmark(base, change):

@@ -3,12 +3,15 @@
 ``constant_term`` interns the two atoms of every positive root once, and each
 J(w) is a list of (id, count) pairs over them.  ``pole_report`` and
 ``render_table_rows`` expand each id once per point and sum over the counts.
-These tests hold that path against ``laurent_at`` of each term's J and
+``ConstantTerm.terms`` is built from that same table on first read, so the
+references here are built per coset word with no table
+(``conftest.reference_terms``: ``gk_reference`` and ``weyl_act``).  These
+tests hold the table path against ``laurent_at`` of each reference J and
 against a from-scratch ``ZetaExpr.build``, and gate its build counts.  The
 coset walk numbers each distinct exponent coordinate once, and the
 exponents at the point are read through those numbers as integers over one
 denominator; they are held against ``TorusCharacter.evaluate`` of each
-term, and the reports against the same terms built by hand.
+reference term, and the reports against the reference terms built by hand.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from degeis.rootdata import WeylWord, build_system
 from degeis.zetas import (_EPS, ZetaAtom, ZetaExpr, _Expansion, _Multisets, canonical_arg,
                           laurent_at)
 
-from conftest import (af, exceptional_cases, gk_reference, sharp_f_w, sharp_l_poly,
-                      sweep_cases, xi)
+from conftest import (af, exceptional_cases, gk_reference, reference_terms, sharp_f_w,
+                      sharp_l_poly, sweep_cases, xi)
 
 # the benchmark's point pool: distinct p/q with |p/q| <= 2 and small denominators
 POOL = sorted({Q(p, q) for q in (1, 2, 3, 4, 5, 6, 10, 12) for p in range(-2 * q, 2 * q + 1)})
@@ -51,24 +54,26 @@ def _raised(outcome):
     return isinstance(outcome, tuple) and outcome[0] == "raises"
 
 
-def compare(ct, point, assume):
-    """The terms whose order or leading coefficient from the table differ from
-    laurent_at of their J, and what laurent_at raises at the first term that raises."""
+def compare(ct, reference, point, assume):
+    """The terms whose order or leading coefficient from ct's table differ from
+    laurent_at of the J of the reference term of the same word, and what laurent_at
+    raises at the first term that raises."""
     table = ct.table
+    assert table.words == [t.word for t in reference]
     expansion = _Expansion(table.keys, _Multisets(table.bound), _EPS, {"s": point}, assume)
 
     def from_table(scalar, counts):
         order, leading, _ = expansion.term(scalar, counts)
         return order, expansion.leading(leading, counts)
 
-    def reference(j):
+    def from_laurent_at(j):
         ld = laurent_at(j, {"s": point}, assume_no_real_zeros=assume)
         return ld.order, ld.leading
 
     bad, first_error = [], None
-    for term, (scalar, counts) in zip(ct.terms, table.terms):
+    for term, (scalar, counts) in zip(reference, table.terms):
         got = _outcome(lambda: from_table(scalar, counts))
-        want = _outcome(lambda: reference(term.j_factor))
+        want = _outcome(lambda: from_laurent_at(term.j_factor))
         if got != want:
             bad.append((str(term.word), got, want))
         if first_error is None and want[0] == "raises":
@@ -83,9 +88,10 @@ def j_mismatches(ct):
 
 def _check(ct, points):
     assert not j_mismatches(ct)
+    reference = reference_terms(ct.system, ct.levi, ct.line)
     for point in points:
         for assume in (False, True):
-            bad, first_error = compare(ct, point, assume)
+            bad, first_error = compare(ct, reference, point, assume)
             assert not bad, (point, assume)
             if first_error is not None:
                 # both reports raise it, before any later term is looked at
@@ -144,7 +150,7 @@ def test_terms_built_by_hand_match_laurent_at(quasi):
     ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2)))
     for point in (Q(0), Q(1), Q(-2), Q(1, 2), Q(1, 3), Q(-1, 4)):
         for assume in (False, True):
-            bad, first_error = compare(ct, point, assume)
+            bad, first_error = compare(ct, ct.terms, point, assume)
             assert not bad, (point, assume)
             if first_error is not None:
                 assert _outcome(lambda: pole_report(
@@ -182,13 +188,18 @@ def test_a_swapped_rank_is_detected(monkeypatch):
 
 
 def test_a_flipped_count_is_detected():
-    """Negative control: one count of one term changes sign."""
+    """Negative control: one count of one term changes sign.  The reference terms are
+    built per word with no table, so they keep the intact J."""
     ct = _d4_borel()
+    reference = reference_terms(ct.system, ct.levi, ct.line)
+    assert not compare(ct, reference, Q(1, 2), True)[0]
     scalar, counts = ct.table.terms[5]
     (i, c), *rest = counts
     ct.table.terms[5] = scalar, ((i, -c), *rest)
-    assert compare(ct, Q(1, 2), True)[0]
-    assert compare(ct, Q(1, 3), True)[0]
+    assert compare(ct, reference, Q(1, 2), True)[0]
+    assert compare(ct, reference, Q(1, 3), True)[0]
+    # the terms, built on first read from the flipped table, carry the flip
+    assert j_mismatches(ct) == [str(ct.table.words[5])]
 
 
 class _Counter:
@@ -270,30 +281,30 @@ def term_exponents(table, assignment):
     return den, [tuple(nums[c] for c in exp) for exp in table.exps]
 
 
-def reference_groups(ct, point):
+def reference_groups(terms, point):
     """(exponent at the point, words) per distinct exponent, from evaluate and Fractions."""
     grouped = {}
-    for term in ct.terms:
+    for term in terms:
         grouped.setdefault(term.exponent.evaluate({"s": point}), []).append(term.word)
     return [(exp, tuple(words)) for exp, words in sorted(grouped.items())]
 
 
 def _check_reports(ct, hand, point):
-    """Both reports of ct agree with those of the same terms built by hand,
-    and pole_report groups as the Fraction tuples sort."""
+    """Both reports of ct agree with those of the reference terms built by hand,
+    and pole_report groups as the Fraction tuples of the reference sort."""
     for assume in (False, True):
         rep = _outcome(lambda: pole_report(ct, point, assume_no_real_zeros=assume))
         assert rep == _outcome(lambda: pole_report(hand, point, assume_no_real_zeros=assume))
         if not _raised(rep):
             assert [(g.exponent_at_point, g.words) for g in rep.groups] == \
-                reference_groups(ct, point)
+                reference_groups(hand.terms, point)
         rows = _outcome(lambda: render_table_rows(ct, point, assume_no_real_zeros=assume))
         assert rows == _outcome(
             lambda: render_table_rows(hand, point, assume_no_real_zeros=assume))
         if not _raised(rows):
             assert [r["exponent_at_point"] for r in rows] == [
                 "(" + ",".join(str(x) for x in t.exponent.evaluate({"s": point})) + ")"
-                for t in ct.terms]
+                for t in hand.terms]
 
 
 @pytest.mark.parametrize("case", list(chi_cases()), ids=lambda case: case[0])
@@ -302,11 +313,11 @@ def test_carried_exponents_match_evaluate(case):
     the int tuples sort as the Fraction tuples do, and the reports do not change."""
     _, system, levi, line = case
     ct = constant_term(system, levi, line)
-    hand = ConstantTerm(system, ct.levi, line, ct.terms)
+    hand = ConstantTerm(system, ct.levi, line, reference_terms(system, levi, line))
     for point in CARRY_POINTS:
         assignment = {"s": point}
         den, exps = term_exponents(ct.table, assignment)
-        values = [t.exponent.evaluate(assignment) for t in ct.terms]
+        values = [t.exponent.evaluate(assignment) for t in hand.terms]
         assert den > 0
         assert [tuple(Q(x, den) for x in e) for e in exps] == values
         assert [tuple(Q(x, den) for x in e) for e in sorted(set(exps))] == sorted(set(values))
@@ -326,7 +337,7 @@ def test_terms_built_by_hand_group_as_before(quasi):
         rep = _outcome(lambda: pole_report(ct, point, assume_no_real_zeros=True))
         if not _raised(rep):
             assert [(g.exponent_at_point, g.words) for g in rep.groups] == \
-                reference_groups(ct, point)
+                reference_groups(ct.terms, point)
             assert rep.surviving_exponents == tuple(
                 g.exponent_at_point for g in rep.groups if -g.order == rep.order)
 
@@ -338,7 +349,8 @@ def test_hand_built_exponents_go_over_the_lcm_of_their_denominators(a1):
     ct = ConstantTerm(a1, (), TorusCharacter.of(af(1)), terms)
     assert term_exponents(_AtomTable.of_terms(ct.terms), {"s": Q(0)}) == (6, [(3,), (2,)])
     rep = pole_report(ct, Q(1, 4), assume_no_real_zeros=True)
-    assert [(g.exponent_at_point, g.words) for g in rep.groups] == reference_groups(ct, Q(1, 4))
+    assert [(g.exponent_at_point, g.words) for g in rep.groups] == \
+        reference_groups(ct.terms, Q(1, 4))
 
 
 def test_a_report_evaluates_each_exponent_coordinate_once(monkeypatch):
@@ -430,27 +442,29 @@ def test_d4_borel_report_shares_its_leading_atoms_and_exponent_values():
         assert all(id(e) in own for e in rep.surviving_exponents)
 
 
-def _rows_match_str(ct, point):
+def _rows_match_str(ct, terms, point):
     rows = render_table_rows(ct, point, assume_no_real_zeros=True)
-    assert [r["j_factor"] for r in rows] == [str(t.j_factor) for t in ct.terms]
-    assert [r["exponent"] for r in rows] == [str(t.exponent) for t in ct.terms]
+    assert [r["word"] for r in rows] == [str(t.word) for t in terms]
+    assert [r["j_factor"] for r in rows] == [str(t.j_factor) for t in terms]
+    assert [r["exponent"] for r in rows] == [str(t.exponent) for t in terms]
 
 
 @pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda case: case[0])
 def test_row_text_is_str_of_each_term(case):
-    """Each distinct argument and coordinate is rendered once per table; the rows read
-    as ``str`` of each term, walk-built and by hand."""
+    """Each distinct factor and coordinate is rendered once per table; the rows read
+    as ``str`` of each reference term, from the walk's table and by hand."""
     _, system, levi, line = case
-    ct = constant_term(system, levi, line)
-    _rows_match_str(ct, Q(2))
-    _rows_match_str(ConstantTerm(system, ct.levi, line, ct.terms), Q(2))
+    reference = reference_terms(system, levi, line)
+    _rows_match_str(constant_term(system, levi, line), reference, Q(2))
+    _rows_match_str(ConstantTerm(system, levi, line, reference), reference, Q(2))
 
 
 def test_row_text_of_terms_built_by_hand(quasi):
-    """Affine factors, residue symbols and scalars: the rows still read as ``str``."""
+    """Affine factors, residue symbols and scalars, interned in an order that is not
+    canonical: the rows still read as ``str``."""
     ct = _built_by_hand(quasi, TorusCharacter.of(af(1, 0), af(1, 1), af(1, 2)))
     assert ct.table.params == ["s"] and len(ct.table.terms) == len(ct.terms)
-    _rows_match_str(ct, Q(2))
+    _rows_match_str(ct, ct.terms, Q(2))
 
 
 def test_terms_built_by_hand_are_interned_once(monkeypatch):

@@ -9,8 +9,10 @@ side that runs first alternates from pair to pair so that a drift of the
 host's speed does not favour one side.  For every end-to-end metric of that
 file it prints the median of each side, their relative difference against
 the metric's ``bound`` (marked ``!`` where the change is worse by more), the
-interquartile range of the base's runs and how many pairs the change won.
-It exits with status 1 if any metric is marked ``!``.  If any run fails,
+interquartile range of the base's runs beside the change's first and third
+quartiles, and how many pairs the change won; then, per metric, every pair:
+its seed, the side that ran first, both values and their relative
+difference.  It exits with status 1 if any metric is marked ``!``.  If any run fails,
 or reports ``correct`` false or a failed operation, it prints that run's
 output and reports nothing.  It runs nothing, and names the files, when the
 two checkouts' ``BENCHMARK.json`` or ``perfbench/*.py`` differ: the two
@@ -47,6 +49,19 @@ def differing_bench_files(base: Path, change: Path) -> list[str]:
 
     return [name for name in sorted(files(base) | files(change))
             if content(base / name) != content(change / name)]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile); one value is all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def relative(change: float, base: float) -> str:
+    """change against base as a signed percentage, or n/a for a zero base."""
+    return f"{(change - base) / base:+.1%}" if base else "n/a"
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -90,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}: {n} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}, "
           f"{seconds:g} s per run")
     print(f"{'metric':<14}{'base':>12}{'change':>12}{'delta':>9}{'bound':>8}"
-          f"{'base IQR':>12}  won")
+          f"{'base IQR':>12}{'change Q1':>12}{'change Q3':>12}  won")
     status = 0
     for metric in bench["end_to_end"]:
         name = metric["name"]
@@ -98,15 +113,21 @@ def main(argv: list[str] | None = None) -> int:
         change = [r[name] for r in runs["change"]]
         sign = 1 if metric["better"] == "lower" else -1
         won = sum(sign * (c - b) < 0 for b, c in zip(base, change))
-        mid, med = statistics.median(base), statistics.median(change)
-        q1, _, q3 = statistics.quantiles(base, n=4) if n > 1 else (mid,) * 3
+        (q1, mid, q3), (c1, med, c3) = quartiles(base), quartiles(change)
         rel = (med - mid) / mid if mid else 0.0
         worse = " !" if sign * rel > metric["bound"] else ""
         if worse:
             status = 1
-        delta = f"{rel:+.1%}" if mid else "n/a"
-        print(f"{name:<14}{mid:>12.6g}{med:>12.6g}{delta:>9}{metric['bound']:>8.0%}"
-              f"{q3 - q1:>12.3g}  {won}/{n}{worse}")
+        print(f"{name:<14}{mid:>12.6g}{med:>12.6g}{relative(med, mid):>9}"
+              f"{metric['bound']:>8.0%}{q3 - q1:>12.3g}{c1:>12.6g}{c3:>12.6g}  {won}/{n}{worse}")
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        print(f"\npairs of {name}:")
+        print(f"  {'seed':>6}  {'first':<7}{'base':>12}{'change':>12}{'delta':>9}")
+        for k, (seed, b, c) in enumerate(zip(args.seeds, runs["base"], runs["change"])):
+            first = "base" if k % 2 == 0 else "change"
+            print(f"  {seed:>6}  {first:<7}{b[name]:>12.6g}{c[name]:>12.6g}"
+                  f"{relative(c[name], b[name]):>9}")
     return status
 
 
