@@ -40,17 +40,6 @@ class TorusCharacter(Record):
                               f"combine with {len(other)} coordinates")
         return zip(self.coords, other)
 
-    def __add__(self, other: "TorusCharacter") -> "TorusCharacter":
-        return TorusCharacter(tuple(a + b for a, b in self._zip(other.coords)))
-
-    def __sub__(self, other: "TorusCharacter") -> "TorusCharacter":
-        return TorusCharacter(tuple(a - b for a, b in self._zip(other.coords)))
-
-    def __mul__(self, scalar: Rat | AffineForm) -> "TorusCharacter":
-        return TorusCharacter(tuple(_scale(c, scalar) for c in self.coords))
-
-    __rmul__ = __mul__
-
     def pair(self, cvec: Sequence[Rat]) -> AffineForm:
         """Pairing with a coroot vector: sum cvec[j] * coords[j]."""
         out = AffineForm()
@@ -65,29 +54,12 @@ class TorusCharacter(Record):
     def evaluate(self, point: Mapping[str, Rat]) -> tuple[Q, ...]:
         return tuple(c.evaluate(point) for c in self.coords)
 
-    def derivative(self, param: str) -> tuple[Q, ...]:
-        return tuple(c.coeff(param) for c in self.coords)
-
-    def is_constant(self) -> bool:
-        return all(c.is_constant() for c in self.coords)
-
     @property
     def params(self) -> tuple[str, ...]:
         names: set[str] = set()
         for c in self.coords:
             names.update(c.params)
         return tuple(sorted(names))
-
-    def render(self, system: RootSystem | None = None) -> str:
-        """Text form prod |t_i|^(coords[i]) with field subscripts."""
-        parts = []
-        for i, c in enumerate(self.coords, start=1):
-            sub = ""
-            if system is not None:
-                sym = system.label_of(system.simple_root(i)).symbol
-                sub = f"_{sym}" if sym != "F" else "_F"
-            parts.append(f"|t{i}|{sub}^({c})")
-        return "*".join(parts)
 
     def __str__(self) -> str:
         return "(" + ",".join([str(c) for c in self.coords]) + ")"
@@ -97,14 +69,6 @@ class TorusCharacter(Record):
 
 
 (_set_coords,) = setters(TorusCharacter)
-
-
-def _scale(form: AffineForm, scalar: Rat | AffineForm) -> AffineForm:
-    if isinstance(scalar, AffineForm):
-        if not form.is_constant():
-            raise ValueError("cannot multiply two non-constant forms")
-        return scalar * form.const
-    return form * scalar
 
 
 def weyl_act(system: RootSystem, word: WeylWord, char: TorusCharacter) -> TorusCharacter:

@@ -37,17 +37,6 @@ class WeightSet(Record):
             vecs.append(tuple(-x for x in v))
         return WeightSet(tuple(vecs))
 
-    def negation_closed(self) -> bool:
-        bag = sorted(self.weights)
-        return bag == sorted(tuple(-x for x in w) for w in self.weights)
-
-    def total(self) -> tuple[Q, ...]:
-        out = [Q(0), Q(0)]
-        for w in self.weights:
-            out[0] += w[0]
-            out[1] += w[1]
-        return tuple(out)
-
 
 def _g2() -> RootSystem:
     return build_system("G2")

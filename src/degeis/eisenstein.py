@@ -63,9 +63,9 @@ class _Pending(partial):
     __slots__ = ()
 
 
-def _built_on_first_read(cls: type, name: str) -> Callable[[object], object]:
+def _built_on_first_read(cls: type, name: str) -> None:
     """Make slot ``name`` of cls a property that calls a ``_Pending`` value on its first
-    read and keeps the result; returns the slot's own getter.
+    read and keeps the result.
 
     Equality, hash, repr, copy and pickle read the field by name, so they see
     the built value.  The class's setters must be taken before: the property
@@ -82,7 +82,6 @@ def _built_on_first_read(cls: type, name: str) -> Callable[[object], object]:
         return value
 
     setattr(cls, name, property(read))
-    return get
 
 
 def _factor_order(key: object) -> tuple:
@@ -222,7 +221,7 @@ class ConstantTerm(Record):
 
 
 _set_terms, _set_table = setters(ConstantTerm)[3:]
-_get_terms = _built_on_first_read(ConstantTerm, "terms")
+_built_on_first_read(ConstantTerm, "terms")
 
 
 def _walk_terms(table: _AtomTable) -> tuple[GKTerm, ...]:
@@ -346,7 +345,7 @@ class TermGroup(Record):
 
 
 _set_exponent_at_point, _set_words, _set_order, _set_leading, _set_log_term = setters(TermGroup)
-_get_leading = _built_on_first_read(TermGroup, "leading")
+_built_on_first_read(TermGroup, "leading")
 
 
 class PoleReport(Record):

@@ -48,9 +48,6 @@ class Record:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 
-    def _key(self) -> tuple:
-        return self._get(self)
-
     def __eq__(self, other: object):
         if other is self:
             return True

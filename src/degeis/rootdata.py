@@ -40,6 +40,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import partial
 
 from .errors import (ConfigError, EnumerationTooLargeError, LabelInconsistencyError,
                      NotFiniteTypeError, UnknownRootError,
@@ -56,6 +57,8 @@ class FieldLabel(OrderedRecord):
     __slots__ = ("symbol", "degree")
 
     def __init__(self, symbol: str, degree: int):
+        if not (isinstance(symbol, str) and symbol.isidentifier()):
+            raise ValueError(f"field label symbol {symbol!r} is not a non-empty identifier")
         if isinstance(degree, bool) or not isinstance(degree, int):
             raise ValueError(f"field degree {degree!r} is not an integer")
         if degree < 1:
@@ -79,10 +82,6 @@ class Root(OrderedRecord):
         if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
             raise ValueError(f"mixed-sign coordinates: {coords}")
         _set_root_coords(self, coords)
-
-    @property
-    def positive(self) -> bool:
-        return any(c > 0 for c in self.coords)
 
     @property
     def height(self) -> int:
@@ -161,7 +160,12 @@ _LETTER_ALIASES = {
 
 
 class RootSystem:
-    """Immutable labeled root system; all operations are pure."""
+    """Immutable labeled root system; all operations are pure.
+
+    Two systems built from equal inputs (name, Cartan rows, folded, simple
+    labels) are equal and hash alike, and copy and pickle by those inputs,
+    so a copy equals its original and carries no cached walk.
+    """
 
     def __init__(self, name: str, cartan: Sequence[Sequence[int]], *,
                  folded: bool, labels: Mapping[int, FieldLabel]):
@@ -177,6 +181,7 @@ class RootSystem:
             if not folded else rows
         # self.pairing[i] is the vector subtracted (times s_i) by reflection i
         self._simple_labels = {i: labels[i] for i in range(1, self.rank + 1)}
+        self._inputs = (name, self.cartan, folded, tuple(self._simple_labels.values()))
         self._generate()
         self._weyl_cache: dict[tuple[int, ...], WeylWalk] = {}
 
@@ -224,8 +229,8 @@ class RootSystem:
         self._times = tuple(operator.itemgetter(*g) for g in self._gens)
 
         # Labels and norms are constant on Weyl orbits, so a root takes its
-        # label, length class and norm 2 d_o (d the symmetrizer) from the simple
-        # root alpha_o its provenance chain starts at.  A split root's coroot is
+        # label and norm 2 d_o (d the symmetrizer) from the simple root alpha_o
+        # its provenance chain starts at.  A split root's coroot is
         # 2 alpha / (alpha, alpha) = sum_i c_i d_i / d_o alpha_i^vee (Bourbaki
         # VI.1); folded systems pair through the root's own coordinates.
         prov: list[tuple[int, int] | None] = [None] * n
@@ -238,11 +243,10 @@ class RootSystem:
             letter, parent = p[0], pos[p[1]]
             prov[k], origin[k] = (letter, parent), origin[parent]
         self._provenance = tuple(prov)
-        d, long_d = self.symmetrizer, max(self.symmetrizer)
+        d = self.symmetrizer
         self._cvec = tuple(coords) if self.folded else tuple(
             tuple(x * d_i // d[o] for x, d_i in zip(c, d)) for c, o in zip(coords, origin))
         self._labels = tuple(self._simple_labels[i + 1] for i in origin)
-        self._length_class = tuple("long" if d[i] == long_d else "short" for i in origin)
         for k, lab in enumerate(self._labels):
             for gen in self._gens:
                 other = self._labels[gen[k] % n]
@@ -287,9 +291,6 @@ class RootSystem:
 
     def label_of(self, root: Root) -> FieldLabel:
         return self._labels[self._position(root) % len(self.positive_roots)]
-
-    def length_class_of(self, root: Root) -> str:
-        return self._length_class[self._position(root) % len(self.positive_roots)]
 
     def coroot(self, root: Root) -> tuple[Q, ...]:
         """Pairing vector c with <lambda, root^vee> = sum c_j lambda_j."""
@@ -385,9 +386,6 @@ class RootSystem:
     def weyl_order(self) -> int:
         return _weyl_group_order(self.positive_roots)
 
-    def length(self, word: WeylWord) -> int:
-        return len(self._inversions(word))
-
     def inversion_set(self, word: WeylWord) -> tuple[Root, ...]:
         """{alpha > 0 : w^{-1} alpha < 0} in canonical positive-root order."""
         signed = self._signed
@@ -410,33 +408,6 @@ class RootSystem:
             else:
                 current.remove(image - n)
         return tuple(current)
-
-    def reduce(self, word: WeylWord) -> WeylWord:
-        """A reduced word for the same element (deterministic)."""
-        letters: list[int] = []
-        perm = self.perm_of_word(word)
-        n = len(self.positive_roots)
-        ident = tuple(range(2 * n))
-        while perm != ident:
-            for i, pos in enumerate(self._simple_pos, start=1):
-                # right descent: w(alpha_i) < 0
-                if perm[pos] >= n:
-                    letters.append(i)
-                    perm = self._times[i - 1](perm)
-                    break
-            else:
-                raise RuntimeError("no descent found for nontrivial element")
-        return WeylWord(tuple(reversed(letters)))
-
-    def reflection_word(self, root: Root) -> WeylWord:
-        """A word s_i u s_i for the reflection in a root, u the parent's word."""
-        k = self._position(root) % len(self.positive_roots)
-        outer = []
-        while (prov := self._provenance[k]) is not None:
-            letter, k = prov
-            outer.append(letter)
-        simple = self._simple_pos.index(k) + 1
-        return WeylWord(tuple(outer) + (simple,) + tuple(reversed(outer)))
 
     # -- parsing -----------------------------------------------------------
 
@@ -475,6 +446,18 @@ class RootSystem:
         for i in letters:
             self._check_index(i)
         return WeylWord(tuple(letters))
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or other._inputs == self._inputs
+
+    def __hash__(self) -> int:
+        return hash(self._inputs)
+
+    def __reduce__(self):
+        return (partial(RootSystem, folded=self.folded, labels=self._simple_labels),
+                (self.name, self.cartan))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, rank {self.rank}, {len(self.positive_roots)} positive roots)"

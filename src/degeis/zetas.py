@@ -157,10 +157,6 @@ class ZetaExpr(Record):
                         tuple(sorted(dd, key=_primitive_order)), at, rr)
 
     @staticmethod
-    def one() -> "ZetaExpr":
-        return ZetaExpr()
-
-    @staticmethod
     def atom(label: str, arg: AffineForm, exp: int = 1) -> "ZetaExpr":
         return ZetaExpr.build(atoms=[ZetaAtom(label, arg, exp)])
 

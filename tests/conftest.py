@@ -52,7 +52,7 @@ def xi(label, a, b=0):
 
 def xir(label, *linear):
     """Ratio prod xi(label, a, b) / xi(label, a, b+1) over (a, b) pairs."""
-    e = ZetaExpr.one()
+    e = ZetaExpr()
     for a, b in linear:
         e = e * xi(label, a, b) / xi(label, a, b + 1)
     return e

@@ -65,16 +65,6 @@ def provenance(cartan) -> dict[Coords, tuple[int, Coords] | None]:
     return found
 
 
-def reflection_word(cartan, c: Coords) -> tuple[int, ...]:
-    """The word s_i u s_i for a root c = s_i(parent), u the parent's word."""
-    prov = provenance(cartan)
-    outer = []
-    while prov[c] is not None:
-        i, c = prov[c]
-        outer.append(i)
-    return tuple(outer) + (c.index(1) + 1,) + tuple(reversed(outer))
-
-
 def inversion_set(cartan, letters) -> list[Coords]:
     """{alpha > 0 : w^{-1} alpha < 0}, by height and then coordinates."""
     inverse = tuple(reversed(letters))

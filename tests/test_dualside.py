@@ -19,8 +19,8 @@ def biweight_oracle():
 def test_weight_set_shape():
     ws = WeightSet.standard()
     assert len(ws.weights) == 7
-    assert ws.negation_closed()
-    assert ws.total() == (0, 0)
+    assert sorted(ws.weights) == sorted(tuple(-x for x in w) for w in ws.weights)
+    assert tuple(map(sum, zip(*ws.weights))) == (0, 0)
 
 
 def test_embedding_orthogonality():

@@ -159,15 +159,6 @@ def test_keyword_construction_copy_and_immutability(made, name):
     assert not hasattr(x, "__dict__")
 
 
-def _by_value(x):
-    """x, or a record's compared fields with a RootSystem (equal only to
-    itself, so never to its copy) as its name and Cartan matrix."""
-    if not isinstance(x, Record):
-        return x
-    return tuple((v.name, v.cartan) if isinstance(v, rootdata.RootSystem) else v
-                 for v in x._key())
-
-
 def test_pickle_round_trip():
     for x in (Root((1, 0, 1)), FieldLabel("K", 2), ShellFunction("shell", 3),
               lfactor_standard("V_tau"), rootdata.WeylWord((1, 2))):
@@ -180,7 +171,27 @@ def test_pickle_round_trip():
               ct.terms[-1].exponent, ct, rep):
         assert copy.copy(x) == x
         for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-            assert type(y) is type(x) and _by_value(y) == _by_value(x)
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+
+
+def test_a_root_system_is_its_inputs():
+    """Equal and hashed by name, Cartan rows, folded and simple labels; copied and
+    pickled by them, so a cached walk is not carried."""
+    system = build_system("split_D4")
+    size = len(pickle.dumps(system))
+    system.weyl_elements(())
+    assert len(system.weyl_elements(())) == 192 and len(pickle.dumps(system)) == size
+    for y in (copy.copy(system), copy.deepcopy(system), pickle.loads(pickle.dumps(system)),
+              build_system("split_D4")):
+        assert y is not system and y == system and hash(y) == hash(system)
+        assert y._weyl_cache == {} and y.positive_roots == system.positive_roots
+    g2, labels = build_system("G2"), {1: rootdata.LABEL_E, 2: rootdata.LABEL_F}
+    assert g2 != build_system("tri_D4") and g2 != build_system("custom", cartan=g2.cartan)
+    assert build_system("tri_D4") != rootdata.RootSystem("tri_D4", g2.cartan, folded=False,
+                                                         labels=labels)
+    assert build_system("tri_D4") == rootdata.RootSystem("tri_D4", g2.cartan, folded=True,
+                                                         labels=labels)
+    assert system != system.name and system != (system.name, system.cartan)
 
 
 def test_defaults_match_the_dataclass():

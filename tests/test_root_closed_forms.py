@@ -82,8 +82,8 @@ def test_coroots_and_norm_characters_match_the_transport(name):
     assert system._cvec == tuple(transported[r.coords] for r in system.positive_roots)
     for root in system._signed:
         c = root.coords
-        sign = 1 if root.positive else -1
-        vec = transported[c if root.positive else tuple(-x for x in c)]
+        sign = 1 if root.height > 0 else -1
+        vec = transported[c if sign > 0 else tuple(-x for x in c)]
         assert system.coroot(root) == tuple(Q(sign * x) for x in vec), root
         assert system.norm_char(root) == ref.norm_char(cartan, pairing, degrees, c), root
         assert all(type(x) is Q for x in system.coroot(root) + system.norm_char(root))

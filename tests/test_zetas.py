@@ -34,7 +34,7 @@ def test_functional_equation_canonical_forms():
 
 def test_canonicalize_idempotent_and_exponent_merge():
     e = xi("F", 6, 2) / xi("F", 6, 2)
-    assert e == ZetaExpr.one()
+    assert e == ZetaExpr()
     assert rebuild(rebuild(e)) == rebuild(e)
 
 
