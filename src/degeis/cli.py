@@ -21,7 +21,7 @@ from . import __version__
 from .characters import (STANDARD_LINES, TorusCharacter, chi_line_for, iota_check,
                          parabolic_levi, standard_line)
 from .dualside import lfactor_standard, order_at_2, restrict_via_r
-from .eisenstein import (ConstantTerm, _table_json, constant_term, entireness_report,
+from .eisenstein import (ConstantTerm, _factor_json, _PerCount, constant_term, entireness_report,
                          pole_report, render_markdown_table, render_table_rows,
                          sharp_invariance_check, siegel_weil_constant)
 from .errors import (ConfigError, DegeisError, IndeterminateZeroRegionError,
@@ -78,54 +78,118 @@ def _line(system: RootSystem, spec: str | None, parabolic: str) -> TorusCharacte
     return line
 
 
-def _json(value) -> str:
+class _Encoded(str):
+    """JSON text already laid out for the depth where ``_json`` writes it: appended
+    as it is."""
+    __slots__ = ()
+
+
+def _json(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for the payload types only.
 
-    Strings are quoted by the stdlib's C quoting function, so the bytes are the
-    stdlib's.  Anything but dict (with str keys), list, str, int, bool and None
-    raises TypeError: its encoding is not guessed.  A dict object met again at
-    the same depth is encoded once: from its second meeting its text is kept
-    for the call, keyed by (id, indent).  The payload holds every object for
-    the whole call, so no id is reused.
+    ``newline`` is the line break and indent of the depth the value is written
+    at: the text of a value nested that deep in a document.  Strings are quoted
+    by the stdlib's C quoting function, so the bytes are the stdlib's; an
+    ``_Encoded`` string is written as it is.  Anything but dict (with str keys),
+    list, str, int, bool and None raises TypeError: its encoding is not
+    guessed.  Every piece goes into one list, joined once at the end.
     """
-    seen: set[tuple[int, str]] = set()
-    texts: dict[tuple[int, str], str] = {}
+    out: list[str] = []
+    append = out.append
 
-    def encode(value, newline: str) -> str:
+    def encode(value, newline: str) -> None:
         if isinstance(value, str):
-            return _quote(value)
-        if value is None:
-            return "null"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        inner = newline + "  "
-        if isinstance(value, dict):
+            append(value if value.__class__ is _Encoded else _quote(value))
+        elif value is None:
+            append("null")
+        elif isinstance(value, bool):
+            append("true" if value else "false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, dict):
             if not value:
-                return "{}"
-            key = (id(value), newline)
-            text = texts.get(key)
-            if text is not None:
-                return text
+                append("{}")
+                return
             for k in value:
                 if not isinstance(k, str):
                     raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-            items = [f"{_quote(k)}: {encode(value[k], inner)}" for k in sorted(value)]
-            text = "{" + inner + ("," + inner).join(items) + newline + "}"
-            if key in seen:
-                texts[key] = text
-            else:
-                seen.add(key)
-            return text
-        if isinstance(value, list):
+            inner = newline + "  "
+            opening = "{" + inner
+            for k in sorted(value):
+                append(opening + _quote(k) + ": ")
+                encode(value[k], inner)
+                opening = "," + inner
+            append(newline + "}")
+        elif isinstance(value, list):
             if not value:
-                return "[]"
-            items = [encode(v, inner) for v in value]
-            return "[" + inner + ("," + inner).join(items) + newline + "]"
-        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+                append("[]")
+                return
+            inner = newline + "  "
+            opening = "[" + inner
+            for v in value:
+                append(opening)
+                encode(v, inner)
+                opening = "," + inner
+            append(newline + "]")
+        else:
+            raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
-    return encode(value, "\n")
+    encode(value, newline)
+    return "".join(out)
+
+
+def _array(items: list[str], newline: str) -> str:
+    """The JSON array of items already encoded one level deeper than ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+_SLOT = _Encoded("%s")
+# a row of ``table`` and a group of ``poles``, each at its depth in the document, with
+# one %s per value: _json sorts the keys, so the values fill in the order listed here
+_ROW = _json({"exponent": _SLOT, "exponent_at_point": _SLOT, "exponent_json": {"coords": _SLOT},
+              "j_factor": _SLOT,
+              "j_factor_json": dict.fromkeys(("atoms", "den", "num", "residues", "scalar"), _SLOT),
+              "pole_order": _SLOT, "word": _SLOT}, "\n    ")
+_GROUP = _json(dict.fromkeys(("exponent", "leading", "log_term", "order", "words"), _SLOT),
+               "\n    ")
+# the lists of ``j_factor_json`` in key order; the depth of a row's lists and of their items
+_J_FIELDS = ("atoms", "den", "num", "residues")
+_ROW_LIST = "\n        "
+_ROW_ITEM = _ROW_LIST + "  "
+
+
+def _table_rows_json(ct: ConstantTerm, rows: list[dict]) -> list[_Encoded]:
+    """The rows of ``table --format json``: ``render_table_rows``' fields, with J as
+    ``ZetaExpr.to_json`` and the exponent as ``TorusCharacter.to_json`` lay them out.
+
+    Read off the table: the entries of each (id, count) are encoded once, and
+    each exponent coordinate once, at the depth where every row writes them.
+    """
+    table = ct.table
+    sep = "," + _ROW_ITEM
+
+    def encoded(key: object, count: int) -> tuple[int, str]:
+        field, items = _factor_json(key, count)
+        return _J_FIELDS.index(field), sep.join([_json(x, _ROW_ITEM) for x in items])
+
+    entries = _PerCount(table.keys, encoded)
+    coords = [_json(f.to_json(), _ROW_ITEM) for f in table.coords]
+    scalar_text = _per_object(lambda q: _quote(str(q)))
+    out = []
+    for row, (scalar, counts), exp in zip(rows, table.terms, table.exps):
+        fields: tuple[list[str], ...] = ([], [], [], [])
+        for pair in counts:
+            k, text = entries[pair]
+            fields[k].append(text)
+        out.append(_Encoded(_ROW % (
+            _quote(row["exponent"]), _quote(row["exponent_at_point"]),
+            _array([coords[c] for c in exp], _ROW_LIST), _quote(row["j_factor"]),
+            *[_array(f, _ROW_LIST) for f in fields], scalar_text(scalar),
+            row["pole_order"], _quote(row["word"]))))
+    return out
 
 
 def _emit(args, payload: dict, markdown) -> None:
@@ -149,7 +213,7 @@ def cmd_table(args) -> int:
     payload = {"command": "table", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "line": str(ct.line), "rows": rows}
     if args.format == "json":
-        payload["rows"] = [r | j for r, j in zip(rows, _table_json(ct))]
+        payload["rows"] = _table_rows_json(ct, rows)
     _emit(args, payload, lambda: render_markdown_table(rows, point))
     return 0
 
@@ -159,29 +223,25 @@ def cmd_poles(args) -> int:
     rep = pole_report(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
     # the report shares one Fraction per distinct exponent value: each is rendered once
     value_text = _per_object(str)
-    groups = [{
-        "exponent": "(" + ",".join(map(value_text, g.exponent_at_point)) + ")",
-        "words": [str(w) for w in g.words],
-        "order": g.order,
-        "log_term": g.log_term,
-    } for g in rep.groups]
+    exponents = ["(" + ",".join(map(value_text, g.exponent_at_point)) + ")" for g in rep.groups]
+    words = [[str(w) for w in g.words] for g in rep.groups]
     payload = {"command": "poles", "group": args.group, "parabolic": args.parabolic,
                "point": str(point), "order": rep.order,
-               "square_integrable": rep.square_integrable, "groups": groups}
+               "square_integrable": rep.square_integrable, "groups": []}
     if args.format == "json":
         # only JSON prints the leading terms; their atoms are shared, each rendered once
         factor_text = _per_object(ZetaAtom.factor_text)
-        payload["groups"] = [d | {"leading": None if (lead := g.leading) is None
-                                  else lead.text(factor_text)}
-                             for d, g in zip(groups, rep.groups)]
+        payload["groups"] = [_Encoded(_GROUP % (
+            _quote(e), "null" if (lead := g.leading) is None else _quote(lead.text(factor_text)),
+            "true" if g.log_term else "false", g.order, _array(list(map(_quote, ws)), "\n      ")))
+            for e, ws, g in zip(exponents, words, rep.groups)]
 
     def markdown():
         lines = [f"pole order at {point}: {rep.order}",
                  f"square integrable: {rep.square_integrable}"]
-        for g in groups:
-            words = ", ".join(g["words"])
-            extra = " (log term survives)" if g["log_term"] else ""
-            lines.append(f"  exponent {g['exponent']}: order {g['order']}{extra}  [{words}]")
+        for e, ws, g in zip(exponents, words, rep.groups):
+            extra = " (log term survives)" if g.log_term else ""
+            lines.append(f"  exponent {e}: order {g.order}{extra}  [{', '.join(ws)}]")
         return "\n".join(lines)
     _emit(args, payload, markdown)
     return 0

@@ -875,26 +875,6 @@ def render_table_rows(ct: ConstantTerm, point: Rat, *,
     return rows
 
 
-def _table_json(ct: ConstantTerm) -> list[dict]:
-    """Each term's ``j_factor_json`` and ``exponent_json``, as ``ZetaExpr.to_json`` and
-    ``TorusCharacter.to_json`` lay them out, read off the table.
-
-    The entries of each (id, count) are made once, and each exponent
-    coordinate's dict once, so the JSON encoder meets each again as one object.
-    """
-    table = ct.table
-    entries = _PerCount(table.keys, _factor_json)
-    forms = [f.to_json() for f in table.coords]
-    rows = []
-    for (scalar, counts), exp in zip(table.terms, table.exps):
-        j = {"scalar": str(scalar), "num": [], "den": [], "atoms": [], "residues": []}
-        for pair in counts:
-            field, items = entries[pair]
-            j[field].extend(items)
-        rows.append({"j_factor_json": j, "exponent_json": {"coords": [forms[c] for c in exp]}})
-    return rows
-
-
 def render_markdown_table(rows: list[dict], point: Rat) -> str:
     """The rows of ``render_table_rows`` as a Markdown table."""
     pt = _q(point)

@@ -1,13 +1,16 @@
 """The CLI's JSON emitter against ``json.dumps(x, indent=2, sort_keys=True)``."""
 
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degeis.cli import _json
+from degeis import cli
+from degeis.cli import _Encoded, _json
 
 # non-ASCII (accents, CJK, astral-plane emoji), quotes, backslashes and control characters
 _text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é漢😀')),
@@ -36,6 +39,97 @@ def test_emitter_edge_cases(payload):
     assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\n  ", "\n      "])
+@pytest.mark.parametrize("payload", [
+    {}, [], "a", 7, None, [1, [2, {}]], {"b": {"a": [None, True]}, "c": []},
+])
+def test_newline_is_the_depth_written_at(payload, newline):
+    """The text of a value nested that deep: the stdlib's, every line break indented."""
+    assert _json(payload, newline) == json.dumps(payload, indent=2,
+                                                 sort_keys=True).replace("\n", newline)
+
+
+# -- text encoded ahead: _Encoded ------------------------------------------------------
+
+def _subvalues(value, newline, path=()):
+    """(path, newline) of the value and of every value inside it, with the depth each
+    is written at."""
+    yield path, newline
+    inner = newline + "  "
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield from _subvalues(v, inner, path + (k,))
+
+
+def _replaced(value, path, new):
+    """The value with the sub-value at path replaced by new, the rest unchanged."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {k: _replaced(v, rest, new) if k == head else v for k, v in value.items()}
+    return [_replaced(v, rest, new) if k == head else v for k, v in enumerate(value)]
+
+
+def _at(value, path):
+    for k in path:
+        value = value[k]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads, st.data())
+def test_an_encoded_subvalue_leaves_the_document_unchanged(payload, data):
+    """Any sub-value, replaced by its own text at its depth as ``_Encoded``."""
+    path, newline = data.draw(st.sampled_from(list(_subvalues(payload, "\n"))))
+    encoded = _Encoded(_json(_at(payload, path), newline))
+    assert _json(_replaced(payload, path, encoded)) == json.dumps(payload, indent=2,
+                                                                  sort_keys=True)
+
+
+# -- poles --format json: one template per group ---------------------------------------
+
+POLES = [
+    ["--group", "A1", "--parabolic", "borel", "--point=0", "--assume-no-real-zeros"],
+    ["--group", "3D4", "--parabolic", "P", "--point=0", "--assume-no-real-zeros"],
+    ["--group", "2D4", "--parabolic", "Q", "--point=1/3", "--assume-no-real-zeros"],
+    ["--group", "D4", "--parabolic", "borel", "--point=1/2"],
+    ["--group", "D4", "--parabolic", "Q", "--point=-1/6", "--line", "muQ"],
+]
+
+
+def _poles_reference(args) -> dict:
+    """The document of ``poles --format json`` as dicts, from ``pole_report``."""
+    ct, point = cli._constant_term(args)
+    rep = cli.pole_report(ct, point, assume_no_real_zeros=args.assume_no_real_zeros)
+    return {"schema": cli.SCHEMA, "command": "poles", "group": args.group,
+            "parabolic": args.parabolic, "point": str(point), "order": rep.order,
+            "square_integrable": rep.square_integrable,
+            "groups": [{"exponent": "(" + ",".join(str(x) for x in g.exponent_at_point) + ")",
+                        "words": [str(w) for w in g.words], "order": g.order,
+                        "leading": None if g.leading is None else str(g.leading),
+                        "log_term": g.log_term} for g in rep.groups]}
+
+
+@pytest.mark.parametrize("argv", POLES, ids=lambda argv: " ".join(argv))
+def test_poles_groups_are_written_as_the_stdlib(argv):
+    argv = ["poles", *argv, "--format", "json"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    reference = _poles_reference(cli.build_parser().parse_args(argv))
+    assert out.getvalue() == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+
+def test_poles_cases_reach_a_null_leading_and_a_log_term():
+    groups = [g for argv in POLES
+              for g in _poles_reference(cli.build_parser().parse_args(["poles", *argv]))["groups"]]
+    assert any(g["leading"] is None for g in groups)
+    assert any(g["log_term"] for g in groups)
+    assert any(g["leading"] is not None and not g["log_term"] for g in groups)
+
+
 @pytest.mark.parametrize("payload", [
     1.5, float("nan"), (1, 2), Fraction(1, 2), {1: "a"}, {None: 1}, {("a",): 1},
     {"a": [1, {"b": 0.5}]}, [{"x": (1,)}], {"a": 1, 2: "b"}, {1, 2}, b"bytes",
@@ -45,7 +139,7 @@ def test_emitter_refuses_other_types(payload):
         _json(payload)
 
 
-# -- one dict object inserted many times -----------------------------------------
+# -- one dict object inserted many times: written once per occurrence ----------------
 
 _SLOT = object()      # where a template takes the shared dict
 _templates = st.recursive(
@@ -83,7 +177,7 @@ def test_repeated_dicts_at_one_depth_match_the_stdlib():
 
 @pytest.mark.parametrize("bad", [{"a": 1, 2: "b"}, {"a": {None: 1}}])
 def test_a_repeated_dict_with_a_foreign_key_raises_at_every_occurrence(bad):
-    """The first occurrence raises, at any depth, and a failed encoding is never kept."""
+    """The first occurrence raises, at any depth, and again in the next call."""
     for payload in ([bad, bad], [[bad], bad], {"x": [{}, bad], "y": bad}, [bad, [[bad]]]):
         for _ in range(2):
             with pytest.raises(TypeError):
@@ -91,7 +185,8 @@ def test_a_repeated_dict_with_a_foreign_key_raises_at_every_occurrence(bad):
 
 
 def test_the_memo_lasts_one_call():
-    """A dict encoded twice in one call, then given a foreign key, raises in the next."""
+    """A dict written twice in one call, then given a foreign key, raises in the next:
+    no text is kept from one call to the next."""
     shared = {"a": [1]}
     payload = [shared, shared, [shared]]
     assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -4,15 +4,17 @@
 exponents as rows of coordinate ids.  ``pole_report``, ``render_table_rows``
 and the JSON rows of ``table`` read that table, and ``ConstantTerm.terms``
 builds the ``GKTerm`` tuple from it on its first read.  These tests count the
-objects each command makes, hold the JSON rows against ``to_json`` of terms
-built per word with no table (``conftest.reference_terms``), check that the
-built terms behave as a stored tuple does, and reach the two branches of
-``_group_order`` that no preset line reaches.
+objects each command makes, hold the JSON rows byte for byte against
+``json.dumps`` of ``to_json`` of terms built per word with no table
+(``conftest.reference_terms``), check that the built terms behave as a
+stored tuple does, and reach the two branches of ``_group_order`` that no
+preset line reaches.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 from collections import Counter
 from fractions import Fraction as Q
@@ -21,8 +23,8 @@ import pytest
 
 from degeis import cli
 from degeis.characters import TorusCharacter, chi_line_for
-from degeis.eisenstein import (ConstantTerm, GKTerm, _factor_order, _table_json, constant_term,
-                               coset_reps, pole_report)
+from degeis.eisenstein import (ConstantTerm, GKTerm, _factor_order, constant_term, coset_reps,
+                               pole_report, render_table_rows)
 from degeis.forms import AffineForm
 from degeis.rootdata import build_system
 from degeis.zetas import ZetaExpr, _factors, _intern, laurent_at
@@ -133,9 +135,19 @@ def test_the_terms_stay_immutable():
 
 # -- the JSON rows --------------------------------------------------------------------
 
-def _reference_json(terms):
-    return [{"j_factor_json": t.j_factor.to_json(), "exponent_json": t.exponent.to_json()}
-            for t in terms]
+def _reference_json(terms, rows):
+    """The rows of ``table --format json`` as dicts: ``render_table_rows``' fields with
+    ``to_json`` of each term."""
+    return [r | {"j_factor_json": t.j_factor.to_json(), "exponent_json": t.exponent.to_json()}
+            for r, t in zip(rows, terms)]
+
+
+def _assert_rows_written_as_the_stdlib(ct, terms):
+    """The written rows, in a document, byte for byte as ``json.dumps`` of the dicts."""
+    rows = render_table_rows(ct, Q(1, 2), assume_no_real_zeros=True)
+    written = cli._json({"rows": cli._table_rows_json(ct, rows)})
+    assert written == json.dumps({"rows": _reference_json(terms, rows)}, indent=2,
+                                 sort_keys=True)
 
 
 @pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda case: case[0])
@@ -143,8 +155,8 @@ def test_json_rows_are_to_json_of_each_term(case):
     """From the walk's table and from the reference terms built by hand."""
     _, system, levi, line = case
     reference = reference_terms(system, levi, line)
-    assert _table_json(constant_term(system, levi, line)) == _reference_json(reference)
-    assert _table_json(ConstantTerm(system, levi, line, reference)) == _reference_json(reference)
+    _assert_rows_written_as_the_stdlib(constant_term(system, levi, line), reference)
+    _assert_rows_written_as_the_stdlib(ConstantTerm(system, levi, line, reference), reference)
 
 
 def test_json_rows_of_terms_built_by_hand(quasi):
@@ -155,19 +167,33 @@ def test_json_rows_of_terms_built_by_hand(quasi):
     for t in ct.terms:
         _intern(first_seen, _factors(t.j_factor))
     assert sorted(first_seen, key=_factor_order) == ct.table.keys != list(first_seen)
-    rows = _table_json(ct)
-    assert rows == _reference_json(ct.terms)
-    assert any(j["residues"] and j["num"] and j["scalar"] != "1"
-               for j in (r["j_factor_json"] for r in rows))
+    _assert_rows_written_as_the_stdlib(ct, ct.terms)
+    # the atoms, the forms and the residues: every branch of _factor_json
+    assert any(j["residues"] and j["num"] and j["atoms"] and j["scalar"] != "1"
+               for j in (t.j_factor.to_json() for t in ct.terms))
 
 
-def test_json_rows_share_one_dict_per_atom_and_coordinate():
-    """D4 Borel: 1,438 atom entries over 24 (id, count) pairs, 768 coordinates over 10 ids."""
-    rows = _table_json(_d4_borel())
-    atoms = [a for r in rows for a in r["j_factor_json"]["atoms"]]
-    coords = [c for r in rows for c in r["exponent_json"]["coords"]]
-    assert (len(atoms), len({id(a) for a in atoms})) == (1438, 24)
-    assert (len(coords), len({id(c) for c in coords})) == (768, 10)
+def test_json_rows_encode_each_entry_and_coordinate_once(monkeypatch, capsys):
+    """D4 Borel: the 1,438 atom entries are encoded as 24, one per (id, count), and the
+    768 coordinates as 10, one per id."""
+    encoded = Counter()
+
+    def counted_json(value, newline="\n", _json=cli._json):
+        encoded["atom" if "label" in value else "coordinate" if "const" in value
+                else "document"] += 1
+        return _json(value, newline)
+
+    def counted_factor_json(key, count, _factor_json=cli._factor_json):
+        encoded["entry"] += 1
+        return _factor_json(key, count)
+
+    monkeypatch.setattr(cli, "_json", counted_json)
+    monkeypatch.setattr(cli, "_factor_json", counted_factor_json)
+    assert cli.main(["table", *D4_BOREL, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sum(len(r["j_factor_json"]["atoms"]) for r in doc["rows"]) == 1438
+    assert sum(len(r["exponent_json"]["coords"]) for r in doc["rows"]) == 768
+    assert encoded == {"entry": 24, "atom": 24, "coordinate": 10, "document": 1}
 
 
 # -- the branches of _group_order that no preset line reaches ------------------------------

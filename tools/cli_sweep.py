@@ -15,7 +15,9 @@ the same bytes on every command of the sweep.
 of output must update that file on purpose.
 
 The sweep covers ``table`` and ``poles`` (Markdown and JSON) on the 15
-preset lines at 81 rational points with |p/q| <= 2, ``sw``, ``sharp-check``,
+preset lines at 81 rational points with |p/q| <= 2, each once without and
+once with ``--assume-no-real-zeros`` (the families ``table-assume`` and
+``poles-assume``, the form the benchmark prints), ``sw``, ``sharp-check``,
 ``lfactor``, ``tate`` and usage errors.  ``tate`` at a constant exponent with
 Re z <= 0 is its own family, ``tate-divergent``.  The ``library`` family
 calls ``pole_report`` directly, on the four F4 maximal parabolics and E6
@@ -83,12 +85,12 @@ POINTS = sorted({Fraction(p, q) for q in (1, 2, 3, 4, 5, 6, 10, 12)
 FORMATS = (["--format", "md"], ["--format", "json"])
 
 
-def line_commands(command: str):
+def line_commands(command: str, *extra: str):
     for group, parabolic, line in LINES:
         for point in POINTS:
             for fmt in FORMATS:
                 argv = [command, "--group", group, "--parabolic", parabolic,
-                        f"--point={point}", *fmt]
+                        f"--point={point}", *fmt, *extra]
                 if line is not None:
                     argv += ["--line", line]
                 yield argv
@@ -303,6 +305,8 @@ def cli_calls(commands):
 FAMILIES = {
     "table": lambda: cli_calls(line_commands("table")),
     "poles": lambda: cli_calls(line_commands("poles")),
+    "table-assume": lambda: cli_calls(line_commands("table", "--assume-no-real-zeros")),
+    "poles-assume": lambda: cli_calls(line_commands("poles", "--assume-no-real-zeros")),
     "sw": lambda: cli_calls(group_commands("sw")),
     "sharp-check": lambda: cli_calls(group_commands("sharp-check")),
     "lfactor": lambda: cli_calls(lfactor_commands()),
